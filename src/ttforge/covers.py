@@ -2,15 +2,19 @@
 
 The cover attached to a subgroup is the core plus a forest of hanging trees,
 one infinite tree hanging off every missing dart.  `LazyCover` materializes
-those trees on demand, which is all that path lifting ever touches.  Maps are
-lifted by choosing the image of a basepoint and tracing: either into the full
-lazy cover, or directly into the core when the theory promises the image
-stays there (the tracing then doubles as the check).
+those trees on demand, which is all that path lifting ever touches.
+
+Every lift comes from one routine, `lift_by_tracing`: choose the image of a
+basepoint and trace edge images breadth-first.  Callers differ in what they
+trace into (the core, the full lazy cover, a finite covering) and in what a
+failure means: try the next basepoint image, or raise, as `based_lift_power`
+does because the theory promises its image stays in the core.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import deque
 from dataclasses import dataclass
 
 from .graphs import GraphMap, SerreGraph, edge_of, inv, is_positive
@@ -174,40 +178,44 @@ class LiftedMap:
         return True
 
 
-def _try_candidate_in_core(f, core, candidate):
-    """Attempt the lift of f after projection with the basepoint sent here.
+def lift_by_tracing(graph, base, image, word_of, trace):
+    """Lift a map defined on ``graph`` by breadth-first tracing from ``base``.
 
-    Assigns vertex images by breadth-first tracing inside the core and
-    verifies every edge closes up.  Returns a GraphMap or None.
+    ``image`` is the chosen image of ``base``, ``word_of(d)`` the downstairs
+    word the lift must follow over the dart ``d``, and ``trace`` follows a
+    word upstairs from a vertex the way LabeledGraph.trace does.  Each edge
+    image is forced by tracing from its already placed origin, so the lift
+    exists exactly when every trace runs to the end and lands on the image
+    already given to the far endpoint.  Returns ``(vertex map, edge
+    images)``; raises NotLiftableError otherwise, and ValueError when
+    ``graph`` is not connected.
     """
-    graph = core.graph
-    vm = {core.basepoint: candidate}
+    vm = {base: image}
     images = {}
-    queue = [core.basepoint]
-    seen_edges = set()
+    queue = deque([base])
     while queue:
-        u = queue.pop(0)
+        u = queue.popleft()
         for d in graph.out_darts(u):
             e = edge_of(d)
-            if e in seen_edges:
+            if e in images:
                 continue
-            seen_edges.add(e)
-            word = f.dart_image(core.dart_label(d))
-            end, lifted, consumed = core.trace(vm[u], word)
+            word = word_of(d)
+            end, lifted, consumed = trace(vm[u], word)
             if consumed != len(word):
-                return None
+                raise NotLiftableError(
+                    "image of %r leaves the core after %d darts"
+                    % (d, consumed))
             w = graph.terminus(d)
-            if w in vm:
-                if vm[w] != end:
-                    return None
-            else:
+            if w not in vm:
                 vm[w] = end
                 queue.append(w)
+            elif vm[w] != end:
+                raise NotLiftableError("lift does not close over %r" % e)
             images[e] = lifted if is_positive(d) else tuple(
                 inv(x) for x in reversed(lifted))
     if len(vm) != len(graph.vertices):
-        return None
-    return GraphMap(graph, graph, vm, images)
+        raise ValueError("graph is not connected")
+    return vm, images
 
 
 def lift_graph_map(f, core):
@@ -224,11 +232,16 @@ def lift_graph_map(f, core):
     candidates = sorted(core.fiber(downstairs))
     if not candidates:
         raise NotLiftableError("no core vertex over %r" % downstairs)
+    graph = core.graph
     for candidate in candidates:
-        lifted = _try_candidate_in_core(f, core, candidate)
-        if lifted is not None:
-            return LiftedMap(map=lifted, core=core,
-                             basepoint_image=candidate, stays_in_core=True)
+        try:
+            vm, images = lift_by_tracing(
+                graph, core.basepoint, candidate,
+                lambda d: f.dart_image(core.dart_label(d)), core.trace)
+        except NotLiftableError:
+            continue
+        return LiftedMap(map=GraphMap(graph, graph, vm, images), core=core,
+                         basepoint_image=candidate, stays_in_core=True)
     raise NotLiftableError(
         "no consistent lift; tried basepoint images %r" % (candidates,))
 
@@ -249,7 +262,7 @@ def restrict_to_core(lifted):
                 "vertex %r is sent outside the core" % v)
     for e in core.graph.edge_ids:
         for d in m.dart_image(e):
-            if edge_of(d) not in core.graph.edge_ids:
+            if not core.graph.has_dart(d):
                 raise NotLiftableError(
                     "image of %r leaves the core" % e)
     return GraphMap(core.graph, core.graph, dict(m.vertex_map),
@@ -272,34 +285,8 @@ def based_lift_power(core, f, power, target=None):
     big = f.power(power)
     if big.vertex_map[base] != base:
         raise ValueError("power %d does not fix %r downstairs" % (power, base))
-    vm = {base: target}
-    images = {}
-    queue = [base]
-    seen_edges = set()
-    while queue:
-        u = queue.pop(0)
-        for d in ambient.out_darts(u):
-            e = edge_of(d)
-            if e in seen_edges:
-                continue
-            seen_edges.add(e)
-            word = big.dart_image(d)
-            end, lifted, consumed = core.trace(vm[u], word)
-            if consumed != len(word):
-                raise NotLiftableError(
-                    "image of %r leaves the core after %d darts" % (d, consumed))
-            w = ambient.terminus(d)
-            if w in vm:
-                if vm[w] != end:
-                    raise NotLiftableError(
-                        "lift of power %d does not close over %r" % (power, e))
-            else:
-                vm[w] = end
-                queue.append(w)
-            images[e] = lifted if is_positive(d) else tuple(
-                inv(x) for x in reversed(lifted))
-    if len(vm) != len(ambient.vertices):
-        raise ValueError("ambient graph is not connected")
+    vm, images = lift_by_tracing(ambient, base, target, big.dart_image,
+                                 core.trace)
     return GraphMap(ambient, core.graph, vm, images)
 
 
@@ -317,38 +304,20 @@ def lift_to_cover(f, core):
     graph = core.graph
     for candidate in candidates:
         cover = LazyCover(core)
-        vm = {core.basepoint: candidate}
-        images = {}
-        ok = True
-        queue = [core.basepoint]
-        seen_edges = set()
-        while queue and ok:
-            u = queue.pop(0)
-            for d in graph.out_darts(u):
-                e = edge_of(d)
-                if e in seen_edges:
-                    continue
-                seen_edges.add(e)
-                word = f.dart_image(core.dart_label(d))
-                end, lifted = cover.lift_path(vm[u], word)
-                w = graph.terminus(d)
-                if w in vm:
-                    if vm[w] != end:
-                        ok = False
-                        break
-                else:
-                    vm[w] = end
-                    queue.append(w)
-                images[e] = lifted if is_positive(d) else tuple(
-                    inv(x) for x in reversed(lifted))
-        if ok and len(vm) == len(graph.vertices):
-            snapshot = cover.materialized_graph()
-            lifted_map = GraphMap(graph, snapshot, vm, images)
-            inside = (all(cover.vertex_in_core(x) for x in vm.values())
-                      and all(cover.dart_in_core(x)
-                              for img in images.values() for x in img))
-            return LiftedMap(map=lifted_map, core=core,
-                             basepoint_image=candidate,
-                             stays_in_core=inside, cover=cover)
+        try:
+            vm, images = lift_by_tracing(
+                graph, core.basepoint, candidate,
+                lambda d: f.dart_image(core.dart_label(d)),
+                lambda v, word: cover.lift_path(v, word) + (len(word),))
+        except NotLiftableError:
+            continue
+        snapshot = cover.materialized_graph()
+        lifted_map = GraphMap(graph, snapshot, vm, images)
+        inside = (all(cover.vertex_in_core(x) for x in vm.values())
+                  and all(cover.dart_in_core(x)
+                          for img in images.values() for x in img))
+        return LiftedMap(map=lifted_map, core=core,
+                         basepoint_image=candidate,
+                         stays_in_core=inside, cover=cover)
     raise NotLiftableError(
         "no consistent lift through the cover; tried %r" % (candidates,))

@@ -7,6 +7,11 @@ membership by path tracing, rank counting, images of subgroups under
 endomorphisms, kernel stabilization, the stable quotient data, and Hall
 completion of a core to a finite cover all live here.
 
+Images under an endomorphism phi come from one step, `map_subgroup`:
+H_{k+1} = fold(phi(basis of H_k)), whose words stay short where phi^k of the
+ambient basis grows like lambda^k.  `image_chain` iterates it up to the first
+step that keeps the rank; stabilization and stable quotient read that chain.
+
 A labeling sends positive darts to positive ambient darts; the label of a
 reversed dart is the reversed label.  Folded means no vertex carries two
 out-darts with the same label, so tracing an ambient path through the graph
@@ -37,7 +42,8 @@ class LabeledGraph:
         self.vertex_image = dict(vertex_image)
         for e, o, t in graph.edge_data:
             a = self.edge_label[e]
-            if a not in ambient.edge_ids:
+            if not (isinstance(a, str) and is_positive(a)
+                    and ambient.has_dart(a)):
                 raise ValueError("label %r is not an ambient edge" % a)
             if (self.vertex_image[o] != ambient.origin(a)
                     or self.vertex_image[t] != ambient.terminus(a)):
@@ -424,17 +430,16 @@ def fold(ambient, basepoint, loops):
 class Pi1Endomorphism:
     """Endomorphism of the fundamental group carried by a graph self-map.
 
-    Stores the basepoint (which the map must fix), a spanning tree, and the
-    induced free basis as reduced loops; arbitrary loops are pushed through
-    the map and freely reduced.  Abstract endomorphisms of free groups are
-    handled by realizing them on a rose.
+    Stores the basepoint (which the map must fix) and a free basis as
+    reduced loops; arbitrary loops are pushed through the map and freely
+    reduced.  Abstract endomorphisms of free groups are handled by realizing
+    them on a rose.
     """
 
-    def __init__(self, f, base, tree_edges, basis):
+    def __init__(self, f, base, basis):
         self.map = f
         self.ambient = f.domain
         self.base = base
-        self.tree_edges = frozenset(tree_edges)
         self.basis = dict(basis)  # name -> dart tuple (reduced loop at base)
 
     @property
@@ -458,12 +463,13 @@ class Pi1Endomorphism:
         return "Pi1Endomorphism(rank %d at %r)" % (self.rank, self.base)
 
 
-def pi1_endomorphism(f, base=None, tree=None):
+def pi1_endomorphism(f, base=None):
     """Induced endomorphism at a fixed vertex of a graph self-map.
 
     The basepoint must be fixed by the map; pass an iterate of the map at a
-    periodic vertex otherwise.  The basis has one generator per non-tree
-    edge: through the tree, across the edge, and back.
+    periodic vertex otherwise.  The basis is that of the whole group's
+    graph: one generator x0, x1, ... per non-tree edge of its breadth-first
+    spanning tree, through the tree, across the edge, and back.
     """
     if not f.is_self_map:
         raise ValueError("need a self map")
@@ -477,38 +483,9 @@ def pi1_endomorphism(f, base=None, tree=None):
         raise ValueError("basepoint %r is not fixed" % base)
     if not graph.is_connected():
         raise ValueError("graph is not connected")
-    if tree is None:
-        helper = whole_group_graph(graph, base)
-        tree, path_to = helper.spanning_tree()
-    else:
-        tree = set(tree)
-        if len(tree) != len(graph.vertices) - 1:
-            raise ValueError("given edge set is not a spanning tree")
-        helper = whole_group_graph(graph, base)
-        full_tree, path_to = helper.spanning_tree()
-        if tree != full_tree:
-            # recompute paths constrained to the given tree
-            path_to = {base: ()}
-            queue = [base]
-            while queue:
-                v = queue.pop(0)
-                for d in graph.out_darts(v):
-                    if edge_of(d) not in tree:
-                        continue
-                    w = graph.terminus(d)
-                    if w not in path_to:
-                        path_to[w] = path_to[v] + (d,)
-                        queue.append(w)
-            if len(path_to) != len(graph.vertices):
-                raise ValueError("given edge set is not a spanning tree")
-    basis = {}
-    extra = [e for e in sorted(graph.edge_ids) if e not in tree]
-    for i, e in enumerate(extra):
-        o, t = graph.origin(e), graph.terminus(e)
-        loop = reduce_darts(
-            path_to[o] + (e,) + tuple(inv(d) for d in reversed(path_to[t])))
-        basis["x%d" % i] = loop
-    return Pi1Endomorphism(f, base, tree, basis)
+    basis = {"x%d" % i: loop for i, (_name, loop, _word)
+             in enumerate(whole_group_graph(graph, base).basis())}
+    return Pi1Endomorphism(f, base, basis)
 
 
 def endomorphism_on_rose(generators, images):
@@ -530,23 +507,35 @@ def endomorphism_on_rose(generators, images):
     return pi1_endomorphism(f, "v")
 
 
-def image_subgroup(phi, k):
-    """Stallings graph of the image of the k-th power (k = 0: whole group)."""
-    if k < 0:
-        raise ValueError("negative power")
-    if k == 0:
-        return whole_group_graph(phi.ambient, phi.base)
-    words = [phi.apply_word(loop, k) for loop in
-             (phi.basis[n] for n in phi.basis_names())]
-    return fold(phi.ambient, phi.base, words)
-
-
 def map_subgroup(phi, sub):
     """Image of a subgroup under the endomorphism, as a folded core."""
     if sub.vertex_image[sub.basepoint] != phi.base:
         raise ValueError("subgroup is not based at the endomorphism basepoint")
     words = [phi.apply_word(w) for w in sub.generator_words()]
     return fold(phi.ambient, phi.base, words)
+
+
+def image_chain(phi):
+    """Image subgroups H_0 (the whole group), ..., H_{K+1} of phi's powers.
+
+    Ranks strictly decrease until step K + 1, the first that keeps the rank;
+    K is the kernel stabilization constant.
+    """
+    chain = [whole_group_graph(phi.ambient, phi.base)]
+    while True:
+        chain.append(map_subgroup(phi, chain[-1]))
+        if chain[-1].rank() == chain[-2].rank():
+            return chain
+
+
+def image_subgroup(phi, k):
+    """Stallings graph of the image of the k-th power (k = 0: whole group)."""
+    if k < 0:
+        raise ValueError("negative power")
+    sub = whole_group_graph(phi.ambient, phi.base)
+    for _ in range(k):
+        sub = map_subgroup(phi, sub)
+    return sub
 
 
 def is_injective_on(phi, sub):
@@ -565,15 +554,7 @@ def kernel_stabilization(phi):
     image of its K-th power; ranks of the image chain strictly decrease
     until then and are preserved from K on.
     """
-    current = whole_group_graph(phi.ambient, phi.base)
-    k = 0
-    while True:
-        nxt = fold(phi.ambient, phi.base,
-                   [phi.apply_word(w) for w in current.generator_words()])
-        if nxt.rank() == current.rank():
-            return k
-        current = nxt
-        k += 1
+    return len(image_chain(phi)) - 2
 
 
 @dataclass
@@ -602,8 +583,9 @@ def _tokens_to_text(tokens):
 
 def stable_quotient(phi):
     """Kernel stabilization constant plus the restricted endomorphism."""
-    K = kernel_stabilization(phi)
-    core = image_subgroup(phi, K)
+    chain = image_chain(phi)
+    K = len(chain) - 2
+    core = chain[K]
     restriction = {}
     for name, _loop, word in core.basis():
         image = phi.apply_word(word)
@@ -613,7 +595,7 @@ def stable_quotient(phi):
         core=core,
         rank=core.rank(),
         restriction=restriction,
-        injective=is_injective_on(phi, core),
+        injective=chain[-1].rank() == core.rank(),
     )
 
 

@@ -68,7 +68,8 @@ class SerreGraph:
     objects occasionally need this).
     """
 
-    __slots__ = ("_vertices", "_edges", "_origin", "_out", "_key")
+    __slots__ = ("_vertices", "_edges", "_edge_ids", "_origin", "_out",
+                 "_key")
 
     def __init__(self, vertices, edges, allow_isolated=False):
         vertices = tuple(sorted(vertices))
@@ -98,6 +99,7 @@ class SerreGraph:
                     raise ValueError("isolated vertex %r" % v)
         self._vertices = vertices
         self._edges = edges
+        self._edge_ids = tuple(e for (e, _, _) in edges)
         self._origin = origin
         self._out = out
         self._key = (vertices, edges)
@@ -110,7 +112,7 @@ class SerreGraph:
 
     @property
     def edge_ids(self):
-        return tuple(e for (e, _, _) in self._edges)
+        return self._edge_ids
 
     @property
     def edge_data(self):
@@ -553,8 +555,3 @@ def validate(m):
         if not is_reduced(m._images[e]):
             return "not immersed: image of %r backtracks" % e
     return None
-
-
-def graph_map_from_tokens(graph, vertex_map, edge_tokens, codomain=None):
-    """Convenience builder: edge images given as token strings ("a -b")."""
-    return GraphMap(graph, codomain or graph, vertex_map, edge_tokens)

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .covers import based_lift_power, lift_graph_map
 from .freegroup import (
-    Pi1Endomorphism, fold, image_subgroup, kernel_stabilization,
+    Pi1Endomorphism, fold, image_chain, image_subgroup, kernel_stabilization,
     pi1_endomorphism, stable_quotient, whole_group_graph,
 )
 from .graphs import GraphMap, compose, edge_of, inv, reduce_darts, validate
@@ -63,21 +63,22 @@ def injectivity_exponent(f, v, r, check_orbit=True):
 
     Injectivity of the single map on the image of the n-th power of the
     return map is tested by rank: fold the images of the subgroup's basis at
-    the next vertex of the orbit and compare.  The same exponent works at
-    every vertex of the periodic orbit; with ``check_orbit`` that is
-    recomputed at each one and must agree.
+    the next vertex of the orbit and compare.  Candidates run through the
+    image chain of the return map up to its stabilization.  The same
+    exponent works at every vertex of the periodic orbit; with
+    ``check_orbit`` that is recomputed at each one and must agree.
     """
     exponents = []
     orbit = [v]
     for _ in range(r - 1):
         orbit.append(f.vertex_map[orbit[-1]])
     fr = f.power(r)
-    for i, vi in enumerate(orbit if check_orbit else orbit[:1]):
-        phi = pi1_endomorphism(fr, vi)
-        bound = max(kernel_stabilization(phi), 1)
+    for vi in orbit if check_orbit else orbit[:1]:
+        chain = image_chain(pi1_endomorphism(fr, vi))
+        bound = max(len(chain) - 2, 1)
         found = None
         for n in range(1, bound + 1):
-            sub = image_subgroup(phi, n)
+            sub = chain[n]
             words = [f.apply_to_darts(w) for w in sub.generator_words()]
             folded = fold(f.domain, f.vertex_map[vi], words)
             if folded.rank() == sub.rank():
@@ -189,8 +190,12 @@ def build_induced(f, size_budget=None):
 
     v, r = find_periodic_vertex(f)
     n = injectivity_exponent(f, v, r)
-    phi = pi1_endomorphism(f.power(r), v)
-    core = image_subgroup(phi, n)
+    fr = f.power(r)
+    phi = pi1_endomorphism(fr, v)
+    quotient = stable_quotient(phi)
+    # n is at most max(K, 1); verify_package checks that it equals it
+    core = (quotient.core if n == quotient.exponent
+            else image_subgroup(phi, n))
     if core.rank() == 0:
         raise ValueError("stable image subgroup is trivial")
 
@@ -222,7 +227,7 @@ def build_induced(f, size_budget=None):
             raise SizeBudgetExceeded(
                 "transfer map needs more than %d symbols" % size_budget)
 
-    half = based_lift_power(core, f, k * n * r)
+    half = based_lift_power(core, fr, k * n)
     transfer = compose(fbar.power(k * n * r), half)
 
     z = core.basepoint
@@ -245,7 +250,7 @@ def build_induced(f, size_budget=None):
         basepoint=core.basepoint,
         transfer_basepoint=z,
         endomorphism=phi,
-        quotient=stable_quotient(phi),
+        quotient=quotient,
     )
 
 
@@ -444,8 +449,9 @@ def conjugacy_check(pkg, max_length=4, max_candidates=20000):
     # by the projection of any path connecting the basepoints
     _, path_to = core.spanning_tree()
     delta = core.project_darts(path_to[z])
-    moved = [reduce_darts(delta + w + tuple(inv(d) for d in reversed(delta)))
-             for w in _z_subgroup_words(core, helper, z)]
+    moved = [reduce_darts(delta + core.project_darts(loop)
+                          + tuple(inv(d) for d in reversed(delta)))
+             for _name, loop, _word in helper.basis()]
     ambient = core.ambient
     base_down = core.vertex_image[core.basepoint]
     conjugate_ok = (fold(ambient, base_down, moved)
@@ -475,11 +481,6 @@ def conjugacy_check(pkg, max_length=4, max_candidates=20000):
                     frontier.append(nxt)
     return ConjugacyReport(False, (), tried, conjugate_ok,
                            "no conjugator within bounds")
-
-
-def _z_subgroup_words(core, helper, z):
-    """Ambient words of a basis of the subgroup carried by the vertex z."""
-    return [core.project_darts(loop) for _name, loop, _w in helper.basis()]
 
 
 def save_package(pkg, report, outdir):

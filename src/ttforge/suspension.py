@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .freegroup import hall_completion, induces_pi1_isomorphism
-from .graphs import GraphMap, compose, edge_of, inv, is_positive, validate
+from .graphs import GraphMap, compose, edge_of, is_positive, validate
 
 
 @dataclass(frozen=True)
@@ -389,44 +389,6 @@ class CoverDescriptor:
             self.degree, self.exponent)
 
 
-def _try_cover_lift(cover, big, base, candidate):
-    """One basepoint choice for lifting a power to a self-map of the cover.
-
-    BFS over the cover graph: the image of each dart is forced by tracing
-    the power's image of its label from the already assigned endpoint.
-    Tracing through a covering never gets stuck, so only endpoint
-    consistency can reject the choice.
-    """
-    graph = cover.graph
-    vm = {base: candidate}
-    images = {}
-    queue = [base]
-    seen = set()
-    while queue:
-        u = queue.pop(0)
-        for d in graph.out_darts(u):
-            e = edge_of(d)
-            if e in seen:
-                continue
-            seen.add(e)
-            word = big.dart_image(cover.dart_label(d))
-            end, lifted, consumed = cover.trace(vm[u], word)
-            if consumed != len(word):
-                raise AssertionError("trace failed inside a covering")
-            w = graph.terminus(d)
-            if w in vm:
-                if vm[w] != end:
-                    return None
-            else:
-                vm[w] = end
-                queue.append(w)
-            images[e] = lifted if is_positive(d) else tuple(
-                inv(x) for x in reversed(lifted))
-    if len(vm) != len(graph.vertices):
-        return None
-    return GraphMap(graph, graph, vm, images)
-
-
 def _component_containing(cover, base):
     """The connected component of a covering through one vertex."""
     from .freegroup import LabeledGraph
@@ -471,14 +433,28 @@ def make_cover_descriptor(f, sub, max_exponent=12):
     if base is None or base not in cover.graph.vertices:
         base = cover.graph.vertices[0]
     cover = _component_containing(cover, base)
-    from .covers import NotLiftableError
+    from .covers import NotLiftableError, lift_by_tracing
+
+    def trace(vertex, word):
+        # tracing through a covering never gets stuck
+        end, lifted, consumed = cover.trace(vertex, word)
+        if consumed != len(word):
+            raise AssertionError("trace failed inside a covering")
+        return end, lifted, consumed
+
+    graph = cover.graph
     for j in range(1, max_exponent + 1):
         big = f.power(j)
         target_down = big.vertex_map[cover.vertex_image[base]]
         for candidate in sorted(cover.fiber(target_down)):
-            lift = _try_cover_lift(cover, big, base, candidate)
-            if lift is not None:
-                return CoverDescriptor(cover, lift, j, f)
+            try:
+                vm, images = lift_by_tracing(
+                    graph, base, candidate,
+                    lambda d: big.dart_image(cover.dart_label(d)), trace)
+            except NotLiftableError:
+                continue
+            return CoverDescriptor(cover, GraphMap(graph, graph, vm, images),
+                                   j, f)
     raise NotLiftableError(
         "no power up to %d lifts to the cover" % max_exponent)
 

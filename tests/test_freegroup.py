@@ -16,10 +16,11 @@ from ttforge.graphs import (
 )
 from ttforge.freegroup import (
     LabeledGraph, SubgroupGraph, endomorphism_on_rose, fold, hall_completion,
-    image_subgroup, induces_pi1_isomorphism, is_injective_on,
+    image_chain, image_subgroup, induces_pi1_isomorphism, is_injective_on,
     kernel_stabilization, map_subgroup, pi1_endomorphism, stable_quotient,
     whole_group_graph,
 )
+from ttforge.induced import find_periodic_vertex
 
 from oracles import apply_endo, ball, kernel_ball
 
@@ -238,20 +239,6 @@ class TestInducedEndomorphism:
         with pytest.raises(ValueError):
             pi1_endomorphism(pre1_r2, "v0")
 
-    def test_explicit_tree_changes_basis_not_image(self):
-        theta = SerreGraph(["p", "q"], [("x", "p", "q"), ("y", "p", "q"),
-                                        ("z", "p", "q")])
-        f = GraphMap(theta, theta, {"p": "p", "q": "q"},
-                     {"x": "x", "y": "y", "z": "x"})
-        phi_x = pi1_endomorphism(f, "p")
-        phi_y = pi1_endomorphism(f, "p", tree={"y"})
-        assert phi_x.tree_edges != phi_y.tree_edges
-        assert image_subgroup(phi_x, 1) == image_subgroup(phi_y, 1)
-
-    def test_rejects_non_spanning_tree(self, sigma):
-        with pytest.raises(ValueError):
-            pi1_endomorphism(sigma, "v", tree={"a"})
-
     def test_rose_realization_matches_graph_map(self, sigma):
         phi = endomorphism_on_rose(["a", "b"], {"a": "a b", "b": "a b"})
         direct = pi1_endomorphism(sigma)
@@ -306,6 +293,25 @@ class TestImageChain:
             for k in range(K):
                 assert ranks[k] > ranks[k + 1], name
             assert ranks[K] == ranks[K + 1] == ranks[K + 2], name
+
+    def test_chain_equals_direct_power_images(
+            self, named_fixture_maps, nilp, corpus100):
+        """The incremental chain against folding phi^k of the basis."""
+        maps = list(named_fixture_maps.values()) + [nilp] + list(corpus100)
+        for f in maps:
+            v, r = find_periodic_vertex(f)
+            phi = pi1_endomorphism(f.power(r), v)
+            chain = image_chain(phi)
+            K = kernel_stabilization(phi)
+            assert len(chain) == K + 2
+            assert chain[0] == image_subgroup(phi, 0)
+            for k in range(1, K + 3):
+                direct = fold(phi.ambient, phi.base,
+                              [phi.apply_word(loop, k)
+                               for loop in phi.basis.values()])
+                assert image_subgroup(phi, k) == direct, (f, k)
+                if k < len(chain):
+                    assert chain[k] == direct, (f, k)
 
 
 class TestKernelWitnesses:
