@@ -25,7 +25,7 @@ from .traintrack import (
 from .freegroup import (
     SubgroupGraph, LabeledGraph, fold, whole_group_graph, Pi1Endomorphism,
     pi1_endomorphism, image_subgroup, is_injective_on, kernel_stabilization,
-    stable_quotient, map_subgroup, hall_completion,
+    stable_quotient, chain_quotient, map_subgroup, hall_completion,
 )
 from .covers import (
     LazyCover, LiftedMap, NotLiftableError, based_lift_power, lift_graph_map,
@@ -33,7 +33,7 @@ from .covers import (
 )
 from .induced import (
     InducedPackage, VerificationReport, SizeBudgetExceeded,
-    find_periodic_vertex, injectivity_exponent, build_induced,
+    find_periodic_vertex, orbit_chains, injectivity_exponent, build_induced,
     verify_package, conjugacy_check, save_package,
 )
 from .suspension import (

@@ -24,7 +24,9 @@ from .freegroup import (
     induces_pi1_isomorphism,
 )
 from .graphs import GraphMap, format_path, rose, validate
-from .induced import build_induced, find_periodic_vertex, verify_package
+from .induced import (
+    build_induced, find_periodic_vertex, save_package, verify_package,
+)
 from .randmaps import GenerationStats, random_train_track_map
 from .suspension import (
     CoverPoint, FlowHomotopyPair, MappingTorus, breakpoint_samples,
@@ -98,12 +100,8 @@ def cmd_analyze(args):
 
 def cmd_quotient(args):
     bundle, f = _load_self_map(args.file)
-    if bundle.endomorphism is not None:
-        phi = bundle.endomorphism
-        period = 1
-    else:
-        v, period = find_periodic_vertex(f)
-        phi = pi1_endomorphism(f.power(period), v)
+    v, period = find_periodic_vertex(f)
+    phi = pi1_endomorphism(f.power(period), v)
     q = stable_quotient(phi)
     results = {
         "basepoint": phi.base,
@@ -126,8 +124,7 @@ def cmd_induce(args):
     outdir = args.out
     if outdir is None:
         outdir = os.path.splitext(args.file)[0] + "-package"
-    os.makedirs(outdir, exist_ok=True)
-    io_mod.write_package(outdir, pkg, report)
+    save_package(pkg, report, outdir)
     results = {
         "out_dir": outdir,
         "constants": pkg.constants(),

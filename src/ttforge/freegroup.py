@@ -10,7 +10,8 @@ completion of a core to a finite cover all live here.
 Images under an endomorphism phi come from one step, `map_subgroup`:
 H_{k+1} = fold(phi(basis of H_k)), whose words stay short where phi^k of the
 ambient basis grows like lambda^k.  `image_chain` iterates it up to the first
-step that keeps the rank; stabilization and stable quotient read that chain.
+step that keeps the rank; stabilization and stable quotient (`chain_quotient`
+for a chain already at hand) read that chain.
 
 A labeling sends positive darts to positive ambient darts; the label of a
 reversed dart is the reversed label.  Folded means no vertex carries two
@@ -583,7 +584,11 @@ def _tokens_to_text(tokens):
 
 def stable_quotient(phi):
     """Kernel stabilization constant plus the restricted endomorphism."""
-    chain = image_chain(phi)
+    return chain_quotient(phi, image_chain(phi))
+
+
+def chain_quotient(phi, chain):
+    """`stable_quotient` read off phi's image chain (see `image_chain`)."""
     K = len(chain) - 2
     core = chain[K]
     restriction = {}

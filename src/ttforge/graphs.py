@@ -24,8 +24,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import itertools
-
 INV_PREFIX = "~"
 
 
@@ -137,9 +135,6 @@ class SerreGraph:
     def valence(self, v):
         return len(self._out[v])
 
-    def valence_one_vertices(self):
-        return tuple(v for v in self._vertices if len(self._out[v]) == 1)
-
     def is_connected(self):
         if not self._vertices:
             return True
@@ -238,9 +233,6 @@ class EdgePath:
     def terminus(self):
         return self._at if self.is_trivial else self.graph.terminus(self.darts[-1])
 
-    def is_closed(self):
-        return self.origin() == self.terminus()
-
     def is_immersed(self):
         return is_reduced(self.darts)
 
@@ -248,17 +240,6 @@ class EdgePath:
         if self.is_trivial:
             return self
         return EdgePath(self.graph, tuple(inv(d) for d in reversed(self.darts)))
-
-    def concat(self, other):
-        if other.graph != self.graph:
-            raise ValueError("paths live in different graphs")
-        if self.terminus() != other.origin():
-            raise ValueError("paths do not concatenate")
-        if self.is_trivial:
-            return other
-        if other.is_trivial:
-            return self
-        return EdgePath(self.graph, self.darts + other.darts)
 
     def __len__(self):
         return len(self.darts)
@@ -320,9 +301,6 @@ class CyclicPath:
 
     def edges_crossed(self):
         return frozenset(edge_of(d) for d in self.darts)
-
-    def as_edge_path(self):
-        return EdgePath(self.graph, self.darts)
 
     def __len__(self):
         return len(self.darts)
@@ -436,9 +414,6 @@ class GraphMap:
             self._rev_cache[d] = cached
         return cached
 
-    def image_path(self, d):
-        return EdgePath(self.codomain, self.dart_image(d))
-
     def apply_to_darts(self, darts):
         out = []
         for d in darts:
@@ -466,7 +441,7 @@ class GraphMap:
     def apply_cycle(self, cycle):
         return CyclicPath(self.codomain, self.apply_to_darts(cycle.darts))
 
-    def power(self, k, reduce=False):
+    def power(self, k):
         """k-fold self-composition by repeated squaring (k >= 0)."""
         if not self.is_self_map:
             raise ValueError("power needs a self map")
@@ -476,9 +451,10 @@ class GraphMap:
         base = self
         while k:
             if k & 1:
-                result = compose(base, result, reduce=reduce)
-            base = compose(base, base, reduce=reduce)
+                result = compose(base, result)
             k >>= 1
+            if k:
+                base = compose(base, base)
         return result
 
     def __eq__(self, other):

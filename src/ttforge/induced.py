@@ -22,8 +22,8 @@ from fractions import Fraction
 
 from .covers import based_lift_power, lift_graph_map
 from .freegroup import (
-    Pi1Endomorphism, fold, image_chain, image_subgroup, kernel_stabilization,
-    pi1_endomorphism, stable_quotient, whole_group_graph,
+    Pi1Endomorphism, chain_quotient, fold, image_chain, kernel_stabilization,
+    pi1_endomorphism, whole_group_graph,
 )
 from .graphs import GraphMap, compose, edge_of, inv, reduce_darts, validate
 from .traintrack import (
@@ -58,37 +58,49 @@ def find_periodic_vertex(f):
     return best
 
 
-def injectivity_exponent(f, v, r, check_orbit=True):
-    """Smallest n >= 1 with f injective on the n-th image subgroup at v.
+def orbit_chains(f, v, r):
+    """Return endomorphism and its image chain at each vertex of v's orbit.
 
+    The return map is the r-th power of f, computed once and shared; the
+    list runs along the orbit from v as ``(phi, chain)`` pairs.
+    """
+    fr = f.power(r)
+    orbit = []
+    vi = v
+    for _ in range(r):
+        phi = pi1_endomorphism(fr, vi)
+        orbit.append((phi, image_chain(phi)))
+        vi = f.vertex_map[vi]
+    return orbit
+
+
+def injectivity_exponent(f, orbit):
+    """Smallest n >= 1 with f injective on the n-th image subgroup.
+
+    ``orbit`` holds the ``(phi, chain)`` pairs of `orbit_chains`.
     Injectivity of the single map on the image of the n-th power of the
     return map is tested by rank: fold the images of the subgroup's basis at
     the next vertex of the orbit and compare.  Candidates run through the
     image chain of the return map up to its stabilization.  The same
-    exponent works at every vertex of the periodic orbit; with
-    ``check_orbit`` that is recomputed at each one and must agree.
+    exponent works at every vertex of the periodic orbit; it is computed at
+    each vertex in ``orbit`` and must agree.
     """
     exponents = []
-    orbit = [v]
-    for _ in range(r - 1):
-        orbit.append(f.vertex_map[orbit[-1]])
-    fr = f.power(r)
-    for vi in orbit if check_orbit else orbit[:1]:
-        chain = image_chain(pi1_endomorphism(fr, vi))
+    for phi, chain in orbit:
         bound = max(len(chain) - 2, 1)
         found = None
         for n in range(1, bound + 1):
             sub = chain[n]
             words = [f.apply_to_darts(w) for w in sub.generator_words()]
-            folded = fold(f.domain, f.vertex_map[vi], words)
+            folded = fold(f.domain, f.vertex_map[phi.base], words)
             if folded.rank() == sub.rank():
                 found = n
                 break
         if found is None:
             raise AssertionError(
-                "no injectivity exponent up to stabilization at %r" % vi)
+                "no injectivity exponent up to stabilization at %r" % phi.base)
         exponents.append(found)
-    if check_orbit and len(set(exponents)) != 1:
+    if len(set(exponents)) != 1:
         raise AssertionError(
             "injectivity exponent varies along the orbit: %r" % exponents)
     return exponents[0]
@@ -189,13 +201,13 @@ def build_induced(f, size_budget=None):
                          % expansion.witness_edge)
 
     v, r = find_periodic_vertex(f)
-    n = injectivity_exponent(f, v, r)
-    fr = f.power(r)
-    phi = pi1_endomorphism(fr, v)
-    quotient = stable_quotient(phi)
-    # n is at most max(K, 1); verify_package checks that it equals it
-    core = (quotient.core if n == quotient.exponent
-            else image_subgroup(phi, n))
+    orbit = orbit_chains(f, v, r)
+    n = injectivity_exponent(f, orbit)
+    phi, chain = orbit[0]
+    quotient = chain_quotient(phi, chain)
+    # n is at most max(K, 1) <= K + 1, so the chain holds H_n;
+    # verify_package checks that n equals max(K, 1)
+    core = chain[n]
     if core.rank() == 0:
         raise ValueError("stable image subgroup is trivial")
 
@@ -227,7 +239,7 @@ def build_induced(f, size_budget=None):
             raise SizeBudgetExceeded(
                 "transfer map needs more than %d symbols" % size_budget)
 
-    half = based_lift_power(core, fr, k * n)
+    half = based_lift_power(core, phi.map, k * n)
     transfer = compose(fbar.power(k * n * r), half)
 
     z = core.basepoint
@@ -285,7 +297,8 @@ def verify_package(pkg, tol=Fraction(1, 10 ** 8)):
 
     The four semi-conjugacy identities are compared as graph maps with
     unreduced substitution, so equality is bit-exact.  Growth rates are
-    compared as exact rational enclosures within ``tol``.
+    compared by the float midpoints of their Perron-Frobenius brackets,
+    which must agree within ``tol``.
     """
     report = VerificationReport()
     f = pkg.source

@@ -18,9 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .graphs import (
-    CyclicPath, edge_of, inv, is_positive, turn,
-)
+from .graphs import CyclicPath, edge_of, inv, turn
 
 
 class TransitionMatrix:

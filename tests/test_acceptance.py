@@ -19,7 +19,8 @@ from ttforge.freegroup import (
 )
 from ttforge.graphs import GraphMap, compose, edge_of, format_path, inv, rose
 from ttforge.induced import (
-    build_induced, find_periodic_vertex, injectivity_exponent, verify_package,
+    build_induced, find_periodic_vertex, injectivity_exponent, orbit_chains,
+    verify_package,
 )
 from ttforge.suspension import (
     CoverPoint, MappingTorus, TorusPoint, breakpoint_samples, edge_point,
@@ -242,16 +243,12 @@ def test_injectivity_exponent_constant_on_orbit(announce, corpus100,
     cases += [("corpus[%d]" % i, f) for i, f in enumerate(corpus100)]
     for name, f in cases:
         v, r = find_periodic_vertex(f)
-        orbit = [v]
-        for _ in range(r - 1):
-            orbit.append(f.vertex_map[orbit[-1]])
-        exps = [injectivity_exponent(f, x, r, check_orbit=False)
-                for x in orbit]
-        if len(set(exps)) != 1:
-            failures.append("%s: exponents %r vary along the orbit"
-                            % (name, exps))
+        try:
+            # recomputed at every orbit vertex; raises if they disagree
+            n = injectivity_exponent(f, orbit_chains(f, v, r))
+        except AssertionError as exc:
+            failures.append("%s: %s" % (name, exc))
             continue
-        n = exps[0]
         core = image_subgroup(pi1_endomorphism(f.power(r), v), n)
         for m in (n * r, (n + 1) * r):
             lift = based_lift_power(core, f, m)

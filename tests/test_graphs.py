@@ -148,6 +148,24 @@ class TestGraphMap:
     def test_power_zero_is_identity(self, fib):
         assert fib.power(0) == GraphMap.identity(fib.domain)
 
+    def test_power_composes_nothing_longer_than_its_result(
+            self, sigma, monkeypatch):
+        # repeated squaring must stop squaring once the top bit is used
+        from ttforge import graphs
+        sizes = []
+
+        def counting(*args, **kwargs):
+            out = compose(*args, **kwargs)
+            sizes.append(_symbols(out))
+            return out
+
+        monkeypatch.setattr(graphs, "compose", counting)
+        for k in range(1, 10):
+            sizes.clear()
+            result = _symbols(sigma.power(k))
+            assert result == 2 ** (k + 1)
+            assert max(sizes) <= result, (k, sizes)
+
     def test_compose_is_substitution_without_reduction(self, sigma, fib):
         gh = compose(sigma, fib)
         for e in "ab":
@@ -159,6 +177,10 @@ class TestGraphMap:
         p = parse_path(g, "a -a")
         assert sigma.apply_path(p).darts == ("a", "b", "~b", "~a")
         assert sigma.apply_path(p, reduce=True).is_trivial
+
+
+def _symbols(f):
+    return sum(len(f.dart_image(e)) for e in f.domain.edge_ids)
 
 
 @given(seed=st.integers(0, 10 ** 9))

@@ -11,12 +11,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ttforge.graphs import GraphMap, compose, rose
+from ttforge.graphs import GraphMap, SerreGraph, compose, rose
 from ttforge.traintrack import pf_eigenvalue, transition_matrix
 from ttforge.induced import (
     SizeBudgetExceeded, build_induced, conjugacy_check, find_periodic_vertex,
-    injectivity_exponent, projection_map, smallest_multiple_reaching,
-    verify_package,
+    injectivity_exponent, orbit_chains, projection_map,
+    smallest_multiple_reaching, verify_package,
 )
 
 ROSE2 = rose(["a", "b"])
@@ -63,17 +63,20 @@ class TestPeriodicVertex:
 
 class TestInjectivityExponent:
     def test_examples(self, sigma, fib, cyc2, stab2, stab3):
-        assert injectivity_exponent(sigma, "v", 1) == 1
-        assert injectivity_exponent(fib, "v", 1) == 1
-        assert injectivity_exponent(cyc2, "u", 2) == 1
-        assert injectivity_exponent(stab2, "v", 1) == 2
-        assert injectivity_exponent(stab3, "v", 1) == 3
+        assert injectivity_exponent(sigma, orbit_chains(sigma, "v", 1)) == 1
+        assert injectivity_exponent(fib, orbit_chains(fib, "v", 1)) == 1
+        assert injectivity_exponent(cyc2, orbit_chains(cyc2, "u", 2)) == 1
+        assert injectivity_exponent(stab2, orbit_chains(stab2, "v", 1)) == 2
+        assert injectivity_exponent(stab3, orbit_chains(stab3, "v", 1)) == 3
 
     def test_constant_along_orbit(self, cyc2, pre1_r3):
-        # check_orbit recomputes at every orbit vertex and raises on mismatch
-        assert injectivity_exponent(cyc2, "u", 2, check_orbit=True) \
-            == injectivity_exponent(cyc2, "u", 2, check_orbit=False)
-        assert injectivity_exponent(pre1_r3, "v0", 3, check_orbit=True) == 1
+        # the exponent is recomputed at every orbit vertex given and a
+        # mismatch raises; the whole orbit agrees with its first vertex
+        orbit = orbit_chains(cyc2, "u", 2)
+        assert injectivity_exponent(cyc2, orbit) \
+            == injectivity_exponent(cyc2, orbit[:1])
+        assert injectivity_exponent(pre1_r3, orbit_chains(pre1_r3, "v0", 3)) \
+            == 1
 
 
 class TestMultiplierArithmetic:
@@ -173,6 +176,48 @@ class TestBuildInduced:
             for _ in range(pkg.orbit_period * pkg.period):
                 cur = pkg.induced.vertex_map[cur]
             assert cur == z, name
+
+    def test_one_image_chain_per_orbit_vertex(self, named_fixture_maps,
+                                              monkeypatch):
+        # each orbit vertex folds its chain H_1..H_{K+1} once, then the
+        # candidates f(H_1)..f(H_n) of the injectivity exponent
+        from ttforge import freegroup, induced
+        calls = []
+        real_fold = freegroup.fold
+
+        def counting(*args):
+            calls.append(args)
+            return real_fold(*args)
+
+        monkeypatch.setattr(freegroup, "fold", counting)
+        monkeypatch.setattr(induced, "fold", counting)
+        cases = dict(named_fixture_maps, ring3=_two_strand_ring(3))
+        counts = {}
+        for name, f in cases.items():
+            calls.clear()
+            pkg = build_induced(f)
+            r, n = pkg.period, pkg.exponent
+            K = pkg.quotient.exponent
+            assert len(calls) == r * (K + 1) + r * n, name
+            counts[name] = len(calls)
+        assert counts == {"sigma": 3, "fib": 2, "cyc2": 4, "stab2": 5,
+                          "stab3": 7, "pre1_r2": 4, "pre1_r3": 6, "ring3": 9}
+
+
+def _two_strand_ring(n):
+    """Strands a_i, b_i: u_i -> u_{i+1}; both last edges -> a_0 .. a_n-1 b_0.
+
+    Rank n + 1 drops to 1 under the map: the non-injective regime.
+    """
+    u = ["u%d" % i for i in range(n)]
+    edges = [(s + str(i), u[i], u[(i + 1) % n])
+             for i in range(n) for s in "ab"]
+    images = {s + str(i): (s + str(i + 1),)
+              for i in range(n - 1) for s in "ab"}
+    tail = tuple("a%d" % i for i in range(n)) + ("b0",)
+    images["a%d" % (n - 1)] = images["b%d" % (n - 1)] = tail
+    g = SerreGraph(u, edges)
+    return GraphMap(g, g, {u[i]: u[(i + 1) % n] for i in range(n)}, images)
 
 
 class TestVerifyPackage:
