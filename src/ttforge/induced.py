@@ -169,11 +169,7 @@ def projection_map(core):
 
 
 def _transfer_size(matrix, power):
-    total = 0
-    big = matrix.pow(power)
-    for i in range(len(matrix.labels)):
-        total += sum(big.rows[i])
-    return total
+    return sum(map(sum, matrix.pow(power).rows))
 
 
 def build_induced(f, size_budget=None):

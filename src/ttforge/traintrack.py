@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd
+from operator import or_
 
 from .graphs import CyclicPath, edge_of, inv, turn
 
@@ -159,9 +161,8 @@ class IrreducibilityCertificate:
 
 
 def _reachable(adj, start):
-    seen = {start} if start in adj[start] else set()
-    stack = list(adj[start])
-    seen.update(adj[start])
+    seen = set(adj[start])
+    stack = list(seen)
     while stack:
         k = stack.pop()
         for j in adj[k]:
@@ -188,32 +189,47 @@ def is_irreducible(matrix):
     return IrreducibilityCertificate(missing is None, tuple(table), missing)
 
 
-def has_positive_power(matrix, limit=None):
+def _levels(adj):
+    """Breadth-first distance from index 0, None where unreachable."""
+    level = [0] + [None] * (len(adj) - 1)
+    queue = [0]
+    for u in queue:
+        for v in adj[u]:
+            if level[v] is None:
+                level[v] = level[u] + 1
+                queue.append(v)
+    return level
+
+
+def has_positive_power(matrix):
     """Smallest t with every entry of A^t positive, or None.
 
-    The search stops at dim^2, past Wielandt's bound for primitive matrices.
-    Runs in the boolean semiring so entries stay small.
+    Some power is positive exactly when the support digraph is strongly
+    connected (one forward and one backward BFS from index 0) with period 1
+    (the gcd of level(u) + 1 - level(v) over the arcs u -> v), so any other
+    support returns None after O(V + E) work.  Otherwise the rows of A^t are
+    int bitsets: row i of A^(t+1) = A A^t is the OR of the rows k of A^t
+    over the support of row i of A, O(nnz(A)) big-int ORs per step.  A
+    primitive matrix turns positive by Wielandt's bound (n-1)^2 + 1, so a
+    search that passes it is an internal error and raises AssertionError.
     """
     n = matrix.dim
-    if limit is None:
-        limit = n * n
-    cur = [tuple(x > 0 for x in row) for row in matrix.rows]
-    step = [row[:] if isinstance(row, list) else list(row) for row in cur]
-    for t in range(1, limit + 1):
-        if all(all(row) for row in cur):
+    if n == 0:
+        return None
+    adj = matrix.support()
+    back = [[i for i, x in enumerate(col) if x] for col in zip(*matrix.rows)]
+    level = _levels(adj)
+    if (None in level or None in _levels(back) or gcd(*(
+            level[u] + 1 - level[v]
+            for u, out in enumerate(adj) for v in out)) != 1):
+        return None
+    full = (1 << n) - 1
+    rows = [sum(1 << j for j in out) for out in adj]
+    for t in range(1, (n - 1) ** 2 + 2):
+        if all(row == full for row in rows):
             return t
-        nxt = []
-        for row in cur:
-            acc = [False] * n
-            for k, a in enumerate(row):
-                if a:
-                    srow = step[k]
-                    for j in range(n):
-                        if srow[j]:
-                            acc[j] = True
-            nxt.append(acc)
-        cur = nxt
-    return None
+        rows = [reduce(or_, [rows[k] for k in out]) for out in adj]
+    raise AssertionError("no positive power within Wielandt's bound")
 
 
 # -- expansion --------------------------------------------------------------
@@ -409,9 +425,7 @@ def pf_eigenvalue(matrix, tol=Fraction(1, 10**9), max_steps=10000):
         if hi - lo <= tol:
             mid = (lo + hi) / 2 - 1
             return PFEigenvalue(float(mid), float(hi - lo) / 2.0, step)
-        g = 0
-        for yi in y:
-            g = gcd(g, yi)
+        g = gcd(*y)
         x = [yi // g for yi in y] if g > 1 else y
     raise ArithmeticError(
         "power iteration did not bracket within %d steps" % max_steps)
@@ -432,16 +446,11 @@ class TurnSystem:
 
     def __init__(self, f):
         self.map = f
-        df = {}
-        for d in f.domain.darts:
-            df[d] = f.dart_image(d)[0]
-        self.df = df
-        taken = set()
-        for e in f.domain.edge_ids:
-            img = f.dart_image(e)
-            for i in range(len(img) - 1):
-                taken.add(turn(inv(img[i]), img[i + 1]))
-        self.taken = frozenset(taken)
+        self.df = {d: f.dart_image(d)[0] for d in f.domain.darts}
+        self.taken = frozenset(
+            turn(inv(img[i]), img[i + 1])
+            for img in map(f.dart_image, f.domain.edge_ids)
+            for i in range(len(img) - 1))
 
     def apply(self, t):
         return turn(self.df[t[0]], self.df[t[1]])
@@ -510,10 +519,8 @@ def is_train_track(f):
     contains no degenerate turn.  The certificate stores the closed legal set
     or the degenerating orbit, and can be rechecked independently.
     """
-    covered = set()
-    for e in f.domain.edge_ids:
-        for d in f.dart_image(e):
-            covered.add(edge_of(d))
+    covered = {edge_of(d) for e in f.domain.edge_ids
+               for d in f.dart_image(e)}
     missing = sorted(set(f.domain.edge_ids) - covered)
     if missing:
         return TrainTrackCertificate(
@@ -615,11 +622,8 @@ class InvariantSubgraphWitness:
     def check(self, f):
         if not self.edges or self.edges == frozenset(f.domain.edge_ids):
             return False
-        for e in self.edges:
-            for d in f.dart_image(e):
-                if edge_of(d) not in self.edges:
-                    return False
-        return True
+        return all(edge_of(d) in self.edges
+                   for e in self.edges for d in f.dart_image(e))
 
 
 def find_invariant_subgraph(f):

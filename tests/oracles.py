@@ -72,6 +72,32 @@ def spectral_radius(rows):
     return float(max(abs(values)))
 
 
+def primitivity_exponent_oracle(rows):
+    """Least t with every entry of A^t positive, or None.
+
+    Boolean matrix powers A, A^2, ... up to dim^2, past Wielandt's bound.
+    """
+    n = len(rows)
+    limit = n * n
+    cur = [tuple(x > 0 for x in row) for row in rows]
+    step = [row[:] if isinstance(row, list) else list(row) for row in cur]
+    for t in range(1, limit + 1):
+        if all(all(row) for row in cur):
+            return t
+        nxt = []
+        for row in cur:
+            acc = [False] * n
+            for k, a in enumerate(row):
+                if a:
+                    srow = step[k]
+                    for j in range(n):
+                        if srow[j]:
+                            acc[j] = True
+            nxt.append(acc)
+        cur = nxt
+    return None
+
+
 # -- direct iterate checks -----------------------------------------------------
 
 

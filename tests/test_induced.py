@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ttforge.graphs import GraphMap, SerreGraph, compose, rose
-from ttforge.traintrack import pf_eigenvalue, transition_matrix
+from ttforge.traintrack import (
+    has_positive_power, pf_eigenvalue, transition_matrix,
+)
 from ttforge.induced import (
     SizeBudgetExceeded, build_induced, conjugacy_check, find_periodic_vertex,
     injectivity_exponent, orbit_chains, projection_map,
@@ -220,6 +222,19 @@ def _two_strand_ring(n):
     return GraphMap(g, g, {u[i]: u[(i + 1) % n] for i in range(n)}, images)
 
 
+def _ring(n):
+    """Edges c_i: u_i -> u_{i+1}; c_i -> c_{i+1}, c_n-1 -> c_0 .. c_n-1 c_0.
+
+    Injective on the fundamental group, with period n.
+    """
+    u = ["u%d" % i for i in range(n)]
+    c = ["c%d" % i for i in range(n)]
+    g = SerreGraph(u, [(c[i], u[i], u[(i + 1) % n]) for i in range(n)])
+    images = {c[i]: (c[i + 1],) for i in range(n - 1)}
+    images[c[n - 1]] = tuple(c) + (c[0],)
+    return GraphMap(g, g, {u[i]: u[(i + 1) % n] for i in range(n)}, images)
+
+
 class TestVerifyPackage:
     def test_fixture_packages_all_green(self, packages):
         for name, pkg in packages.items():
@@ -258,6 +273,22 @@ class TestVerifyPackage:
         report = verify_package(bad)
         assert not report.ok
         assert "transfer_covers_power" in report.failures()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("family,down", [
+        (_ring, lambda n: n), (_two_strand_ring, lambda n: 2 * n - 1),
+    ], ids=["ring", "collapse_ring"])
+    def test_ring_families_transfer_positive_powers(self, family, down, n):
+        # the benchmark's ring and collapse ring: the induced map's
+        # transition matrix turns positive at 2n, the source's earlier
+        pkg = build_induced(family(n))
+        up = 2 * n
+        assert has_positive_power(transition_matrix(pkg.source)) == down(n)
+        assert has_positive_power(transition_matrix(pkg.induced)) == up
+        report = verify_package(pkg)
+        assert report.ok, report.failures()
+        assert report.checks["positive_power_transfer"] == (
+            True, "down %d up %d" % (down(n), up))
 
     def test_report_records_named_checks(self, packages):
         report = verify_package(packages["fib"])

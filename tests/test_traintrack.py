@@ -21,7 +21,8 @@ from ttforge.randmaps import random_candidate
 
 from oracles import (
     expansion_oracle, invariant_subgraph_search, iterate_darts,
-    darts_reduced, spectral_radius, train_track_oracle,
+    darts_reduced, primitivity_exponent_oracle, spectral_radius,
+    train_track_oracle,
 )
 
 GOLDEN = (1 + 5 ** 0.5) / 2
@@ -139,6 +140,73 @@ class TestIrreducibility:
                 continue
             assert m.pow(t).is_positive()
             assert t == 1 or not m.pow(t - 1).is_positive()
+
+
+def square_matrix(rows):
+    return TransitionMatrix(["e%d" % i for i in range(len(rows))], rows)
+
+
+def arcs_matrix(n, arcs):
+    rows = [[0] * n for _ in range(n)]
+    for i, j in arcs:
+        rows[i][j] = 1
+    return square_matrix(rows)
+
+
+class TestPositivePower:
+    @given(seed=st.integers(0, 10 ** 9), dim=st.integers(0, 9),
+           density=st.sampled_from((0.05, 0.15, 0.3, 0.5, 0.8, 1.0)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_boolean_powers(self, seed, dim, density):
+        rng = random.Random(seed)
+        rows = [[rng.randint(1, 3) if rng.random() < density else 0
+                 for _ in range(dim)] for _ in range(dim)]
+        if dim and rng.random() < 0.5:
+            # a spanning cycle makes the support irreducible, so the
+            # exponent search runs instead of the period exit
+            order = rng.sample(range(dim), dim)
+            for a, b in zip(order, order[1:] + order[:1]):
+                rows[a][b] = max(rows[a][b], 1)
+        if dim and rng.random() < 0.5:
+            i = rng.randrange(dim)
+            rows[i][i] = rng.randint(1, 3)
+        if dim and rng.random() < 0.2:
+            rows[rng.randrange(dim)] = [0] * dim
+        expected = primitivity_exponent_oracle(rows)
+        assert has_positive_power(square_matrix(rows)) == expected
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_wielandt_matrix_reaches_the_bound(self, n):
+        arcs = [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0), (n - 1, 1)]
+        assert has_positive_power(arcs_matrix(n, arcs)) == (n - 1) ** 2 + 1
+
+    @pytest.mark.parametrize("period,block", [(2, 3), (3, 1), (3, 2)])
+    def test_block_cyclic_is_never_positive(self, period, block):
+        # classes of ``block`` indices, every arc into the next class
+        n = period * block
+        arcs = [(i, j) for i in range(n) for j in range(n)
+                if j // block == (i // block + 1) % period]
+        m = arcs_matrix(n, arcs)
+        assert is_irreducible(m).irreducible
+        assert has_positive_power(m) is None
+
+    def test_upper_triangular_is_never_positive(self):
+        m = square_matrix([[2, 1, 1], [0, 1, 3], [0, 0, 1]])
+        assert has_positive_power(m) is None
+
+    def test_degenerate_sizes(self):
+        assert has_positive_power(square_matrix([])) is None
+        assert has_positive_power(square_matrix([[0]])) is None
+        assert has_positive_power(square_matrix([[1]])) == 1
+        assert has_positive_power(square_matrix([[3]])) == 1
+
+    def test_search_past_wielandt_bound_is_loud(self, monkeypatch):
+        # a periodic support that slips past the period exit never turns
+        # positive, and the search must say so rather than return None
+        from ttforge import traintrack
+        monkeypatch.setattr(traintrack, "gcd", lambda *args: 1)
+        with pytest.raises(AssertionError):
+            has_positive_power(square_matrix([[0, 1], [1, 0]]))
 
 
 class TestExpansion:
