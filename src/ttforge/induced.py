@@ -169,7 +169,11 @@ def projection_map(core):
 
 
 def _transfer_size(matrix, power):
-    return sum(map(sum, matrix.pow(power).rows))
+    total = 0
+    big = matrix.pow(power)
+    for i in range(len(matrix.labels)):
+        total += sum(big.rows[i])
+    return total
 
 
 def build_induced(f, size_budget=None):

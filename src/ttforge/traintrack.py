@@ -161,8 +161,9 @@ class IrreducibilityCertificate:
 
 
 def _reachable(adj, start):
-    seen = set(adj[start])
-    stack = list(seen)
+    seen = {start} if start in adj[start] else set()
+    stack = list(adj[start])
+    seen.update(adj[start])
     while stack:
         k = stack.pop()
         for j in adj[k]:
@@ -189,47 +190,25 @@ def is_irreducible(matrix):
     return IrreducibilityCertificate(missing is None, tuple(table), missing)
 
 
-def _levels(adj):
-    """Breadth-first distance from index 0, None where unreachable."""
-    level = [0] + [None] * (len(adj) - 1)
-    queue = [0]
-    for u in queue:
-        for v in adj[u]:
-            if level[v] is None:
-                level[v] = level[u] + 1
-                queue.append(v)
-    return level
-
-
 def has_positive_power(matrix):
     """Smallest t with every entry of A^t positive, or None.
 
-    Some power is positive exactly when the support digraph is strongly
-    connected (one forward and one backward BFS from index 0) with period 1
-    (the gcd of level(u) + 1 - level(v) over the arcs u -> v), so any other
-    support returns None after O(V + E) work.  Otherwise the rows of A^t are
-    int bitsets: row i of A^(t+1) = A A^t is the OR of the rows k of A^t
-    over the support of row i of A, O(nnz(A)) big-int ORs per step.  A
-    primitive matrix turns positive by Wielandt's bound (n-1)^2 + 1, so a
-    search that passes it is an internal error and raises AssertionError.
+    The rows of A^t are int bitsets: row i of A^(t+1) = A A^t is the OR of
+    the rows k of A^t over the support of row i of A, O(nnz(A)) big-int ORs
+    per step.  A primitive matrix turns positive by Wielandt's bound
+    (n-1)^2 + 1, so a matrix not positive by then never is.
     """
     n = matrix.dim
     if n == 0:
         return None
-    adj = matrix.support()
-    back = [[i for i, x in enumerate(col) if x] for col in zip(*matrix.rows)]
-    level = _levels(adj)
-    if (None in level or None in _levels(back) or gcd(*(
-            level[u] + 1 - level[v]
-            for u, out in enumerate(adj) for v in out)) != 1):
-        return None
     full = (1 << n) - 1
+    adj = matrix.support()
     rows = [sum(1 << j for j in out) for out in adj]
     for t in range(1, (n - 1) ** 2 + 2):
         if all(row == full for row in rows):
             return t
-        rows = [reduce(or_, [rows[k] for k in out]) for out in adj]
-    raise AssertionError("no positive power within Wielandt's bound")
+        rows = [reduce(or_, [rows[k] for k in out], 0) for out in adj]
+    return None
 
 
 # -- expansion --------------------------------------------------------------
@@ -425,7 +404,9 @@ def pf_eigenvalue(matrix, tol=Fraction(1, 10**9), max_steps=10000):
         if hi - lo <= tol:
             mid = (lo + hi) / 2 - 1
             return PFEigenvalue(float(mid), float(hi - lo) / 2.0, step)
-        g = gcd(*y)
+        g = 0
+        for yi in y:
+            g = gcd(g, yi)
         x = [yi // g for yi in y] if g > 1 else y
     raise ArithmeticError(
         "power iteration did not bracket within %d steps" % max_steps)
@@ -446,11 +427,16 @@ class TurnSystem:
 
     def __init__(self, f):
         self.map = f
-        self.df = {d: f.dart_image(d)[0] for d in f.domain.darts}
-        self.taken = frozenset(
-            turn(inv(img[i]), img[i + 1])
-            for img in map(f.dart_image, f.domain.edge_ids)
-            for i in range(len(img) - 1))
+        df = {}
+        for d in f.domain.darts:
+            df[d] = f.dart_image(d)[0]
+        self.df = df
+        taken = set()
+        for e in f.domain.edge_ids:
+            img = f.dart_image(e)
+            for i in range(len(img) - 1):
+                taken.add(turn(inv(img[i]), img[i + 1]))
+        self.taken = frozenset(taken)
 
     def apply(self, t):
         return turn(self.df[t[0]], self.df[t[1]])
@@ -519,8 +505,10 @@ def is_train_track(f):
     contains no degenerate turn.  The certificate stores the closed legal set
     or the degenerating orbit, and can be rechecked independently.
     """
-    covered = {edge_of(d) for e in f.domain.edge_ids
-               for d in f.dart_image(e)}
+    covered = set()
+    for e in f.domain.edge_ids:
+        for d in f.dart_image(e):
+            covered.add(edge_of(d))
     missing = sorted(set(f.domain.edge_ids) - covered)
     if missing:
         return TrainTrackCertificate(
@@ -622,8 +610,11 @@ class InvariantSubgraphWitness:
     def check(self, f):
         if not self.edges or self.edges == frozenset(f.domain.edge_ids):
             return False
-        return all(edge_of(d) in self.edges
-                   for e in self.edges for d in f.dart_image(e))
+        for e in self.edges:
+            for d in f.dart_image(e):
+                if edge_of(d) not in self.edges:
+                    return False
+        return True
 
 
 def find_invariant_subgraph(f):
