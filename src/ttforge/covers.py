@@ -269,7 +269,7 @@ def restrict_to_core(lifted):
                     {e: m.dart_image(e) for e in core.graph.edge_ids})
 
 
-def based_lift_power(core, f, power, target=None):
+def based_lift_power(core, f, power):
     """Lift of the given power of f into the core, based at the basepoint.
 
     The power must return the core's base vertex to itself downstairs.  The
@@ -278,15 +278,13 @@ def based_lift_power(core, f, power, target=None):
     close up raises NotLiftableError.  The resulting map is onto the core
     for every sufficiently large admissible power.
     """
-    if target is None:
-        target = core.basepoint
     ambient = core.ambient
-    base = core.vertex_image[target]
+    base = core.vertex_image[core.basepoint]
     big = f.power(power)
     if big.vertex_map[base] != base:
         raise ValueError("power %d does not fix %r downstairs" % (power, base))
-    vm, images = lift_by_tracing(ambient, base, target, big.dart_image,
-                                 core.trace)
+    vm, images = lift_by_tracing(ambient, base, core.basepoint,
+                                 big.dart_image, core.trace)
     return GraphMap(ambient, core.graph, vm, images)
 
 

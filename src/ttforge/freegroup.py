@@ -2,10 +2,15 @@
 
 The fundamental group of a finite graph is free; a finitely generated
 subgroup is stored as its pointed Stallings core: a folded graph immersed
-over the ambient graph by a labeling of edges.  Folding a wedge of loops,
+over the ambient graph by a labeling of edges.  Folding loops into a core,
 membership by path tracing, rank counting, images of subgroups under
 endomorphisms, kernel stabilization, the stable quotient data, and Hall
 completion of a core to a finite cover all live here.
+
+`fold` reads the loops into a table with at most one dart per signed
+ambient label at each vertex and identifies vertices whenever a label would
+repeat (Kapovich-Myasnikov).  Reduced loops leave no valence-one vertex
+except possibly the basepoint, so the result is a core without trimming.
 
 Images under an endomorphism phi come from one step, `map_subgroup`:
 H_{k+1} = fold(phi(basis of H_k)), whose words stay short where phi^k of the
@@ -24,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import (
-    EdgePath, SerreGraph, edge_of, inv, is_positive, reduce_darts,
+    EdgePath, SerreGraph, edge_of, inv, is_positive, reduce_darts, token_dart,
 )
 
 
@@ -252,20 +257,25 @@ def _find(parent, x):
 def fold(ambient, basepoint, loops):
     """Stallings core of the subgroup generated by loops at the basepoint.
 
-    Builds the wedge of the (freely reduced) loops, folds equal-labeled darts
-    until the graph is an immersion, trims stray valence-one vertices, and
-    renames everything by breadth-first search from the basepoint so that the
-    result is canonical: permuting the input loops returns an identical
-    object.
+    Each freely reduced loop is read from the basepoint into a table that
+    holds at most one dart per signed ambient label at each vertex: darts
+    already there are followed, missing ones get a new vertex, and the last
+    dart closes onto the basepoint.  A second dart with a label already
+    present queues its target for identification with the first one's;
+    identifying two vertices re-adds the smaller table's darts to the
+    larger, which may queue more.  No trimming is needed: every vertex a
+    reduced loop creates carries two different labels, and identification
+    never loses a label, so only the basepoint can end with valence one.
+    Everything is then renamed by breadth-first search from the basepoint,
+    so permuting the input loops returns an identical object.
     """
-    if basepoint not in ambient._out and basepoint not in ambient.vertices:
+    if basepoint not in ambient._out:
         raise ValueError("unknown basepoint %r" % basepoint)
     words = []
     for loop in loops:
         if isinstance(loop, EdgePath):
             darts = loop.darts
         elif isinstance(loop, str):
-            from .graphs import token_dart
             darts = tuple(token_dart(t) for t in loop.split())
         else:
             darts = tuple(loop)
@@ -277,145 +287,68 @@ def fold(ambient, basepoint, loops):
             raise ValueError("loop %r is not closed at the basepoint" % (darts,))
         words.append(darts)
 
-    # wedge: vertices and edges as integers, edges carry (ambient edge, o, t)
-    vparent = [0]
-    vamb = [basepoint]
-    eparent = []
-    elabel = []
-    eends = []  # [origin, terminus] per edge
+    # vertex v: union-find parent, ambient vertex over it, and out[v], its
+    # signed ambient label -> target table (targets may be stale ids)
+    parent = [0]
+    over = [basepoint]
+    out = [{}]
+    pending = []
 
-    def new_vertex(u):
-        vparent.append(len(vparent))
-        vamb.append(u)
-        return len(vparent) - 1
+    def add(v, label, w):
+        x = out[v].setdefault(label, w)
+        if x != w:
+            pending.append((x, w))
 
-    def new_edge(label, o, t):
-        eparent.append(len(eparent))
-        elabel.append(label)
-        eends.append([o, t])
-        return len(eparent) - 1
+    def join(v, label, w):
+        add(v, label, w)
+        add(w, inv(label), v)
 
     for word in words:
-        cur = 0
-        for i, d in enumerate(word):
-            last = i == len(word) - 1
-            nxt = 0 if last else new_vertex(ambient.terminus(d))
-            if is_positive(d):
-                new_edge(d, cur, nxt)
-            else:
-                new_edge(inv(d), nxt, cur)
-            cur = nxt
-
-    # darts_at[v]: signed label -> list of (edge, side); side 0 is the
-    # positive dart at the origin, side 1 the reversed dart at the terminus
-    darts_at = {v: {} for v in range(len(vparent))}
-    for e in range(len(eparent)):
-        o, t = eends[e]
-        darts_at[o].setdefault(elabel[e], []).append((e, 0))
-        darts_at[t].setdefault(inv(elabel[e]), []).append((e, 1))
-
-    queue = list(range(len(vparent)))
-    while queue:
-        v = _find(vparent, queue.pop())
-        table = darts_at.get(v)
-        if table is None:
-            continue
-        refold = False
-        for slabel, entries in list(table.items()):
-            live = []
-            seen = set()
-            for e, side in entries:
-                er = _find(eparent, e)
-                if er not in seen:
-                    seen.add(er)
-                    live.append((er, side))
-            table[slabel] = live
-            if len(live) < 2:
+        cur = _find(parent, 0)
+        for d in word[:-1]:
+            nxt = out[cur].get(d)
+            if nxt is None:
+                nxt = len(parent)
+                parent.append(nxt)
+                over.append(ambient.terminus(d))
+                out.append({})
+                join(cur, d, nxt)
+            cur = _find(parent, nxt)
+        join(cur, word[-1], _find(parent, 0))
+        while pending:
+            a, b = pending.pop()
+            a, b = _find(parent, a), _find(parent, b)
+            if a == b:
                 continue
-            (e1, s1), (e2, s2) = live[0], live[1]
-            # same signed label at the same vertex: identify the two edges
-            # and their far endpoints
-            a = _find(vparent, eends[e1][1 - s1])
-            b = _find(vparent, eends[e2][1 - s2])
-            eparent[_find(eparent, e2)] = _find(eparent, e1)
-            if a != b:
-                if vamb[a] != vamb[b]:
-                    raise AssertionError("fold merged distinct ambient vertices")
-                # merge smaller dart table into larger
-                if len(darts_at[a]) < len(darts_at[b]):
-                    a, b = b, a
-                vparent[b] = a
-                for sl, lst in darts_at[b].items():
-                    darts_at[a].setdefault(sl, []).extend(lst)
-                del darts_at[b]
-                queue.append(a)
-            refold = True
-            break
-        if refold:
-            queue.append(v)
+            if over[a] != over[b]:
+                raise AssertionError("fold merged distinct ambient vertices")
+            if len(out[a]) < len(out[b]):
+                a, b = b, a
+            parent[b] = a
+            table, out[b] = out[b], None
+            for label, x in table.items():
+                add(a, label, x)
 
-    # surviving edges and vertices
-    edges = {}
-    for e in range(len(eparent)):
-        er = _find(eparent, e)
-        if er not in edges:
-            o = _find(vparent, eends[er][0])
-            t = _find(vparent, eends[er][1])
-            edges[er] = [elabel[er], o, t]
-        # normalize stored endpoints as we go
-    for er, (lab, o, t) in edges.items():
-        edges[er] = [lab, _find(vparent, o), _find(vparent, t)]
-
-    incident = {}
-    for er, (lab, o, t) in edges.items():
-        incident.setdefault(o, set()).add((er, 0))
-        incident.setdefault(t, set()).add((er, 1))
-    base = _find(vparent, 0)
-    incident.setdefault(base, set())
-
-    # trim hanging trees away from the basepoint (reduced inputs rarely
-    # produce any, but the pass keeps the core invariant unconditional)
-    changed = True
-    while changed:
-        changed = False
-        for v, inc in list(incident.items()):
-            if v == base or len(inc) != 1:
-                continue
-            (er, side) = next(iter(inc))
-            lab, o, t = edges[er]
-            other = t if side == 0 else o
-            del edges[er]
-            del incident[v]
-            incident[other].discard((er, 1 - side))
-            changed = True
-
-    # canonical renaming by BFS from the basepoint
+    # canonical renaming by BFS from the basepoint; darts at a vertex go in
+    # order of their signed ambient label, which is unique there
+    base = _find(parent, 0)
     order = {base: "w0"}
     seq = [base]
     new_edges = []
     elab = {}
-    vimg = {order[base]: vamb[base]}
+    vimg = {"w0": over[base]}
     visited_edges = set()
-    head = 0
-    while head < len(seq):
-        v = seq[head]
-        head += 1
-        # darts at v sorted by signed ambient label; folded graphs have at
-        # most one dart per label so the order is total
-        local = []
-        for (er, side) in incident[v]:
-            lab = edges[er][0]
-            slabel = lab if side == 0 else inv(lab)
-            local.append((slabel, er, side))
-        for slabel, er, side in sorted(local):
-            if er in visited_edges:
+    for v in seq:
+        for label in sorted(out[v]):
+            far = _find(parent, out[v][label])
+            o, t, lab = ((v, far, label) if is_positive(label)
+                         else (far, v, inv(label)))
+            if (o, lab) in visited_edges:
                 continue
-            visited_edges.add(er)
-            lab, o, t = edges[er]
-            far = t if side == 0 else o
+            visited_edges.add((o, lab))
             if far not in order:
                 order[far] = "w%d" % len(order)
-                vimg[order[far]] = vamb[far]
+                vimg[order[far]] = over[far]
                 seq.append(far)
             name = "e%d" % len(new_edges)
             new_edges.append((name, order[o], order[t]))
@@ -494,7 +427,7 @@ def endomorphism_on_rose(generators, images):
 
     ``images`` maps generator names to token words over the generators.
     """
-    from .graphs import GraphMap, rose, token_dart
+    from .graphs import GraphMap, rose
     rose_graph = rose(generators)
     edge_images = {}
     for g in generators:

@@ -299,12 +299,11 @@ def iterate_breakpoints(f, dart, power, _cache=None):
     return pts
 
 
-def breakpoint_samples(torus, power, heights=(Fraction(0), Fraction(1, 2)),
-                       refine=2):
+def breakpoint_samples(torus, power, heights=(Fraction(0), Fraction(1, 2))):
     """Deterministic exact sample points including all PL breakpoints.
 
     For each edge, every bend of the ``power``-fold iterate restricted to
-    the edge, plus an equally spaced grid of 1/(refine*L) steps (L the
+    the edge, plus an equally spaced grid of 1/(2L) steps (L the
     iterated image length) for density between bends.  Vertex points are
     included at every height.
     """
@@ -317,7 +316,7 @@ def breakpoint_samples(torus, power, heights=(Fraction(0), Fraction(1, 2)),
             out.append(TorusPoint(vertex_point(v), Fraction(h)))
     for e in torus.graph.edge_ids:
         length = max(1, len(big.dart_image(e)))
-        denom = refine * length
+        denom = 2 * length
         positions = set(Fraction(i, denom) for i in range(1, denom))
         positions.update(iterate_breakpoints(f, e, power, cache))
         for u in sorted(positions):

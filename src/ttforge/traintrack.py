@@ -379,7 +379,11 @@ class PFEigenvalue:
     iterations: int
 
 
-def pf_eigenvalue(matrix, tol=Fraction(1, 10**9), max_steps=10000):
+# power iteration steps before pf_eigenvalue gives up with ArithmeticError
+PF_MAX_STEPS = 10000
+
+
+def pf_eigenvalue(matrix, tol=Fraction(1, 10**9)):
     """Spectral radius of an irreducible nonnegative integer matrix.
 
     Exact power iteration with Collatz-Wielandt bracketing: iterate x -> Bx
@@ -397,7 +401,7 @@ def pf_eigenvalue(matrix, tol=Fraction(1, 10**9), max_steps=10000):
     rows = [tuple(matrix.rows[i][j] + (1 if i == j else 0) for j in range(n))
             for i in range(n)]
     x = [1] * n
-    for step in range(1, max_steps + 1):
+    for step in range(1, PF_MAX_STEPS + 1):
         y = [sum(a * b for a, b in zip(row, x)) for row in rows]
         ratios = [Fraction(yi, xi) for yi, xi in zip(y, x)]
         lo, hi = min(ratios), max(ratios)
@@ -409,7 +413,7 @@ def pf_eigenvalue(matrix, tol=Fraction(1, 10**9), max_steps=10000):
             g = gcd(g, yi)
         x = [yi // g for yi in y] if g > 1 else y
     raise ArithmeticError(
-        "power iteration did not bracket within %d steps" % max_steps)
+        "power iteration did not bracket within %d steps" % PF_MAX_STEPS)
 
 
 # -- turns and the train track condition -------------------------------------
@@ -552,7 +556,7 @@ class LegalLoop:
         return self.cycle.is_immersed()
 
 
-def legal_loop_through(f, edge, max_push=None):
+def legal_loop_through(f, edge):
     """Legal loop crossing the given edge, for expanding irreducible f.
 
     Iterate the edge until some image crosses an edge twice in the same
@@ -581,9 +585,7 @@ def legal_loop_through(f, edge, max_push=None):
         word = f.apply_to_darts(word)
     else:
         raise ValueError("no repeated dart; map does not look expanding")
-    if max_push is None:
-        max_push = len(graph.edge_ids) ** 2 + len(graph.edge_ids) + 2
-    for _ in range(max_push + 1):
+    for _ in range(len(graph.edge_ids) ** 2 + len(graph.edge_ids) + 3):
         if edge in cycle.edges_crossed():
             break
         cycle = f.apply_cycle(cycle)

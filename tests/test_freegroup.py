@@ -22,9 +22,22 @@ from ttforge.freegroup import (
 )
 from ttforge.induced import find_periodic_vertex
 
-from oracles import apply_endo, ball, kernel_ball
+from oracles import apply_endo, ball, fold_oracle, kernel_ball
 
 ROSE2 = rose(["a", "b"])
+
+# ambient graphs for comparing fold with the reference fold: roses of two
+# and three petals, a theta graph with a loop, a triangle with a chord and
+# a loop
+FOLD_AMBIENTS = (
+    ROSE2,
+    rose(["a", "b", "c"]),
+    SerreGraph(["u", "w"], [("p", "u", "w"), ("q", "u", "w"),
+                            ("r", "w", "u"), ("s", "u", "u")]),
+    SerreGraph(["x", "y", "z"], [("e", "x", "y"), ("f", "y", "z"),
+                                 ("g", "z", "x"), ("h", "x", "z"),
+                                 ("k", "y", "y")]),
+)
 
 
 def w(text):
@@ -58,6 +71,29 @@ def subgroup_ball(generator_words, depth):
                     new.append(prod)
         frontier = new
     return seen
+
+
+def closed_walk(graph, base, steps, cancel):
+    """Walk from ``base`` taking out-dart ``i mod valence`` for each i in
+    ``steps`` (backtracks included), then home along a BFS tree path; with
+    ``cancel`` the walk is followed by its inverse, so it reduces to nothing.
+    """
+    home = {base: ()}
+    queue = [base]
+    for v in queue:
+        for d in graph.out_darts(v):
+            if graph.terminus(d) not in home:
+                home[graph.terminus(d)] = (inv(d),) + home[v]
+                queue.append(graph.terminus(d))
+    darts = []
+    v = base
+    for i in steps:
+        outs = graph.out_darts(v)
+        darts.append(outs[i % len(outs)])
+        v = graph.terminus(darts[-1])
+    if cancel:
+        return tuple(darts) + tuple(inv(d) for d in reversed(darts))
+    return tuple(darts) + home[v]
 
 
 class TestFold:
@@ -133,6 +169,37 @@ class TestFold:
     def test_refold_of_basis_is_identity(self):
         h = fold(ROSE2, "v", ["a a", "b b", "a b"])
         assert fold(ROSE2, "v", h.generator_words()) == h
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_fold(self, data):
+        graph = data.draw(st.sampled_from(FOLD_AMBIENTS))
+        base = data.draw(st.sampled_from(graph.vertices))
+        drawn = data.draw(st.lists(
+            st.tuples(st.lists(st.integers(0, 5), max_size=12),
+                      st.booleans()),
+            max_size=5))
+        loops = [closed_walk(graph, base, steps, cancel)
+                 for steps, cancel in drawn]
+        h = fold(graph, base, loops)
+        assert h.canonical_key() \
+            == fold_oracle(graph, base, loops).canonical_key()
+        # no trim pass: reduced loops never leave a stray valence-one vertex
+        assert h.core_violations() == ()
+
+    def test_stem_at_the_basepoint_is_kept(self):
+        h = fold(ROSE2, "v", ["a b -a"])
+        assert h.rank() == 1
+        assert len(h.graph.vertices) == 2
+        assert h.graph.valence(h.basepoint) == 1
+        assert h.core_violations() == ()
+
+    def test_merge_over_distinct_ambient_vertices_is_loud(self):
+        # not an edge path: the loop l starts at p although x ends at q, so
+        # folding the two x darts at p would identify vertices over p and q
+        graph = SerreGraph(["p", "q"], [("x", "p", "q"), ("l", "p", "p")])
+        with pytest.raises(AssertionError):
+            fold(graph, "p", [("x", "l", "~x")])
 
 
 class TestMembership:

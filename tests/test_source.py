@@ -1,16 +1,23 @@
-"""Static check of the package source: no module imports a name it never uses.
+"""Static checks of the package source and of the tools that read it.
 
-No linter ships with the test toolchain, so each module's syntax tree is
-walked with the standard library instead.  ``__init__.py`` is left out: its
-imports are the package's public names.
+No module imports a name it never uses: no linter ships with the test
+toolchain, so each module's syntax tree is walked with the standard library
+instead.  ``__init__.py`` is left out: its imports are the package's public
+names.  The benchmark's tracer wraps package functions by name and reads
+the check names out of ``verify_package``, so those names are pinned too.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ttforge"
+from ttforge import induced
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "ttforge"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -40,3 +47,28 @@ def test_detects_an_unused_import():
 def test_no_unused_imports(module):
     source = (SRC / module).read_text(encoding="utf-8")
     assert unused_imports(source) == []
+
+
+VERIFY_CHECKS = {
+    "projection_commutes", "transfer_covers_power",
+    "transfer_after_projection", "equivariance", "constant_consistent",
+    "exponent_matches_stabilization", "induced_train_track",
+    "induced_irreducible", "induced_expanding", "positive_power_transfer",
+    "growth_rate", "induced_pi1_injective", "core_shape",
+    "rank_matches_quotient", "transfer_onto_core",
+}
+
+
+def test_perfbench_targets_resolve():
+    """Every function the tracer wraps exists, and it sees every check."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    targets = [(name, module, attr)
+               for name, module, attr, _counter in spans.TARGETS]
+    for name, module, attr in targets + [spans.PROBE]:
+        owner = importlib.import_module("ttforge." + module)
+        assert callable(getattr(owner, attr, None)), name
+    checks = set(spans.verify_check_lines(induced.verify_package).values())
+    assert checks == VERIFY_CHECKS
