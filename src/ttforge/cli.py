@@ -70,13 +70,13 @@ def cmd_analyze(args):
     bundle, f = _load_self_map(args.file)
     matrix = transition_matrix(f)
     cert = is_train_track(f)
-    irr = is_irreducible(matrix)
+    irreducible = is_irreducible(matrix)
     expansion = is_expanding(f)
     prim = has_positive_power(matrix)
     results = {
         "train_track": cert.is_train_track,
         "train_track_reason": cert.reason,
-        "irreducible": irr.irreducible,
+        "irreducible": irreducible,
         "expanding": expansion.expanding,
         "expansion_witness": expansion.witness_edge,
         "primitive": prim is not None,
@@ -84,14 +84,14 @@ def cmd_analyze(args):
         "matrix": {"labels": list(matrix.labels),
                    "rows": [list(r) for r in matrix.rows]},
     }
-    if irr.irreducible:
+    if irreducible:
         lam = pf_eigenvalue(matrix)
         results["growth_rate"] = lam.value
         results["growth_error_bound"] = lam.error_bound
     witness = find_invariant_subgraph(f)
     results["invariant_subgraph"] = (
         sorted(witness.edges) if witness is not None else None)
-    if cert.is_train_track and irr.irreducible and expansion.expanding:
+    if cert.is_train_track and irreducible and expansion.expanding:
         results["legal_loops"] = {
             e: format_path(legal_loop_through(f, e).cycle.darts)
             for e in f.domain.edge_ids}

@@ -13,7 +13,6 @@ does because the theory promises its image stays in the core.
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from dataclasses import dataclass
 
@@ -28,15 +27,13 @@ class LazyCover:
     """The cover of the ambient graph with fundamental group the given core.
 
     Vertices added on demand are named t0, t1, ...; their edges te0, te1, ...
-    Positive darts are labeled by positive ambient darts.  Materialization is
-    guarded by a lock so concurrent tracing stays consistent.
+    Positive darts are labeled by positive ambient darts.
     """
 
     def __init__(self, core):
         self.core_graph = core.graph
         self.ambient = core.ambient
         self._core = core
-        self._lock = threading.Lock()
         self._label = dict(core.edge_label)
         self._vimg = dict(core.vertex_image)
         self._origin = {}
@@ -92,27 +89,23 @@ class LazyCover:
         got = self._steps.get(key)
         if got is not None or not materialize:
             return got
-        with self._lock:
-            got = self._steps.get(key)
-            if got is not None:
-                return got
-            new_vertex = "t%d" % self._next_vertex
-            self._next_vertex += 1
-            new_edge = "te%d" % self._next_edge
-            self._next_edge += 1
-            amb_edge = edge_of(ambient_dart)
-            self._label[new_edge] = amb_edge
-            if is_positive(ambient_dart):
-                o, t = vertex, new_vertex
-                self._vimg[new_vertex] = self.ambient.terminus(amb_edge)
-            else:
-                o, t = new_vertex, vertex
-                self._vimg[new_vertex] = self.ambient.origin(amb_edge)
-            self._origin[new_edge] = o
-            self._origin[inv(new_edge)] = t
-            self._steps[(o, amb_edge)] = new_edge
-            self._steps[(t, inv(amb_edge))] = inv(new_edge)
-            return self._steps[key]
+        new_vertex = "t%d" % self._next_vertex
+        self._next_vertex += 1
+        new_edge = "te%d" % self._next_edge
+        self._next_edge += 1
+        amb_edge = edge_of(ambient_dart)
+        self._label[new_edge] = amb_edge
+        if is_positive(ambient_dart):
+            o, t = vertex, new_vertex
+            self._vimg[new_vertex] = self.ambient.terminus(amb_edge)
+        else:
+            o, t = new_vertex, vertex
+            self._vimg[new_vertex] = self.ambient.origin(amb_edge)
+        self._origin[new_edge] = o
+        self._origin[inv(new_edge)] = t
+        self._steps[(o, amb_edge)] = new_edge
+        self._steps[(t, inv(amb_edge))] = inv(new_edge)
+        return self._steps[key]
 
     def lift_path(self, start, ambient_darts, materialize=True):
         """Unique lift of a dart sequence; returns (end vertex, lifted darts)."""

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .covers import based_lift_power, lift_graph_map
 from .freegroup import (
@@ -28,7 +27,7 @@ from .freegroup import (
 from .graphs import GraphMap, compose, edge_of, inv, reduce_darts, validate
 from .traintrack import (
     has_positive_power, is_expanding, is_irreducible, is_train_track,
-    pf_eigenvalue, transition_matrix,
+    transition_matrix,
 )
 
 
@@ -169,11 +168,12 @@ def projection_map(core):
 
 
 def _transfer_size(matrix, power):
-    total = 0
-    big = matrix.pow(power)
-    for i in range(len(matrix.labels)):
-        total += sum(big.rows[i])
-    return total
+    """Total image length of the power-th iterate: 1^T A^power 1."""
+    lengths = [1] * matrix.dim
+    for _ in range(power):
+        lengths = [sum(a * x for a, x in zip(row, lengths))
+                   for row in matrix.rows]
+    return sum(lengths)
 
 
 def build_induced(f, size_budget=None):
@@ -193,7 +193,7 @@ def build_induced(f, size_budget=None):
     if not cert.is_train_track:
         raise ValueError("not a train track map: %s" % cert.reason)
     matrix = transition_matrix(f)
-    if not is_irreducible(matrix).irreducible:
+    if not is_irreducible(matrix):
         raise ValueError("transition matrix is not irreducible")
     expansion = is_expanding(f)
     if not expansion.expanding:
@@ -292,8 +292,30 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-# largest accepted gap between the source and induced growth rates
-GROWTH_TOL = Fraction(1, 10 ** 8)
+def _growth_rate_mismatch(core, a_down, a_up, up_irreducible):
+    """Why the source and induced growth rates may differ, or None.
+
+    Pi is the 0/1 matrix sending each core edge to its label.  Row e of
+    A_up Pi adds A_up's row e into columns by label; row e of Pi A_down is
+    A_down's row for the label of e.  The identity A_up Pi = Pi A_down and
+    the irreducibility of both matrices make Pi times A_down's Perron
+    vector a positive eigenvector of A_up for the source's growth rate, so
+    by Perron-Frobenius the two growth rates are equal.
+    """
+    if not is_irreducible(a_down):
+        return "source matrix is reducible"
+    if not up_irreducible:
+        return "induced matrix is reducible"
+    column = {e: j for j, e in enumerate(a_down.labels)}
+    down_row = dict(zip(a_down.labels, a_down.rows))
+    label_column = [column[core.edge_label[e]] for e in a_up.labels]
+    for e, row in zip(a_up.labels, a_up.rows):
+        summed = [0] * a_down.dim
+        for j, x in enumerate(row):
+            summed[label_column[j]] += x
+        if tuple(summed) != down_row[core.edge_label[e]]:
+            return "A_up Pi differs from Pi A_down at core edge %r" % e
+    return None
 
 
 def verify_package(pkg):
@@ -301,8 +323,9 @@ def verify_package(pkg):
 
     The four semi-conjugacy identities are compared as graph maps with
     unreduced substitution, so equality is bit-exact.  Growth rates are
-    compared by the float midpoints of their Perron-Frobenius brackets,
-    which must agree within ``GROWTH_TOL``.
+    compared exactly, without eigenvalues: both transition matrices must be
+    irreducible and satisfy the integer identity A_up Pi = Pi A_down, where
+    Pi sends each core edge to its label.
     """
     report = VerificationReport()
     f = pkg.source
@@ -344,8 +367,8 @@ def verify_package(pkg):
                   cert.reason or "")
     a_down = transition_matrix(f)
     a_up = transition_matrix(fbar)
-    report.record("induced_irreducible",
-                  is_irreducible(a_up).irreducible)
+    up_irreducible = is_irreducible(a_up)
+    report.record("induced_irreducible", up_irreducible)
     expansion = is_expanding(fbar)
     report.record("induced_expanding", expansion.expanding,
                   "" if expansion.expanding
@@ -357,11 +380,10 @@ def verify_package(pkg):
         down_pos is None or up_pos is not None,
         "down %r up %r" % (down_pos, up_pos))
 
-    lam_down = pf_eigenvalue(a_down)
-    lam_up = pf_eigenvalue(a_up)
-    gap = abs(lam_down.value - lam_up.value)
-    report.record("growth_rate", gap <= GROWTH_TOL,
-                  "difference %.3e" % float(gap))
+    growth = _growth_rate_mismatch(pkg.core, a_down, a_up, up_irreducible)
+    # equal growth rates: the detail keeps the difference format
+    report.record("growth_rate", growth is None,
+                  growth or "difference 0.000e+00")
 
     vbar, rbar = find_periodic_vertex(fbar)
     phibar = pi1_endomorphism(fbar.power(rbar), vbar)

@@ -136,7 +136,7 @@ def random_train_track_map(rng, max_edges=6, max_image_len=4,
         if not is_train_track(f).is_train_track:
             stats.not_train_track += 1
             continue
-        if not is_irreducible(transition_matrix(f)).irreducible:
+        if not is_irreducible(transition_matrix(f)):
             stats.reducible += 1
             continue
         if not is_expanding(f).expanding:

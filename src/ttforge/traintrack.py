@@ -1,9 +1,11 @@
 """Train track analysis of graph self-maps.
 
-Transition matrices over arbitrary-precision integers, irreducibility and
-primitivity, the expansion dichotomy, Perron-Frobenius values by exact power
-iteration, turn calculus with legality certificates, legal loops through a
-prescribed edge, and invariant subgraph detection.
+Transition matrices over arbitrary-precision integers, irreducibility (a
+plain verdict from the strongly connected components) and primitivity, the
+expansion dichotomy, Perron-Frobenius values by exact power iteration (which
+``analyze`` reports; verification compares growth rates by an integer
+identity instead), turn calculus with legality certificates, legal loops
+through a prescribed edge, and invariant subgraph detection.
 
 A self-map f is a train track map when it is surjective (every edge occurs in
 some image) and every iterate restricted to every edge is an immersion.  The
@@ -46,46 +48,6 @@ class TransitionMatrix:
     def dim(self):
         return len(self.labels)
 
-    def entry(self, e, e2):
-        i = self.labels.index(e)
-        j = self.labels.index(e2)
-        return self.rows[i][j]
-
-    def row_sums(self):
-        return tuple(sum(r) for r in self.rows)
-
-    def mul(self, other):
-        if self.labels != other.labels:
-            raise ValueError("label mismatch")
-        n = self.dim
-        b = other.rows
-        out = []
-        for row in self.rows:
-            acc = [0] * n
-            for k, a in enumerate(row):
-                if a:
-                    bk = b[k]
-                    for j in range(n):
-                        if bk[j]:
-                            acc[j] += a * bk[j]
-            out.append(acc)
-        return TransitionMatrix(self.labels, out)
-
-    def pow(self, k):
-        result = TransitionMatrix(
-            self.labels, [[1 if i == j else 0 for j in range(self.dim)]
-                          for i in range(self.dim)])
-        base = self
-        while k:
-            if k & 1:
-                result = result.mul(base)
-            base = base.mul(base)
-            k >>= 1
-        return result
-
-    def is_positive(self):
-        return all(x > 0 for row in self.rows for x in row)
-
     def support(self):
         """Adjacency lists of the positivity digraph (by index)."""
         return [tuple(j for j, x in enumerate(row) if x > 0)
@@ -96,17 +58,6 @@ class TransitionMatrix:
         for row in self.rows:
             lines.append(" ".join(str(x) for x in row))
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text):
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        labels = lines[0].split()
-        rows = [[int(x) for x in ln.split()] for ln in lines[1:]]
-        return cls(labels, rows)
-
-    def verify_against(self, f):
-        """Recount every entry straight from the map's images."""
-        return self == transition_matrix(f)
 
     def __eq__(self, other):
         return (isinstance(other, TransitionMatrix)
@@ -133,61 +84,15 @@ def transition_matrix(f):
     return TransitionMatrix(labels, rows)
 
 
-@dataclass(frozen=True)
-class IrreducibilityCertificate:
-    """Reachability evidence for strong connectivity of the support digraph.
-
-    When irreducible, ``table[i][j]`` is True for all i, j.  Otherwise
-    ``missing`` is a labeled pair (e, e') with no directed path e -> e'.
-    """
-
-    irreducible: bool
-    table: tuple
-    missing: tuple | None
-
-    def check(self, matrix):
-        n = matrix.dim
-        adj = matrix.support()
-        for i in range(n):
-            seen = _reachable(adj, i)
-            for j in range(n):
-                if self.table[i][j] != (j in seen):
-                    return False
-        if not self.irreducible:
-            i = matrix.labels.index(self.missing[0])
-            j = matrix.labels.index(self.missing[1])
-            return not self.table[i][j]
-        return all(all(row) for row in self.table)
-
-
-def _reachable(adj, start):
-    seen = {start} if start in adj[start] else set()
-    stack = list(adj[start])
-    seen.update(adj[start])
-    while stack:
-        k = stack.pop()
-        for j in adj[k]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return seen
-
-
 def is_irreducible(matrix):
-    """Strong connectivity of the positivity digraph, with certificate."""
-    n = matrix.dim
+    """Strong connectivity of the positivity digraph.
+
+    Every index reaches every index, itself included, by a path of length at
+    least one: the digraph is one strongly connected component and no row is
+    zero, which for a 1x1 matrix asks for a loop.  The empty matrix passes.
+    """
     adj = matrix.support()
-    table = []
-    missing = None
-    for i in range(n):
-        seen = _reachable(adj, i)
-        table.append(tuple(j in seen for j in range(n)))
-        if missing is None:
-            for j in range(n):
-                if j not in seen:
-                    missing = (matrix.labels[i], matrix.labels[j])
-                    break
-    return IrreducibilityCertificate(missing is None, tuple(table), missing)
+    return all(adj) and len(_strongly_connected_components(adj)) <= 1
 
 
 def has_positive_power(matrix):
@@ -393,10 +298,8 @@ def pf_eigenvalue(matrix, tol=Fraction(1, 10**9)):
     within ``tol``.  The bracket always contains the eigenvalue, so the
     midpoint is correct to tol/2.
     """
-    cert = is_irreducible(matrix)
-    if not cert.irreducible:
-        raise ValueError("matrix is not irreducible: no path %s -> %s"
-                         % cert.missing)
+    if not is_irreducible(matrix):
+        raise ValueError("matrix is not irreducible")
     n = matrix.dim
     rows = [tuple(matrix.rows[i][j] + (1 if i == j else 0) for j in range(n))
             for i in range(n)]

@@ -260,6 +260,31 @@ def fold_oracle(ambient, basepoint, loops):
     return SubgroupGraph(graph, ambient, elab, vimg, "w0")
 
 
+# -- irreducibility ------------------------------------------------------------
+
+
+def irreducible_oracle(rows):
+    """Every index reaches every index, itself included, in >= 1 steps.
+
+    One depth-first search per index over the positivity digraph, starting
+    from the index's successors so that reaching itself needs a real path.
+    """
+    n = len(rows)
+    adj = [[j for j, x in enumerate(row) if x > 0] for row in rows]
+    for i in range(n):
+        seen = set(adj[i])
+        stack = list(adj[i])
+        while stack:
+            k = stack.pop()
+            for j in adj[k]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        if len(seen) != n:
+            return False
+    return True
+
+
 # -- spectral radius -----------------------------------------------------------
 
 

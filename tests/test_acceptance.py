@@ -156,7 +156,7 @@ def test_certificates_transfer_to_induced_map(announce, promotion):
         if not is_train_track(fbar).is_train_track:
             failures.append("%s: induced map is not a train track map" % name)
         matrix = transition_matrix(fbar)
-        if not is_irreducible(matrix).irreducible:
+        if not is_irreducible(matrix):
             failures.append("%s: induced matrix is reducible" % name)
         if not is_expanding(fbar).expanding:
             failures.append("%s: induced map is not expanding" % name)
@@ -330,7 +330,7 @@ def test_invariant_subgraph_search_matches_oracle(announce, corpus100,
             continue
         hits = invariant_subgraph_search(f)
         found = find_invariant_subgraph(f)
-        irreducible = is_irreducible(transition_matrix(f)).irreducible
+        irreducible = is_irreducible(transition_matrix(f))
         if (found is None) != (not hits):
             failures.append("%s: search found %r, oracle found %d sets"
                             % (name, found, len(hits)))

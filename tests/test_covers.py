@@ -5,7 +5,6 @@ retraversal: a shuffled-order recomputation must land on the same lift.
 """
 
 import random
-import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -105,24 +104,14 @@ class TestLazyCover:
             assert ro != rt, "tree edge %r closes a cycle" % e
             parent[ro] = rt
 
-    def test_concurrent_growth_is_consistent(self):
+    def test_retracing_is_consistent(self):
         core = fold(ROSE2, "v", ["a b"])
         cover = LazyCover(core)
         words = [w("b a b"), w("b b"), w("b a -b"),
                  w("-a -a"), w("b"), w("b a")]
-        results = {}
-
-        def work(i, word):
-            results[i] = cover.lift_path(cover.basepoint, word)
-
-        threads = [threading.Thread(target=work, args=(i, wd))
-                   for i, wd in enumerate(words)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        for i, word in enumerate(words):
-            assert cover.lift_path(cover.basepoint, word) == results[i]
+        results = [cover.lift_path(cover.basepoint, wd) for wd in words]
+        for word, lifted in zip(words, results):
+            assert cover.lift_path(cover.basepoint, word) == lifted
         # one dart per (vertex, label): retracing created no duplicates
         snapshot = cover.materialized_graph()
         seen = set()

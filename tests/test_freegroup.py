@@ -162,9 +162,7 @@ class TestFold:
         rng.shuffle(shuffled)
         assert fold(ROSE2, "v", shuffled) == reference
         # refolding the computed basis reproduces the same core
-        assert fold(ROSE2, "v",
-                    [" ".join(map(str, wd)) for wd in ()] or
-                    reference.generator_words()) == reference
+        assert fold(ROSE2, "v", reference.generator_words()) == reference
 
     def test_refold_of_basis_is_identity(self):
         h = fold(ROSE2, "v", ["a a", "b b", "a b"])

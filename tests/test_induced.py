@@ -16,8 +16,8 @@ from ttforge.traintrack import (
     has_positive_power, pf_eigenvalue, transition_matrix,
 )
 from ttforge.induced import (
-    SizeBudgetExceeded, build_induced, conjugacy_check, find_periodic_vertex,
-    injectivity_exponent, orbit_chains, projection_map,
+    SizeBudgetExceeded, _transfer_size, build_induced, conjugacy_check,
+    find_periodic_vertex, injectivity_exponent, orbit_chains, projection_map,
     smallest_multiple_reaching, verify_package,
 )
 
@@ -157,6 +157,14 @@ class TestBuildInduced:
             build_induced(sigma, size_budget=3)
         assert build_induced(sigma, size_budget=10 ** 6).constant == 2
 
+    @pytest.mark.parametrize("K", range(7))
+    def test_transfer_size_is_power_image_length(self, named_fixture_maps,
+                                                 K):
+        for f in named_fixture_maps.values():
+            fk = f.power(K)
+            assert _transfer_size(transition_matrix(f), K) == sum(
+                len(fk.dart_image(e)) for e in f.domain.edge_ids)
+
     def test_deterministic(self, sigma, packages):
         again = build_induced(sigma)
         pkg = packages["sigma"]
@@ -273,6 +281,14 @@ class TestVerifyPackage:
         report = verify_package(bad)
         assert not report.ok
         assert "transfer_covers_power" in report.failures()
+
+    def test_wrong_growth_rate_is_caught(self, packages):
+        pkg = packages["sigma"]
+        bad = dataclasses.replace(pkg, induced=pkg.induced.power(2))
+        report = verify_package(bad)
+        assert "growth_rate" in report.failures()
+        _ok, detail = report.checks["growth_rate"]
+        assert any(repr(e) in detail for e in pkg.core.graph.edge_ids)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("family,down", [

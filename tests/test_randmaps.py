@@ -74,7 +74,7 @@ class TestFlipOrientations:
             assert validate(flipped) is None
             assert transition_matrix(flipped) == transition_matrix(f)
             assert is_train_track(flipped).is_train_track
-            assert is_irreducible(transition_matrix(flipped)).irreducible
+            assert is_irreducible(transition_matrix(flipped))
             assert is_expanding(flipped).expanding
 
     def test_flipped_images_mix_signs(self, sigma):
@@ -99,7 +99,7 @@ class TestCorpus:
         for f in corpus(6, seed=41):
             assert validate(f) is None
             assert is_train_track(f).is_train_track
-            assert is_irreducible(transition_matrix(f)).irreducible
+            assert is_irreducible(transition_matrix(f))
             assert is_expanding(f).expanding
             assert len(f.domain.edge_ids) <= 6
 
