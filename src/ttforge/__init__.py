@@ -25,7 +25,8 @@ from .traintrack import (
 from .freegroup import (
     SubgroupGraph, LabeledGraph, fold, whole_group_graph, Pi1Endomorphism,
     pi1_endomorphism, image_subgroup, is_injective_on, kernel_stabilization,
-    stable_quotient, chain_quotient, map_subgroup, hall_completion,
+    stable_quotient, chain_quotient, map_subgroup, subgroup_rank,
+    hall_completion,
 )
 from .covers import (
     LazyCover, LiftedMap, NotLiftableError, based_lift_power, lift_graph_map,

@@ -10,13 +10,17 @@ completion of a core to a finite cover all live here.
 `fold` reads the loops into a table with at most one dart per signed
 ambient label at each vertex and identifies vertices whenever a label would
 repeat (Kapovich-Myasnikov).  Reduced loops leave no valence-one vertex
-except possibly the basepoint, so the result is a core without trimming.
+except possibly the basepoint, so the result is a core without trimming; a
+breadth-first renaming then turns the table into a canonical graph.
+`subgroup_rank` stops before the renaming: the rank E - V + 1 is read from
+the table, and a single nontrivial reduced loop has rank 1 with no table.
 
 Images under an endomorphism phi come from one step, `map_subgroup`:
 H_{k+1} = fold(phi(basis of H_k)), whose words stay short where phi^k of the
 ambient basis grows like lambda^k.  `image_chain` iterates it up to the first
-step that keeps the rank; stabilization and stable quotient (`chain_quotient`
-for a chain already at hand) read that chain.
+step that keeps the rank, which it only rank-tests; stabilization and stable
+quotient (`chain_quotient` for a chain already at hand) read that chain.
+Injectivity on a subgroup, by Hopficity, is a rank query too.
 
 A labeling sends positive darts to positive ambient darts; the label of a
 reversed dart is the reversed label.  Folded means no vertex carries two
@@ -27,6 +31,7 @@ is deterministic wherever it is possible at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graphs import (
     EdgePath, SerreGraph, edge_of, inv, is_positive, reduce_darts, token_dart,
@@ -254,21 +259,8 @@ def _find(parent, x):
     return root
 
 
-def fold(ambient, basepoint, loops):
-    """Stallings core of the subgroup generated by loops at the basepoint.
-
-    Each freely reduced loop is read from the basepoint into a table that
-    holds at most one dart per signed ambient label at each vertex: darts
-    already there are followed, missing ones get a new vertex, and the last
-    dart closes onto the basepoint.  A second dart with a label already
-    present queues its target for identification with the first one's;
-    identifying two vertices re-adds the smaller table's darts to the
-    larger, which may queue more.  No trimming is needed: every vertex a
-    reduced loop creates carries two different labels, and identification
-    never loses a label, so only the basepoint can end with valence one.
-    Everything is then renamed by breadth-first search from the basepoint,
-    so permuting the input loops returns an identical object.
-    """
+def _closed_loops(ambient, basepoint, loops):
+    """The loops as freely reduced dart tuples, trivial ones dropped."""
     if basepoint not in ambient._out:
         raise ValueError("unknown basepoint %r" % basepoint)
     words = []
@@ -286,76 +278,144 @@ def fold(ambient, basepoint, loops):
                 or ambient.terminus(darts[-1]) != basepoint):
             raise ValueError("loop %r is not closed at the basepoint" % (darts,))
         words.append(darts)
+    return words
 
-    # vertex v: union-find parent, ambient vertex over it, and out[v], its
-    # signed ambient label -> target table (targets may be stale ids)
-    parent = [0]
-    over = [basepoint]
-    out = [{}]
-    pending = []
 
-    def add(v, label, w):
-        x = out[v].setdefault(label, w)
-        if x != w:
-            pending.append((x, w))
+class _Folding:
+    """Reduced nontrivial loops at a basepoint, folded only as far as asked.
 
-    def join(v, label, w):
-        add(v, label, w)
-        add(w, inv(label), v)
+    ``table`` is `fold`'s Kapovich-Myasnikov pass, run at most once; `core`
+    renames it into a graph and `rank` reads it without one.
+    """
 
-    for word in words:
-        cur = _find(parent, 0)
-        for d in word[:-1]:
-            nxt = out[cur].get(d)
-            if nxt is None:
-                nxt = len(parent)
-                parent.append(nxt)
-                over.append(ambient.terminus(d))
-                out.append({})
-                join(cur, d, nxt)
-            cur = _find(parent, nxt)
-        join(cur, word[-1], _find(parent, 0))
-        while pending:
-            a, b = pending.pop()
-            a, b = _find(parent, a), _find(parent, b)
-            if a == b:
-                continue
-            if over[a] != over[b]:
-                raise AssertionError("fold merged distinct ambient vertices")
-            if len(out[a]) < len(out[b]):
-                a, b = b, a
-            parent[b] = a
-            table, out[b] = out[b], None
-            for label, x in table.items():
-                add(a, label, x)
+    def __init__(self, ambient, basepoint, words):
+        self.ambient = ambient
+        self.basepoint = basepoint
+        self.words = words
 
-    # canonical renaming by BFS from the basepoint; darts at a vertex go in
-    # order of their signed ambient label, which is unique there
-    base = _find(parent, 0)
-    order = {base: "w0"}
-    seq = [base]
-    new_edges = []
-    elab = {}
-    vimg = {"w0": over[base]}
-    visited_edges = set()
-    for v in seq:
-        for label in sorted(out[v]):
-            far = _find(parent, out[v][label])
-            o, t, lab = ((v, far, label) if is_positive(label)
-                         else (far, v, inv(label)))
-            if (o, lab) in visited_edges:
-                continue
-            visited_edges.add((o, lab))
-            if far not in order:
-                order[far] = "w%d" % len(order)
-                vimg[order[far]] = over[far]
-                seq.append(far)
-            name = "e%d" % len(new_edges)
-            new_edges.append((name, order[o], order[t]))
-            elab[name] = lab
-    graph = SerreGraph(list(order.values()), new_edges,
-                       allow_isolated=not new_edges)
-    return SubgroupGraph(graph, ambient, elab, vimg, "w0")
+    @cached_property
+    def table(self):
+        """``(parent, over, out)`` per vertex id.
+
+        The union-find parent, the ambient vertex below, and the signed
+        ambient label -> target table (targets may be stale ids), None once
+        the vertex is merged away.
+        """
+        parent = [0]
+        over = [self.basepoint]
+        out = [{}]
+        pending = []
+
+        def add(v, label, w):
+            x = out[v].setdefault(label, w)
+            if x != w:
+                pending.append((x, w))
+
+        def join(v, label, w):
+            add(v, label, w)
+            add(w, inv(label), v)
+
+        for word in self.words:
+            cur = _find(parent, 0)
+            for d in word[:-1]:
+                nxt = out[cur].get(d)
+                if nxt is None:
+                    nxt = len(parent)
+                    parent.append(nxt)
+                    over.append(self.ambient.terminus(d))
+                    out.append({})
+                    join(cur, d, nxt)
+                cur = _find(parent, nxt)
+            join(cur, word[-1], _find(parent, 0))
+            while pending:
+                a, b = pending.pop()
+                a, b = _find(parent, a), _find(parent, b)
+                if a == b:
+                    continue
+                if over[a] != over[b]:
+                    raise AssertionError(
+                        "fold merged distinct ambient vertices")
+                if len(out[a]) < len(out[b]):
+                    a, b = b, a
+                parent[b] = a
+                table, out[b] = out[b], None
+                for label, x in table.items():
+                    add(a, label, x)
+        return parent, over, out
+
+    def rank(self):
+        """See `subgroup_rank`; each live vertex holds one entry per dart."""
+        if len(self.words) < 2:
+            return len(self.words)
+        live = [darts for darts in self.table[2] if darts is not None]
+        return sum(map(len, live)) // 2 - len(live) + 1
+
+    def core(self):
+        """The table renamed by BFS from the base into a `SubgroupGraph`.
+
+        Darts at a vertex go in order of their signed ambient label, which
+        is unique there.
+        """
+        parent, over, out = self.table
+        base = _find(parent, 0)
+        order = {base: "w0"}
+        seq = [base]
+        new_edges = []
+        elab = {}
+        vimg = {"w0": over[base]}
+        visited_edges = set()
+        for v in seq:
+            for label in sorted(out[v]):
+                far = _find(parent, out[v][label])
+                o, t, lab = ((v, far, label) if is_positive(label)
+                             else (far, v, inv(label)))
+                if (o, lab) in visited_edges:
+                    continue
+                visited_edges.add((o, lab))
+                if far not in order:
+                    order[far] = "w%d" % len(order)
+                    vimg[order[far]] = over[far]
+                    seq.append(far)
+                name = "e%d" % len(new_edges)
+                new_edges.append((name, order[o], order[t]))
+                elab[name] = lab
+        graph = SerreGraph(list(order.values()), new_edges,
+                           allow_isolated=not new_edges)
+        return SubgroupGraph(graph, self.ambient, elab, vimg, "w0")
+
+
+def fold(ambient, basepoint, loops):
+    """Stallings core of the subgroup generated by loops at the basepoint.
+
+    Each freely reduced loop is read from the basepoint into a table that
+    holds at most one dart per signed ambient label at each vertex: darts
+    already there are followed, missing ones get a new vertex, and the last
+    dart closes onto the basepoint.  A second dart with a label already
+    present queues its target for identification with the first one's;
+    identifying two vertices re-adds the smaller table's darts to the
+    larger, which may queue more.  No trimming is needed: every vertex a
+    reduced loop creates carries two different labels, and identification
+    never loses a label, so only the basepoint can end with valence one.
+    Everything is then renamed by breadth-first search from the basepoint,
+    so permuting the input loops returns an identical object.  Callers that
+    need only the rank use `subgroup_rank`, which skips the renaming.
+    """
+    return _Folding(ambient, basepoint,
+                    _closed_loops(ambient, basepoint, loops)).core()
+
+
+def subgroup_rank(ambient, basepoint, loops):
+    """Rank of the subgroup generated by loops at the basepoint.
+
+    0 when every loop reduces to nothing.  1 for a single nontrivial loop,
+    with no folding at all: free groups are torsion-free, so a nontrivial
+    element generates an infinite cyclic subgroup.  Otherwise E - V + 1 of
+    `fold`'s table, with no renaming and no graph; a folded graph's rank is
+    E - V + 1 whatever trees hang off it (Stallings 1983), so hanging trees
+    need no trimming.
+    """
+    return _Folding(ambient, basepoint,
+                    _closed_loops(ambient, basepoint, loops)).rank()
 
 
 # -- endomorphisms of the fundamental group ----------------------------------
@@ -441,25 +501,44 @@ def endomorphism_on_rose(generators, images):
     return pi1_endomorphism(f, "v")
 
 
-def map_subgroup(phi, sub):
-    """Image of a subgroup under the endomorphism, as a folded core."""
+def _image_folding(phi, sub):
+    """The images of the subgroup's basis, ready to fold.
+
+    `Pi1Endomorphism.apply_word` returns reduced loops at the fixed
+    basepoint, so they are not reduced or checked a second time.
+    """
     if sub.vertex_image[sub.basepoint] != phi.base:
         raise ValueError("subgroup is not based at the endomorphism basepoint")
     words = [phi.apply_word(w) for w in sub.generator_words()]
-    return fold(phi.ambient, phi.base, words)
+    return _Folding(phi.ambient, phi.base, [w for w in words if w])
+
+
+def map_subgroup(phi, sub):
+    """Image of a subgroup under the endomorphism, as a folded core."""
+    return _image_folding(phi, sub).core()
 
 
 def image_chain(phi):
-    """Image subgroups H_0 (the whole group), ..., H_{K+1} of phi's powers.
+    """Image subgroups of phi's powers up to kernel stabilization.
 
-    Ranks strictly decrease until step K + 1, the first that keeps the rank;
-    K is the kernel stabilization constant.
+    Returns ``(links, K)``.  Ranks of H_0 (the whole group), H_1, ...
+    strictly decrease until H_{K+1}, the first that keeps the rank; K is
+    the kernel stabilization constant.  Each step is rank-tested first
+    (see `subgroup_rank`): a single nontrivial image loop has rank 1
+    without folding, free groups being torsion-free, and more are folded
+    into a table that is renamed into a graph only when the rank drops.
+    ``links`` holds H_0, ..., H_{max(K, 1)}: H_{K+1} is built only when
+    K = 0, where H_1 is the promotion's core.
     """
-    chain = [whole_group_graph(phi.ambient, phi.base)]
+    links = [whole_group_graph(phi.ambient, phi.base)]
     while True:
-        chain.append(map_subgroup(phi, chain[-1]))
-        if chain[-1].rank() == chain[-2].rank():
-            return chain
+        image = _image_folding(phi, links[-1])
+        K = len(links) - 1
+        kept = image.rank() == links[-1].rank()
+        if not kept or K == 0:
+            links.append(image.core())
+        if kept:
+            return links, K
 
 
 def image_subgroup(phi, k):
@@ -476,9 +555,10 @@ def is_injective_on(phi, sub):
     """Whether the endomorphism is injective on the given subgroup.
 
     Finitely generated free groups are Hopfian, so injectivity on a rank-n
-    subgroup is equivalent to its image having rank n.
+    subgroup is equivalent to its image having rank n.  That rank is read
+    without building the image's graph (see `subgroup_rank`).
     """
-    return map_subgroup(phi, sub).rank() == sub.rank()
+    return _image_folding(phi, sub).rank() == sub.rank()
 
 
 def kernel_stabilization(phi):
@@ -486,9 +566,10 @@ def kernel_stabilization(phi):
 
     Equivalently the first K at which the endomorphism is injective on the
     image of its K-th power; ranks of the image chain strictly decrease
-    until then and are preserved from K on.
+    until then and are preserved from K on.  The last step, H_{K+1}, is a
+    rank query only (see `image_chain`).
     """
-    return len(image_chain(phi)) - 2
+    return image_chain(phi)[1]
 
 
 @dataclass
@@ -522,8 +603,8 @@ def stable_quotient(phi):
 
 def chain_quotient(phi, chain):
     """`stable_quotient` read off phi's image chain (see `image_chain`)."""
-    K = len(chain) - 2
-    core = chain[K]
+    links, K = chain
+    core = links[K]
     restriction = {}
     for name, _loop, word in core.basis():
         image = phi.apply_word(word)
@@ -533,7 +614,8 @@ def chain_quotient(phi, chain):
         core=core,
         rank=core.rank(),
         restriction=restriction,
-        injective=chain[-1].rank() == core.rank(),
+        # the chain stops at the first step that keeps the rank
+        injective=True,
     )
 
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 from .covers import based_lift_power, lift_graph_map
 from .freegroup import (
-    Pi1Endomorphism, chain_quotient, fold, image_chain, kernel_stabilization,
-    pi1_endomorphism, whole_group_graph,
+    Pi1Endomorphism, chain_quotient, fold, image_chain, is_injective_on,
+    pi1_endomorphism, subgroup_rank, whole_group_graph,
 )
 from .graphs import GraphMap, compose, edge_of, inv, reduce_darts, validate
 from .traintrack import (
@@ -61,7 +61,8 @@ def orbit_chains(f, v, r):
     """Return endomorphism and its image chain at each vertex of v's orbit.
 
     The return map is the r-th power of f, computed once and shared; the
-    list runs along the orbit from v as ``(phi, chain)`` pairs.
+    list runs along the orbit from v as ``(phi, chain)`` pairs, each chain
+    the ``(links, K)`` of `image_chain`.
     """
     fr = f.power(r)
     orbit = []
@@ -78,21 +79,21 @@ def injectivity_exponent(f, orbit):
 
     ``orbit`` holds the ``(phi, chain)`` pairs of `orbit_chains`.
     Injectivity of the single map on the image of the n-th power of the
-    return map is tested by rank: fold the images of the subgroup's basis at
-    the next vertex of the orbit and compare.  Candidates run through the
-    image chain of the return map up to its stabilization.  The same
-    exponent works at every vertex of the periodic orbit; it is computed at
-    each vertex in ``orbit`` and must agree.
+    return map is tested by rank: the rank of the subgroup the images of its
+    basis generate at the next vertex of the orbit (`subgroup_rank`, no
+    graph built) against its own.  Candidates run through the image chain
+    of the return map up to its stabilization.  The same exponent works at
+    every vertex of the periodic orbit; it is computed at each vertex in
+    ``orbit`` and must agree.
     """
     exponents = []
-    for phi, chain in orbit:
-        bound = max(len(chain) - 2, 1)
+    for phi, (links, K) in orbit:
         found = None
-        for n in range(1, bound + 1):
-            sub = chain[n]
+        for n in range(1, max(K, 1) + 1):
+            sub = links[n]
             words = [f.apply_to_darts(w) for w in sub.generator_words()]
-            folded = fold(f.domain, f.vertex_map[phi.base], words)
-            if folded.rank() == sub.rank():
+            if subgroup_rank(f.domain, f.vertex_map[phi.base],
+                             words) == sub.rank():
                 found = n
                 break
         if found is None:
@@ -205,9 +206,9 @@ def build_induced(f, size_budget=None):
     n = injectivity_exponent(f, orbit)
     phi, chain = orbit[0]
     quotient = chain_quotient(phi, chain)
-    # n is at most max(K, 1) <= K + 1, so the chain holds H_n;
+    # n is at most max(K, 1), so the chain holds H_n;
     # verify_package checks that n equals max(K, 1)
-    core = chain[n]
+    core = chain[0][n]
     if core.rank() == 0:
         raise ValueError("stable image subgroup is trivial")
 
@@ -387,8 +388,9 @@ def verify_package(pkg):
 
     vbar, rbar = find_periodic_vertex(fbar)
     phibar = pi1_endomorphism(fbar.power(rbar), vbar)
-    report.record("induced_pi1_injective",
-                  kernel_stabilization(phibar) == 0)
+    # kernel stabilization 0: injective on the whole group
+    report.record("induced_pi1_injective", is_injective_on(
+        phibar, whole_group_graph(phibar.ambient, phibar.base)))
 
     core = pkg.core
     labels = set(core.edge_label.values())

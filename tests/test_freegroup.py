@@ -18,7 +18,7 @@ from ttforge.freegroup import (
     LabeledGraph, SubgroupGraph, endomorphism_on_rose, fold, hall_completion,
     image_chain, image_subgroup, induces_pi1_isomorphism, is_injective_on,
     kernel_stabilization, map_subgroup, pi1_endomorphism, stable_quotient,
-    whole_group_graph,
+    subgroup_rank, whole_group_graph,
 )
 from ttforge.induced import find_periodic_vertex
 
@@ -180,10 +180,44 @@ class TestFold:
         loops = [closed_walk(graph, base, steps, cancel)
                  for steps, cancel in drawn]
         h = fold(graph, base, loops)
-        assert h.canonical_key() \
-            == fold_oracle(graph, base, loops).canonical_key()
+        reference = fold_oracle(graph, base, loops)
+        assert h.canonical_key() == reference.canonical_key()
         # no trim pass: reduced loops never leave a stray valence-one vertex
         assert h.core_violations() == ()
+        # zero, one or several loops, some cancelling to nothing
+        assert subgroup_rank(graph, base, loops) == reference.rank()
+
+    def test_rank_examples(self):
+        assert subgroup_rank(ROSE2, "v", []) == 0
+        assert subgroup_rank(ROSE2, "v", ["a -a"]) == 0
+        assert subgroup_rank(ROSE2, "v", ["a -a", "b a -a -b"]) == 0
+        assert subgroup_rank(ROSE2, "v", ["a b -a"]) == 1
+        assert subgroup_rank(ROSE2, "v", ["a", "a a", "b -b"]) == 1
+        assert subgroup_rank(ROSE2, "v", ["a b", "b a"]) == 2
+        assert subgroup_rank(ROSE2, "v", ["a", "b", "a b"]) == 2
+        with pytest.raises(ValueError):
+            subgroup_rank(ROSE2, "u", ["a"])
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_rank_of_images_matches_reference_fold(self, data):
+        # substituted images come unreduced, endomorphism images reduced
+        graph = FOLD_AMBIENTS[1]
+        images = {e: tuple(data.draw(st.lists(
+            st.sampled_from(graph.darts), min_size=1, max_size=4)))
+            for e in graph.edge_ids}
+        f = GraphMap(graph, graph, {"v": "v"}, images)
+        phi = pi1_endomorphism(f)
+        drawn = data.draw(st.lists(
+            st.tuples(st.lists(st.integers(0, 5), max_size=8),
+                      st.booleans()),
+            max_size=4))
+        loops = [closed_walk(graph, "v", steps, cancel)
+                 for steps, cancel in drawn]
+        for words in ([f.apply_to_darts(loop) for loop in loops],
+                      [phi.apply_word(loop) for loop in loops]):
+            assert subgroup_rank(graph, "v", words) \
+                == fold_oracle(graph, "v", words).rank()
 
     def test_stem_at_the_basepoint_is_kept(self):
         h = fold(ROSE2, "v", ["a b -a"])
@@ -361,22 +395,28 @@ class TestImageChain:
 
     def test_chain_equals_direct_power_images(
             self, named_fixture_maps, nilp, corpus100):
-        """The incremental chain against folding phi^k of the basis."""
+        """The incremental chain against folding phi^k of the basis.
+
+        The chain builds H_0 .. H_{max(K, 1)}; H_{K+1} is only rank-tested,
+        so the direct fold's rank there must equal the rank of H_K.
+        """
         maps = list(named_fixture_maps.values()) + [nilp] + list(corpus100)
         for f in maps:
             v, r = find_periodic_vertex(f)
             phi = pi1_endomorphism(f.power(r), v)
-            chain = image_chain(phi)
-            K = kernel_stabilization(phi)
-            assert len(chain) == K + 2
-            assert chain[0] == image_subgroup(phi, 0)
+            links, K = image_chain(phi)
+            assert K == kernel_stabilization(phi)
+            assert len(links) == max(K, 1) + 1
+            assert links[0] == image_subgroup(phi, 0)
             for k in range(1, K + 3):
                 direct = fold(phi.ambient, phi.base,
                               [phi.apply_word(loop, k)
                                for loop in phi.basis.values()])
                 assert image_subgroup(phi, k) == direct, (f, k)
-                if k < len(chain):
-                    assert chain[k] == direct, (f, k)
+                if k < len(links):
+                    assert links[k] == direct, (f, k)
+                if k == K + 1:
+                    assert direct.rank() == links[K].rank(), f
 
 
 class TestKernelWitnesses:

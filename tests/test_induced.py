@@ -189,29 +189,43 @@ class TestBuildInduced:
 
     def test_one_image_chain_per_orbit_vertex(self, named_fixture_maps,
                                               monkeypatch):
-        # each orbit vertex folds its chain H_1..H_{K+1} once, then the
-        # candidates f(H_1)..f(H_n) of the injectivity exponent
-        from ttforge import freegroup, induced
-        calls = []
-        real_fold = freegroup.fold
+        # each orbit vertex folds its chain H_1..H_{max(K,1)} into graphs
+        # once and only rank-tests H_{K+1} (when K >= 1, else H_1 is built),
+        # then rank-tests the candidates f(H_1)..f(H_n) of the injectivity
+        # exponent; every loop set folded is a _Folding, and a graph fold
+        # is one that reaches core()
+        from ttforge import freegroup
+        foldings = []
+        graphs = []
+        real_init = freegroup._Folding.__init__
+        real_core = freegroup._Folding.core
 
-        def counting(*args):
-            calls.append(args)
-            return real_fold(*args)
+        def counting_init(self, *args):
+            foldings.append(args)
+            real_init(self, *args)
 
-        monkeypatch.setattr(freegroup, "fold", counting)
-        monkeypatch.setattr(induced, "fold", counting)
+        def counting_core(self):
+            graphs.append(self)
+            return real_core(self)
+
+        monkeypatch.setattr(freegroup._Folding, "__init__", counting_init)
+        monkeypatch.setattr(freegroup._Folding, "core", counting_core)
         cases = dict(named_fixture_maps, ring3=_two_strand_ring(3))
         counts = {}
         for name, f in cases.items():
-            calls.clear()
+            foldings.clear()
+            graphs.clear()
             pkg = build_induced(f)
             r, n = pkg.period, pkg.exponent
             K = pkg.quotient.exponent
-            assert len(calls) == r * (K + 1) + r * n, name
-            counts[name] = len(calls)
-        assert counts == {"sigma": 3, "fib": 2, "cyc2": 4, "stab2": 5,
-                          "stab3": 7, "pre1_r2": 4, "pre1_r3": 6, "ring3": 9}
+            rank_only = len(foldings) - len(graphs)
+            assert len(graphs) == r * max(K, 1), name
+            assert rank_only == r * n + r * (K >= 1), name
+            counts[name] = (len(graphs), rank_only)
+        assert counts == {"sigma": (1, 2), "fib": (1, 1), "cyc2": (2, 2),
+                          "stab2": (2, 3), "stab3": (3, 4),
+                          "pre1_r2": (2, 2), "pre1_r3": (3, 3),
+                          "ring3": (3, 6)}
 
 
 def _two_strand_ring(n):
@@ -226,6 +240,24 @@ def _two_strand_ring(n):
               for i in range(n - 1) for s in "ab"}
     tail = tuple("a%d" % i for i in range(n)) + ("b0",)
     images["a%d" % (n - 1)] = images["b%d" % (n - 1)] = tail
+    g = SerreGraph(u, edges)
+    return GraphMap(g, g, {u[i]: u[(i + 1) % n] for i in range(n)}, images)
+
+
+def _three_strand_ring(n):
+    """Strands a_i, b_i, c_i: u_i -> u_{i+1}; a_n-1, b_n-1 -> a_0 .. a_n-1 c_0
+    and c_n-1 -> b_0 .. b_n-1 a_0.
+
+    Rank 2n + 1 drops to n + 1, a stable image of rank at least 2.
+    """
+    u = ["u%d" % i for i in range(n)]
+    edges = [(s + str(i), u[i], u[(i + 1) % n])
+             for i in range(n) for s in "abc"]
+    images = {s + str(i): (s + str(i + 1),)
+              for i in range(n - 1) for s in "abc"}
+    images["a%d" % (n - 1)] = images["b%d" % (n - 1)] = \
+        tuple("a%d" % i for i in range(n)) + ("c0",)
+    images["c%d" % (n - 1)] = tuple("b%d" % i for i in range(n)) + ("a0",)
     g = SerreGraph(u, edges)
     return GraphMap(g, g, {u[i]: u[(i + 1) % n] for i in range(n)}, images)
 
@@ -305,6 +337,34 @@ class TestVerifyPackage:
         assert report.ok, report.failures()
         assert report.checks["positive_power_transfer"] == (
             True, "down %d up %d" % (down(n), up))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_three_strand_family_closed_forms(self, n):
+        # the stable image has rank n + 1 >= 3, so H_{K+1} is rank-tested
+        # on the folding table rather than by the single-loop shortcut
+        pkg = build_induced(_three_strand_ring(n))
+        c = pkg.constants()
+        assert (c["period"], c["exponent"], c["stabilization"],
+                c["preperiod"], c["constant"]) == (n, 1, 1, 0, 2 * n)
+        assert c["core_rank"] == n + 1
+        assert c["core_edges"] == n * 2 ** (n + 1)
+        transfer_symbols = sum(len(pkg.transfer.dart_image(e))
+                               for e in pkg.transfer.domain.edge_ids)
+        assert transfer_symbols == 3 * n * 4 ** n
+        report = verify_package(pkg)
+        assert report.ok, report.failures()
+
+    def test_non_injective_induced_map_is_caught(self, packages):
+        # fib's core is a rose of rank 2; a self-map sending both edges to
+        # the same loop has an image of rank 1, so it is not injective
+        pkg = packages["fib"]
+        core = pkg.core.graph
+        assert len(core.vertices) == 1 and pkg.core.rank() == 2
+        loop = tuple(sorted(core.edge_ids))
+        collapsed = GraphMap(core, core, {v: v for v in core.vertices},
+                             {e: loop for e in core.edge_ids})
+        report = verify_package(dataclasses.replace(pkg, induced=collapsed))
+        assert report.checks["induced_pi1_injective"][0] is False
 
     def test_report_records_named_checks(self, packages):
         report = verify_package(packages["fib"])
