@@ -556,7 +556,9 @@ def is_injective_on(phi, sub):
 
     Finitely generated free groups are Hopfian, so injectivity on a rank-n
     subgroup is equivalent to its image having rank n.  That rank is read
-    without building the image's graph (see `subgroup_rank`).
+    without building the image's graph (see `subgroup_rank`): one
+    nontrivial reduced image loop has rank 1, free groups being
+    torsion-free, and more are counted on the folding table.
     """
     return _image_folding(phi, sub).rank() == sub.rank()
 
@@ -567,7 +569,9 @@ def kernel_stabilization(phi):
     Equivalently the first K at which the endomorphism is injective on the
     image of its K-th power; ranks of the image chain strictly decrease
     until then and are preserved from K on.  The last step, H_{K+1}, is a
-    rank query only (see `image_chain`).
+    rank query only (see `image_chain`): rank 1 for a single nontrivial
+    reduced image loop, free groups being torsion-free, and E - V + 1 of
+    the folding table otherwise.
     """
     return image_chain(phi)[1]
 
