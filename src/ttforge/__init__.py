@@ -6,7 +6,7 @@ group) is lifted to an expanding irreducible train track representative of the
 injective endomorphism induced on the stable quotient, together with the
 semi-conjugating maps and the exact constant relating the two dynamical
 systems.  Supporting layers: Serre graphs and graph maps, transition-matrix
-analysis, Stallings foldings, lazily grown covers, and exact rational
+analysis, Stallings foldings, lifts of maps into cores, and exact rational
 semiflows on mapping tori.
 """
 
@@ -28,10 +28,7 @@ from .freegroup import (
     stable_quotient, chain_quotient, map_subgroup, subgroup_rank,
     hall_completion,
 )
-from .covers import (
-    LazyCover, LiftedMap, NotLiftableError, based_lift_power, lift_graph_map,
-    restrict_to_core,
-)
+from .covers import NotLiftableError, based_lift_power, lift_graph_map
 from .induced import (
     InducedPackage, VerificationReport, SizeBudgetExceeded,
     find_periodic_vertex, orbit_chains, injectivity_exponent, build_induced,

@@ -301,34 +301,32 @@ def build_parser():
     parser.add_argument("--format", choices=("json", "text"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_file=True):
+    flags = {"--out": {"default": None},
+             "--seed": {"default": "0"},
+             "--count": {"type": int, "default": 25}}
+
+    def command(name, handler, help_text, *read, with_file=True):
+        """A subcommand taking only the shared flags its handler reads."""
+        p = sub.add_parser(name, help=help_text)
         if with_file:
             p.add_argument("file", help="input JSON document")
-        p.add_argument("--out", default=None)
-        p.add_argument("--seed", default="0")
-        p.add_argument("--count", type=int, default=25)
+        for flag in read:
+            p.add_argument(flag, **flags[flag])
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("analyze", help="certificates and growth data")
-    common(p)
-    p.set_defaults(handler=cmd_analyze)
+    command("analyze", cmd_analyze, "certificates and growth data")
+    command("quotient", cmd_quotient, "stable image of the endomorphism")
+    command("induce", cmd_induce, "build, verify, write a package", "--out")
 
-    p = sub.add_parser("quotient", help="stable image of the endomorphism")
-    common(p)
-    p.set_defaults(handler=cmd_quotient)
-
-    p = sub.add_parser("induce", help="build, verify, write a package")
-    common(p)
-    p.set_defaults(handler=cmd_induce)
-
-    p = sub.add_parser("suspend", help="sampled semiflow identities")
-    common(p)
+    p = command("suspend", cmd_suspend, "sampled semiflow identities",
+                "--seed", "--count")
     p.add_argument("--check",
                    choices=("flow", "hmaps", "pair", "descriptor", "all"),
                    default="all")
-    p.set_defaults(handler=cmd_suspend)
 
-    p = sub.add_parser("proptest", help="randomized invariant suite")
-    common(p, with_file=False)
+    p = command("proptest", cmd_proptest, "randomized invariant suite",
+                "--seed", "--count", with_file=False)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--max-edges", type=int, default=6)
     p.add_argument("--max-image-len", type=int, default=4)
@@ -336,11 +334,9 @@ def build_parser():
     p.add_argument("--inject-invalid", type=int, default=0,
                    help="feed a known-bad candidate every N cases and "
                         "require the generator to reject it")
-    p.set_defaults(handler=cmd_proptest)
 
-    p = sub.add_parser("export-dot", help="DOT text of a map or package")
-    common(p)
-    p.set_defaults(handler=cmd_export_dot)
+    command("export-dot", cmd_export_dot, "DOT text of a map or package",
+            "--out")
     return parser
 
 

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .graphs import (
-    EdgePath, SerreGraph, edge_of, inv, is_positive, reduce_darts, token_dart,
+    EdgePath, GraphMap, SerreGraph, edge_of, inv, is_positive, reduce_darts,
+    rose, token_dart,
 )
 
 
@@ -122,6 +123,17 @@ class LabeledGraph:
         return next(iter(sizes.values()))
 
 
+def reduce_tokens(tokens):
+    """Free reduction of a word of ``(name, sign)`` generator tokens."""
+    out = []
+    for tok in tokens:
+        if out and out[-1][0] == tok[0] and out[-1][1] == -tok[1]:
+            out.pop()
+        else:
+            out.append(tok)
+    return tuple(out)
+
+
 class SubgroupGraph(LabeledGraph):
     """Pointed folded core representing a finitely generated subgroup."""
 
@@ -134,9 +146,6 @@ class SubgroupGraph(LabeledGraph):
 
     def rank(self):
         return len(self.graph.edge_ids) - len(self.graph.vertices) + 1
-
-    def is_folded(self):
-        return self._immersed
 
     def core_violations(self):
         """Non-basepoint vertices of valence < 2 (a pointed core has none)."""
@@ -207,17 +216,8 @@ class SubgroupGraph(LabeledGraph):
                 if edge_of(d) not in tree:
                     names[edge_of(d)] = name
                     break
-        out = []
-        for d in lifted:
-            e = edge_of(d)
-            if e in tree:
-                continue
-            tok = (names[e], 1 if is_positive(d) else -1)
-            if out and out[-1][0] == tok[0] and out[-1][1] == -tok[1]:
-                out.pop()
-            else:
-                out.append(tok)
-        return tuple(out)
+        return reduce_tokens((names[edge_of(d)], 1 if is_positive(d) else -1)
+                             for d in lifted if edge_of(d) not in tree)
 
     def canonical_key(self):
         return (self.graph.vertices, self.graph.edge_data,
@@ -487,7 +487,6 @@ def endomorphism_on_rose(generators, images):
 
     ``images`` maps generator names to token words over the generators.
     """
-    from .graphs import GraphMap, rose
     rose_graph = rose(generators)
     edge_images = {}
     for g in generators:

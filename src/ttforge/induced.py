@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from .covers import based_lift_power, lift_graph_map
 from .freegroup import (
     Pi1Endomorphism, chain_quotient, fold, image_chain, is_injective_on,
-    pi1_endomorphism, subgroup_rank, whole_group_graph,
+    pi1_endomorphism, reduce_tokens, subgroup_rank, whole_group_graph,
 )
 from .graphs import GraphMap, compose, edge_of, inv, reduce_darts, validate
 from .traintrack import (
@@ -212,8 +212,7 @@ def build_induced(f, size_budget=None):
     if core.rank() == 0:
         raise ValueError("stable image subgroup is trivial")
 
-    lifted = lift_graph_map(f, core)
-    fbar = lifted.map
+    fbar = lift_graph_map(f, core)
 
     # orbit of the basepoint upstairs under the r-th power of the lift
     fbar_r_vertex = {}
@@ -397,7 +396,7 @@ def verify_package(pkg):
     vertex_images = set(core.vertex_image.values())
     report.record(
         "core_shape",
-        core.is_folded() and not core.core_violations()
+        core.is_immersion() and not core.core_violations()
         and labels == set(core.ambient.edge_ids)
         and vertex_images == set(core.ambient.vertices),
         "folded core projecting onto the whole graph")
@@ -429,18 +428,8 @@ class ConjugacyReport:
     detail: str = ""
 
 
-def _reduce_tokens(tokens):
-    out = []
-    for tok in tokens:
-        if out and out[-1][0] == tok[0] and out[-1][1] == -tok[1]:
-            out.pop()
-        else:
-            out.append(tok)
-    return tuple(out)
-
-
 def _conjugate_word(u, word):
-    return _reduce_tokens(u + word + tuple((n, -s) for n, s in reversed(u)))
+    return reduce_tokens(u + word + tuple((n, -s) for n, s in reversed(u)))
 
 
 def conjugacy_check(pkg, max_length=4, max_candidates=20000):
@@ -475,15 +464,14 @@ def conjugacy_check(pkg, max_length=4, max_candidates=20000):
     upstairs = {}
     downstairs = {}
     for name, loop, _word in helper.basis():
-        pushed = reduce_darts(big.apply_to_darts(loop))
-        upstairs[name] = _reduce_tokens(helper.rewrite(pushed))
+        upstairs[name] = helper.rewrite(big.apply_to_darts(loop))
         projected = core.project_darts(loop)
         returned = phi.apply_word(projected, q)
         end, lifted, consumed = core.trace(z, returned)
         if consumed != len(returned) or end != z:
             return ConjugacyReport(False, (), 0, False,
                                    "return image does not lift closed")
-        downstairs[name] = _reduce_tokens(helper.rewrite(reduce_darts(lifted)))
+        downstairs[name] = helper.rewrite(lifted)
 
     # the subgroup at the periodic point versus the stable image: conjugate
     # by the projection of any path connecting the basepoints
@@ -525,7 +513,7 @@ def conjugacy_check(pkg, max_length=4, max_candidates=20000):
 
 def save_package(pkg, report, outdir):
     """Write the package and its verification report as a directory of JSON."""
-    from . import io as io_mod
+    from . import io as io_mod  # io imports this module at top level
     os.makedirs(outdir, exist_ok=True)
     io_mod.write_package(outdir, pkg, report)
     return outdir

@@ -10,8 +10,12 @@ import hashlib
 import json
 import os
 
-from .freegroup import SubgroupGraph, endomorphism_on_rose
+from . import __version__
+from .freegroup import (
+    SubgroupGraph, endomorphism_on_rose, pi1_endomorphism, stable_quotient,
+)
 from .graphs import GraphMap, SerreGraph, format_path, token_dart
+from .induced import InducedPackage
 
 SCHEMA = 1
 
@@ -140,7 +144,7 @@ def write_package(outdir, pkg, report):
     constants = dict(pkg.constants())
     constants.update({
         "schema": SCHEMA,
-        "tool_version": _tool_version(),
+        "tool_version": __version__,
         "input_digest": content_digest(source_obj),
         "basepoint": pkg.basepoint,
         "transfer_basepoint": pkg.transfer_basepoint,
@@ -151,9 +155,6 @@ def write_package(outdir, pkg, report):
 
 def load_package(outdir):
     """Rebuild a package from its directory; derived pieces are recomputed."""
-    from .freegroup import pi1_endomorphism, stable_quotient
-    from .induced import InducedPackage
-
     source = load_input(_read(os.path.join(outdir, "source.json")))
     f = source.graph_map
     core = labeled_from_obj(_read(os.path.join(outdir, "core.json")),
@@ -187,15 +188,10 @@ def report_to_obj(report):
 def make_report(command, digest, results):
     """Envelope for command output: schema, tool version, input digest."""
     return {"schema": SCHEMA,
-            "tool": "ttforge %s" % _tool_version(),
+            "tool": "ttforge %s" % __version__,
             "command": command,
             "input_digest": digest,
             "results": results}
-
-
-def _tool_version():
-    from . import __version__
-    return __version__
 
 
 # -- DOT export ----------------------------------------------------------------

@@ -13,8 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .freegroup import hall_completion, induces_pi1_isomorphism
-from .graphs import GraphMap, compose, edge_of, is_positive, validate
+from .covers import NotLiftableError, lift_by_tracing
+from .freegroup import LabeledGraph, hall_completion, induces_pi1_isomorphism
+from .graphs import (
+    GraphMap, SerreGraph, compose, edge_of, is_positive, validate,
+)
 
 
 @dataclass(frozen=True)
@@ -69,15 +72,7 @@ def map_point(f, pt):
     if pt.is_vertex:
         return GraphPoint(vertex=f.vertex_map[pt.vertex])
     path = f.dart_image(pt.edge)
-    scaled = pt.position * len(path)
-    index = scaled.numerator // scaled.denominator
-    if scaled == index:
-        return GraphPoint(vertex=f.codomain.terminus(path[index - 1]))
-    d = path[index]
-    offset = scaled - index
-    if is_positive(d):
-        return GraphPoint(edge=d, position=offset)
-    return GraphPoint(edge=edge_of(d), position=1 - offset)
+    return _point_on_path(f.codomain, path, pt.position * len(path))
 
 
 @dataclass(frozen=True)
@@ -390,8 +385,6 @@ class CoverDescriptor:
 
 def _component_containing(cover, base):
     """The connected component of a covering through one vertex."""
-    from .freegroup import LabeledGraph
-    from .graphs import SerreGraph
     graph = cover.graph
     keep = {base}
     queue = [base]
@@ -432,7 +425,6 @@ def make_cover_descriptor(f, sub, max_exponent=12):
     if base is None or base not in cover.graph.vertices:
         base = cover.graph.vertices[0]
     cover = _component_containing(cover, base)
-    from .covers import NotLiftableError, lift_by_tracing
 
     def trace(vertex, word):
         # tracing through a covering never gets stuck

@@ -287,6 +287,22 @@ class TestArgumentHandling:
             main(["analyze", "--bogus"])
         assert err.value.code == 1
 
+    @pytest.mark.parametrize("command, flag", [
+        ("analyze", "--out"), ("analyze", "--seed"), ("analyze", "--count"),
+        ("quotient", "--out"), ("quotient", "--seed"),
+        ("quotient", "--count"), ("induce", "--seed"), ("induce", "--count"),
+        ("suspend", "--out"), ("export-dot", "--seed"),
+        ("export-dot", "--count")])
+    def test_flag_the_command_never_reads_exits_one(self, command, flag):
+        with pytest.raises(SystemExit) as err:
+            main([command, fixture("sigma.json"), flag, "3"])
+        assert err.value.code == 1
+
+    def test_proptest_takes_no_out_flag(self):
+        with pytest.raises(SystemExit) as err:
+            main(["proptest", "--count", "0", "--out", "x"])
+        assert err.value.code == 1
+
     def test_no_command_exits_one(self):
         with pytest.raises(SystemExit) as err:
             main([])

@@ -1,4 +1,4 @@
-"""Lazy covers, path lifting, and lifting self-maps through a core.
+"""Lifting self-maps and their powers into a core.
 
 The uniqueness and projection identities are rechecked by independent
 retraversal: a shuffled-order recomputation must land on the same lift.
@@ -7,16 +7,15 @@ retraversal: a shuffled-order recomputation must land on the same lift.
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from ttforge.graphs import GraphMap, edge_of, inv, rose, token_dart
+from ttforge.graphs import GraphMap, compose, edge_of, rose
 from ttforge.freegroup import (
     fold, image_subgroup, pi1_endomorphism, whole_group_graph,
 )
 from ttforge.covers import (
-    LazyCover, NotLiftableError, based_lift_power, lift_graph_map,
-    lift_to_cover, restrict_to_core,
+    NotLiftableError, based_lift_power, lift_by_tracing, lift_graph_map,
 )
+from ttforge.induced import projection_map
 
 ROSE2 = rose(["a", "b"])
 
@@ -25,118 +24,24 @@ def image_edges(m):
     return {edge_of(d) for e in m.domain.edge_ids for d in m.dart_image(e)}
 
 
-def w(text):
-    return tuple(token_dart(t) for t in text.split())
-
-
-class TestLazyCover:
-    def test_core_paths_lift_closed(self):
-        cover = LazyCover(fold(ROSE2, "v", ["a b"]))
-        end, darts = cover.lift_path(cover.basepoint, ("a", "b"))
-        assert end == cover.basepoint
-        assert len(darts) == 2
-        assert all(cover.dart_in_core(d) for d in darts)
-        assert cover.project_darts(darts) == ("a", "b")
-
-    def test_off_core_step_grows_a_tree(self):
-        cover = LazyCover(fold(ROSE2, "v", ["a b"]))
-        end, darts = cover.lift_path(cover.basepoint, ("b",))
-        assert not cover.dart_in_core(darts[0])
-        assert not cover.vertex_in_core(end)
-        assert cover.vertex_over(end) == "v"
-
-    def test_trivial_path(self):
-        cover = LazyCover(fold(ROSE2, "v", ["a b"]))
-        end, darts = cover.lift_path(cover.basepoint, ())
-        assert end == cover.basepoint and darts == ()
-
-    def test_core_fibers(self):
-        assert len(LazyCover(fold(ROSE2, "v", ["a b"])).core_fiber("v")) == 2
-        assert len(LazyCover(whole_group_graph(ROSE2, "v")).core_fiber("v")) == 1
-        assert len(LazyCover(fold(ROSE2, "v", ["a"])).core_fiber("v")) == 1
-
-    def test_step_without_materializing(self):
-        cover = LazyCover(fold(ROSE2, "v", ["a b"]))
-        assert cover.step(cover.basepoint, "b", materialize=False) is None
-        with pytest.raises(NotLiftableError):
-            cover.lift_path(cover.basepoint, ("b",), materialize=False)
-        # materializing makes the same query answerable
-        cover.lift_path(cover.basepoint, ("b",))
-        assert cover.step(cover.basepoint, "b", materialize=False) is not None
-
-    def test_lifting_is_deterministic(self):
-        cover = LazyCover(fold(ROSE2, "v", ["a b"]))
-        word = w("b -a -b a b")
-        first = cover.lift_path(cover.basepoint, word)
-        again = cover.lift_path(cover.basepoint, word)
-        assert first == again
-
-    @given(seed=st.integers(0, 10 ** 9))
-    @settings(max_examples=40, deadline=None)
-    def test_grown_trees_stay_forests(self, seed):
-        rng = random.Random(seed)
-        core = fold(ROSE2, "v", ["a b", "a a"])
-        cover = LazyCover(core)
-        letters = [w(t)[0] for t in ("a", "b", "-a", "-b")]
-        for _ in range(8):
-            word = [rng.choice(letters) for _ in range(rng.randint(1, 10))]
-            start = rng.choice(core.graph.vertices)
-            cover.lift_path(start, word)
-        snapshot = cover.materialized_graph()
-        parent = {v: v for v in snapshot.vertices}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        core_edges = set(core.graph.edge_ids)
-        # collapse the core to one node, then every tree edge must join two
-        # distinct components
-        for e, o, t in snapshot.edge_data:
-            if e in core_edges:
-                continue
-            o = o if cover.vertex_in_core(o) is False else "CORE"
-            t = t if cover.vertex_in_core(t) is False else "CORE"
-            parent.setdefault("CORE", "CORE")
-            ro, rt = find(o), find(t)
-            assert ro != rt, "tree edge %r closes a cycle" % e
-            parent[ro] = rt
-
-    def test_retracing_is_consistent(self):
-        core = fold(ROSE2, "v", ["a b"])
-        cover = LazyCover(core)
-        words = [w("b a b"), w("b b"), w("b a -b"),
-                 w("-a -a"), w("b"), w("b a")]
-        results = [cover.lift_path(cover.basepoint, wd) for wd in words]
-        for word, lifted in zip(words, results):
-            assert cover.lift_path(cover.basepoint, word) == lifted
-        # one dart per (vertex, label): retracing created no duplicates
-        snapshot = cover.materialized_graph()
-        seen = set()
-        for d in snapshot.darts:
-            key = (snapshot.origin(d), cover.dart_label(d))
-            assert key not in seen
-            seen.add(key)
+def commutes_with_projection(f, core, lift):
+    p = projection_map(core)
+    return compose(f, p) == compose(p, lift)
 
 
 class TestLiftGraphMap:
     def test_sigma_lifts_over_its_image_core(self, sigma):
         core = fold(ROSE2, "v", ["a b"])
-        lifted = lift_graph_map(sigma, core)
-        assert lifted.stays_in_core
-        assert lifted.verify_projection(sigma)
-        restricted = restrict_to_core(lifted)
-        assert restricted.is_self_map
+        lift = lift_graph_map(sigma, core)
+        assert commutes_with_projection(sigma, core, lift)
+        assert lift.is_self_map
         # the 2-cycle covers a b, so both edges double
-        assert sorted(len(restricted.dart_image(e))
+        assert sorted(len(lift.dart_image(e))
                       for e in core.graph.edge_ids) == [2, 2]
 
     def test_fib_over_trivial_cover_is_itself(self, fib):
         core = whole_group_graph(ROSE2, "v")
-        lifted = lift_graph_map(fib, core)
-        assert restrict_to_core(lifted) == fib
+        assert lift_graph_map(fib, core) == fib
 
     def test_non_invariant_subgroup_fails(self, sigma):
         with pytest.raises(NotLiftableError):
@@ -148,19 +53,18 @@ class TestLiftGraphMap:
 
     def test_projection_identity_per_dart(self, sigma):
         core = fold(ROSE2, "v", ["a b"])
-        lifted = lift_graph_map(sigma, core)
-        m = lifted.map
+        lift = lift_graph_map(sigma, core)
         for d in core.graph.darts:
-            assert core.project_darts(m.dart_image(d)) \
+            assert core.project_darts(lift.dart_image(d)) \
                 == sigma.dart_image(core.dart_label(d))
 
     def test_unique_given_basepoint_image(self, sigma):
         """A shuffled independent retraversal reproduces the same lift."""
         core = fold(ROSE2, "v", ["a b"])
-        lifted = lift_graph_map(sigma, core)
+        lift = lift_graph_map(sigma, core)
         rng = random.Random(7)
         for _ in range(5):
-            vm = {core.basepoint: lifted.basepoint_image}
+            vm = {core.basepoint: lift.vertex_map[core.basepoint]}
             images = {}
             pending = list(core.graph.edge_ids)
             rng.shuffle(pending)
@@ -180,34 +84,25 @@ class TestLiftGraphMap:
                     pending.remove(e)
                     progress = True
             assert not pending
-            assert vm == lifted.map.vertex_map
+            assert vm == lift.vertex_map
             for e in core.graph.edge_ids:
-                assert images[e] == lifted.map.dart_image(e)
+                assert images[e] == lift.dart_image(e)
 
-
-class TestLiftToCover:
-    def test_wandering_lift_leaves_core(self):
+    def test_falls_through_to_next_basepoint_image(self):
+        """The first basepoint image leaves the core; the second lifts."""
         f = GraphMap(ROSE2, ROSE2, {"v": "v"},
                      {"a": "b a b", "b": "-b -a -b"})
         core = fold(ROSE2, "v", ["a b"])
-        lifted = lift_to_cover(f, core)
-        assert not lifted.stays_in_core
-        assert lifted.verify_projection(f)
+        first, second = sorted(core.fiber("v"))
+        assert core.basepoint == first
         with pytest.raises(NotLiftableError):
-            restrict_to_core(lifted)
-
-    def test_in_core_lift_agrees_with_direct_lift(self, sigma):
-        core = fold(ROSE2, "v", ["a b"])
-        through_cover = lift_to_cover(sigma, core)
-        direct = lift_graph_map(sigma, core)
-        assert through_cover.stays_in_core
-        assert through_cover.basepoint_image == direct.basepoint_image
-        for e in core.graph.edge_ids:
-            assert through_cover.map.dart_image(e) == direct.map.dart_image(e)
-
-    def test_unliftable_map_raises(self, sigma):
-        with pytest.raises(NotLiftableError):
-            lift_to_cover(sigma, fold(ROSE2, "v", ["a"]))
+            lift_by_tracing(core.graph, core.basepoint, first,
+                            lambda d: f.dart_image(core.dart_label(d)),
+                            core.trace)
+        lift = lift_graph_map(f, core)
+        assert lift.vertex_map[core.basepoint] == second
+        assert lift.is_self_map
+        assert commutes_with_projection(f, core, lift)
 
 
 class TestBasedLiftPower:

@@ -101,7 +101,7 @@ class TestFold:
         h = fold(ROSE2, "v", ["a b"])
         assert h.rank() == 1
         assert len(h.graph.vertices) == 2
-        assert h.is_folded()
+        assert h.is_immersion()
         assert not h.core_violations()
 
     def test_full_group(self):

@@ -3,7 +3,8 @@
 No module imports a name it never uses: no linter ships with the test
 toolchain, so each module's syntax tree is walked with the standard library
 instead.  ``__init__.py`` is left out: its imports are the package's public
-names.  The benchmark's tracer wraps package functions by name and reads
+names.  A relative import is deferred into a function only to break an
+import cycle.  The benchmark's tracer wraps package functions by name and reads
 the check names out of ``verify_package``, so those names are pinned too.
 """
 
@@ -47,6 +48,74 @@ def test_detects_an_unused_import():
 def test_no_unused_imports(module):
     source = (SRC / module).read_text(encoding="utf-8")
     assert unused_imports(source) == []
+
+
+def _import_targets(node, modules):
+    """Modules of the package that a relative ``from`` import loads."""
+    if node.module:
+        return [node.module.split(".")[0]]
+    return [a.name if a.name in modules else "__init__" for a in node.names]
+
+
+def needless_local_imports(sources):
+    """(module, function, target) of each needless function-local import.
+
+    ``sources`` maps each module of a package (``__init__`` included) to its
+    source.  A relative import inside a function is needed only when its
+    target imports the importing module at top level, directly or
+    transitively, since only that cycle fails at import time.
+    """
+    top = {module: set() for module in sources}
+    local = set()
+
+    def visit(module, node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(module, child, function or child.name)
+            elif isinstance(child, ast.ImportFrom) and child.level:
+                for target in _import_targets(child, sources):
+                    if function is None:
+                        top[module].add(target)
+                    else:
+                        local.add((module, function, target))
+            else:
+                visit(module, child, function)
+
+    for module, source in sources.items():
+        visit(module, ast.parse(source), None)
+
+    def reaches(start, goal):
+        stack, seen = [start], {start}
+        while stack:
+            node = stack.pop()
+            if node == goal:
+                return True
+            for nxt in top.get(node, ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return False
+
+    return sorted(entry for entry in local if not reaches(entry[2], entry[0]))
+
+
+def test_detects_a_needless_local_import():
+    sources = {
+        "__init__": "__version__ = '1'\nfrom .a import f\n",
+        "a": "from .b import g\ndef f():\n    from .c import h\n",
+        "b": "def g():\n    from .a import f\n"
+             "def k():\n    from . import __version__\n",
+        "c": "class C:\n    def h(self):\n        from . import __version__\n",
+    }
+    # a imports b, and __init__ imports b through a, so both of b's local
+    # imports close a cycle; c is imported by nothing at top level
+    assert needless_local_imports(sources) == [
+        ("a", "f", "c"), ("c", "h", "__init__")]
+
+
+def test_no_needless_local_imports():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert needless_local_imports(sources) == []
 
 
 VERIFY_CHECKS = {
