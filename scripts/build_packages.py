@@ -12,7 +12,8 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from ttforge.graphs import GraphMap, SerreGraph, rose
-from ttforge.induced import build_induced, save_package, verify_package
+from ttforge.induced import build_induced, verify_package
+from ttforge.io import write_package
 from ttforge.traintrack import pf_eigenvalue, transition_matrix
 
 
@@ -71,7 +72,7 @@ def main(argv=None):
         pkg = build_induced(f)
         report = verify_package(pkg)
         all_ok = all_ok and report.ok
-        save_package(pkg, report, os.path.join(args.out, name))
+        write_package(os.path.join(args.out, name), pkg, report)
         rows.append((name, pkg.period, pkg.exponent, pkg.multiplier,
                      pkg.constant, pkg.core.rank(),
                      len(pkg.core.graph.edge_ids),

@@ -13,9 +13,9 @@ semiflows on mapping tori.
 __version__ = "0.1.0"
 
 from .graphs import (
-    SerreGraph, EdgePath, CyclicPath, GraphMap,
-    rose, inv, edge_of, tighten, compose, validate,
-    parse_path, format_path,
+    SerreGraph, CyclicPath, GraphMap,
+    rose, inv, edge_of, reduce_darts, compose, validate,
+    format_path,
 )
 from .traintrack import (
     TransitionMatrix, transition_matrix, is_irreducible, has_positive_power,
@@ -32,13 +32,15 @@ from .covers import NotLiftableError, based_lift_power, lift_graph_map
 from .induced import (
     InducedPackage, VerificationReport, SizeBudgetExceeded,
     find_periodic_vertex, orbit_chains, injectivity_exponent, build_induced,
-    verify_package, conjugacy_check, save_package,
+    verify_package, conjugacy_check,
 )
 from .suspension import (
     MappingTorus, TorusPoint, GraphPoint, CoverPoint, CoverDescriptor,
     vertex_point, edge_point, map_point, flow, return_time, h_maps,
-    flow_homotopy_pair, breakpoint_samples, iterate_breakpoints,
-    make_cover_descriptor,
-    lifted_flow, project_point, seam_crossings, section_first_return,
+    FlowHomotopyPair, breakpoint_samples, iterate_breakpoints,
+    make_cover_descriptor, project_point, seam_crossings,
+    section_first_return,
 )
-from .randmaps import GenerationStats, corpus, random_train_track_map
+from .randmaps import (
+    GenerationStats, certification_failure, corpus, random_train_track_map,
+)

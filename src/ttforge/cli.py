@@ -24,14 +24,14 @@ from .freegroup import (
     induces_pi1_isomorphism,
 )
 from .graphs import GraphMap, format_path, rose, validate
-from .induced import (
-    build_induced, find_periodic_vertex, save_package, verify_package,
+from .induced import build_induced, find_periodic_vertex, verify_package
+from .randmaps import (
+    GenerationStats, certification_failure, random_train_track_map,
 )
-from .randmaps import GenerationStats, random_train_track_map
 from .suspension import (
     CoverPoint, FlowHomotopyPair, MappingTorus, breakpoint_samples,
-    edge_point, flow, h_maps, lifted_flow, make_cover_descriptor,
-    project_point, vertex_point, TorusPoint,
+    edge_point, flow, h_maps, make_cover_descriptor, project_point,
+    vertex_point, TorusPoint,
 )
 from .traintrack import (
     find_invariant_subgraph, has_positive_power, is_expanding,
@@ -71,7 +71,7 @@ def cmd_analyze(args):
     matrix = transition_matrix(f)
     cert = is_train_track(f)
     irreducible = is_irreducible(matrix)
-    expansion = is_expanding(f)
+    expansion = is_expanding(matrix)
     prim = has_positive_power(matrix)
     results = {
         "train_track": cert.is_train_track,
@@ -124,7 +124,7 @@ def cmd_induce(args):
     outdir = args.out
     if outdir is None:
         outdir = os.path.splitext(args.file)[0] + "-package"
-    save_package(pkg, report, outdir)
+    io_mod.write_package(outdir, pkg, report)
     results = {
         "out_dir": outdir,
         "constants": pkg.constants(),
@@ -194,7 +194,7 @@ def cmd_suspend(args):
         for tp in samples:
             cp = CoverPoint(tp.point, tp.height)
             for s in times:
-                moved = project_point(desc, lifted_flow(desc, cp, s))
+                moved = project_point(desc, flow(desc, cp, s))
                 direct = flow(torus, project_point(desc, cp), s)
                 if moved != direct:
                     ok = False
@@ -222,7 +222,8 @@ def _proptest_case(seed, index, max_edges, max_image_len, budget, inject):
     stats = GenerationStats()
     injected_rejected = None
     if inject:
-        injected_rejected = not is_train_track(_invalid_candidate()).is_train_track
+        injected_rejected = certification_failure(
+            _invalid_candidate()) is not None
     f = random_train_track_map(rng, max_edges, max_image_len, budget, stats)
     pkg = build_induced(f)
     report = verify_package(pkg)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .graphs import (
-    EdgePath, GraphMap, SerreGraph, edge_of, inv, is_positive, reduce_darts,
+    GraphMap, SerreGraph, edge_of, inv, is_positive, reduce_darts,
     rose, token_dart,
 )
 
@@ -265,9 +265,7 @@ def _closed_loops(ambient, basepoint, loops):
         raise ValueError("unknown basepoint %r" % basepoint)
     words = []
     for loop in loops:
-        if isinstance(loop, EdgePath):
-            darts = loop.darts
-        elif isinstance(loop, str):
+        if isinstance(loop, str):
             darts = tuple(token_dart(t) for t in loop.split())
         else:
             darts = tuple(loop)

@@ -1,4 +1,4 @@
-"""Serre graphs, edge paths, and graph maps.
+"""Serre graphs, dart paths, and graph maps.
 
 Conventions used throughout the package:
 
@@ -7,15 +7,13 @@ Conventions used throughout the package:
   graphs from unoriented edge data ``(edge_id, origin, terminus)``; the edge id
   names the positively oriented dart and the reversed dart gets a ``~`` prefix.
   Edge ids therefore may not start with ``~`` (nor ``-``, which the text form
-  of paths uses for inverses, see :func:`parse_path`).
+  of paths uses for inverses, see :func:`token_dart`).
 * The canonical representative of an unoriented edge is the lexicographically
   smaller of its two dart ids, which by the naming rule is always the positive
   dart.  Everything that needs a reproducible edge order (transition matrices,
   certificates, serialized reports) sorts these representatives.
-* An edge path is a finite dart sequence in which consecutive darts are
-  incident; the empty path is allowed but must carry its vertex.  Paths are
-  stored as plain tuples of dart ids inside hot loops and wrapped in
-  :class:`EdgePath` at API boundaries.
+* An edge path is a tuple of dart ids in which consecutive darts are
+  incident; :func:`reduce_darts` is its free reduction.
 * A graph map sends vertices to vertices and darts to nontrivial edge paths,
   compatibly with the involution.  Iteration is by substitution *without* free
   reduction; train track maps keep such substitutions reduced, which is what
@@ -195,73 +193,8 @@ def is_reduced(darts):
     return all(darts[i + 1] != inv(darts[i]) for i in range(len(darts) - 1))
 
 
-class EdgePath:
-    """Edge path in a Serre graph.
-
-    Nonempty paths are dart sequences with matching endpoints.  The trivial
-    path is the empty sequence and carries its vertex; build it with
-    :meth:`trivial`.
-    """
-
-    __slots__ = ("graph", "darts", "_at")
-
-    def __init__(self, graph, darts, at=None):
-        darts = tuple(darts)
-        if darts:
-            check_dart_sequence(graph, darts)
-            at = None
-        else:
-            if at is None:
-                raise ValueError("trivial path needs a vertex")
-            if at not in graph._out:
-                raise ValueError("unknown vertex %r" % at)
-        self.graph = graph
-        self.darts = darts
-        self._at = at
-
-    @classmethod
-    def trivial(cls, graph, vertex):
-        return cls(graph, (), at=vertex)
-
-    @property
-    def is_trivial(self):
-        return not self.darts
-
-    def origin(self):
-        return self._at if self.is_trivial else self.graph.origin(self.darts[0])
-
-    def terminus(self):
-        return self._at if self.is_trivial else self.graph.terminus(self.darts[-1])
-
-    def is_immersed(self):
-        return is_reduced(self.darts)
-
-    def reversed(self):
-        if self.is_trivial:
-            return self
-        return EdgePath(self.graph, tuple(inv(d) for d in reversed(self.darts)))
-
-    def __len__(self):
-        return len(self.darts)
-
-    def __iter__(self):
-        return iter(self.darts)
-
-    def __eq__(self, other):
-        return (isinstance(other, EdgePath) and self.graph == other.graph
-                and self.darts == other.darts and self._at == other._at)
-
-    def __hash__(self):
-        return hash((self.darts, self._at))
-
-    def __repr__(self):
-        if self.is_trivial:
-            return "EdgePath(trivial at %s)" % self._at
-        return "EdgePath(%s)" % format_path(self.darts)
-
-
 class CyclicPath:
-    """Nonempty closed edge path considered up to nothing (rotations explicit).
+    """Nonempty closed edge path; its rotations are different paths.
 
     The wrap-around turn counts: :meth:`turns` includes the pair at the glued
     basepoint, and :meth:`is_immersed` checks reduction cyclically.
@@ -278,10 +211,6 @@ class CyclicPath:
             raise ValueError("cyclic path does not close up")
         self.graph = graph
         self.darts = darts
-
-    def rotated(self, i):
-        i %= len(self.darts)
-        return CyclicPath(self.graph, self.darts[i:] + self.darts[:i])
 
     def is_immersed(self):
         n = len(self.darts)
@@ -321,35 +250,7 @@ def turn(a, b):
     return (a, b) if a <= b else (b, a)
 
 
-def tighten(path):
-    """Freely reduce a path rel endpoints.  May return the trivial path."""
-    reduced = reduce_darts(path.darts)
-    if reduced:
-        return EdgePath(path.graph, reduced)
-    return EdgePath.trivial(path.graph, path.origin())
-
-
 # -- text form of paths ----------------------------------------------------
-
-
-def parse_path(graph, text, at=None):
-    """Parse a whitespace-separated token path ("a -b a") into an EdgePath.
-
-    ``-e`` denotes the reverse of edge ``e``.  An empty string parses to the
-    trivial path at ``at`` (which is then required).
-    """
-    tokens = text.split()
-    darts = []
-    for tok in tokens:
-        if tok.startswith("-"):
-            darts.append(INV_PREFIX + tok[1:])
-        else:
-            darts.append(tok)
-    if not darts:
-        if at is None:
-            raise ValueError("empty path needs a vertex")
-        return EdgePath.trivial(graph, at)
-    return EdgePath(graph, darts)
 
 
 def dart_token(dart):
@@ -387,8 +288,6 @@ class GraphMap:
             img = edge_images.get(e, ())
             if isinstance(img, str):
                 img = tuple(token_dart(t) for t in img.split())
-            elif isinstance(img, EdgePath):
-                img = img.darts
             images[e] = tuple(img)
         self._images = images
         self._rev_cache = {}
@@ -401,9 +300,6 @@ class GraphMap:
     @property
     def is_self_map(self):
         return self.domain == self.codomain
-
-    def vertex_image(self, v):
-        return self.vertex_map[v]
 
     def dart_image(self, d):
         if is_positive(d):
@@ -419,24 +315,6 @@ class GraphMap:
         for d in darts:
             out.extend(self.dart_image(d))
         return tuple(out)
-
-    def apply_path(self, path, reduce=False):
-        """Image of a path, by substitution; optionally freely reduced.
-
-        Substitution distributes over concatenation before reduction, and for
-        train track maps the unreduced result is already immersed.
-        """
-        if path.graph != self.domain:
-            raise ValueError("path not in the domain")
-        if path.is_trivial:
-            return EdgePath.trivial(self.codomain, self.vertex_map[path.origin()])
-        darts = self.apply_to_darts(path.darts)
-        if reduce:
-            darts = reduce_darts(darts)
-            if not darts:
-                return EdgePath.trivial(
-                    self.codomain, self.vertex_map[path.origin()])
-        return EdgePath(self.codomain, darts)
 
     def apply_cycle(self, cycle):
         return CyclicPath(self.codomain, self.apply_to_darts(cycle.darts))
@@ -475,24 +353,18 @@ class GraphMap:
         return "GraphMap(%s)" % ims
 
 
-def compose(g, h, reduce=False):
-    """g after h.  Images are substituted dart by dart, unreduced by default.
+def compose(g, h):
+    """g after h.  Images are substituted dart by dart, without reduction.
 
     Composites of train track maps stay immersed without reduction, which is
-    what the bit-exact identity checks rely on; pass ``reduce=True`` for
-    general maps whose composite needs tightening.
+    what the bit-exact identity checks rely on.
     """
     if h.codomain != g.domain:
         raise ValueError("maps are not composable")
     vertex_map = {v: g.vertex_map[h.vertex_map[v]] for v in h.domain.vertices}
     images = {}
     for e in h.domain.edge_ids:
-        img = g.apply_to_darts(h.dart_image(e))
-        if reduce:
-            img = reduce_darts(img)
-            if not img:
-                raise ValueError("composition collapses edge %r" % e)
-        images[e] = img
+        images[e] = g.apply_to_darts(h.dart_image(e))
     return GraphMap(h.domain, g.codomain, vertex_map, images)
 
 

@@ -16,7 +16,6 @@ chosen so the basepoint orbit upstairs has settled into its cycle.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from .covers import based_lift_power, lift_graph_map
@@ -196,7 +195,7 @@ def build_induced(f, size_budget=None):
     matrix = transition_matrix(f)
     if not is_irreducible(matrix):
         raise ValueError("transition matrix is not irreducible")
-    expansion = is_expanding(f)
+    expansion = is_expanding(matrix)
     if not expansion.expanding:
         raise ValueError("not expanding: edge %r stays bounded"
                          % expansion.witness_edge)
@@ -369,7 +368,7 @@ def verify_package(pkg):
     a_up = transition_matrix(fbar)
     up_irreducible = is_irreducible(a_up)
     report.record("induced_irreducible", up_irreducible)
-    expansion = is_expanding(fbar)
+    expansion = is_expanding(a_up)
     report.record("induced_expanding", expansion.expanding,
                   "" if expansion.expanding
                   else "bounded %r" % (expansion.bounded_edges,))
@@ -509,11 +508,3 @@ def conjugacy_check(pkg, max_length=4, max_candidates=20000):
                     frontier.append(nxt)
     return ConjugacyReport(False, (), tried, conjugate_ok,
                            "no conjugator within bounds")
-
-
-def save_package(pkg, report, outdir):
-    """Write the package and its verification report as a directory of JSON."""
-    from . import io as io_mod  # io imports this module at top level
-    os.makedirs(outdir, exist_ok=True)
-    io_mod.write_package(outdir, pkg, report)
-    return outdir

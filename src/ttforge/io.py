@@ -133,7 +133,8 @@ def load_input_file(path):
 
 
 def write_package(outdir, pkg, report):
-    """One JSON file per piece of the promotion, plus its verification."""
+    """One JSON file per piece of the promotion and its report, in outdir."""
+    os.makedirs(outdir, exist_ok=True)
     source_obj = input_to_obj(pkg.source)
     _write(os.path.join(outdir, "source.json"), source_obj)
     _write(os.path.join(outdir, "core.json"), labeled_to_obj(pkg.core))

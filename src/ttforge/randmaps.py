@@ -119,6 +119,24 @@ def flip_orientations(f, flip_edges):
     return GraphMap(new_graph, new_graph, dict(f.vertex_map), images)
 
 
+def certification_failure(f):
+    """The :class:`GenerationStats` field a candidate fails at, or None.
+
+    The chain runs in the generator's order: a valid graph map, a train
+    track map, an irreducible transition matrix, an expanding map.
+    """
+    if validate(f) is not None:
+        return "invalid"
+    if not is_train_track(f).is_train_track:
+        return "not_train_track"
+    matrix = transition_matrix(f)
+    if not is_irreducible(matrix):
+        return "reducible"
+    if not is_expanding(matrix).expanding:
+        return "not_expanding"
+    return None
+
+
 def random_train_track_map(rng, max_edges=6, max_image_len=4,
                            build_budget=200000, stats=None):
     """Keep sampling until a certified map survives the promotion probe."""
@@ -130,17 +148,9 @@ def random_train_track_map(rng, max_edges=6, max_image_len=4,
         if f is None:
             stats.stuck += 1
             continue
-        if validate(f) is not None:
-            stats.invalid += 1
-            continue
-        if not is_train_track(f).is_train_track:
-            stats.not_train_track += 1
-            continue
-        if not is_irreducible(transition_matrix(f)):
-            stats.reducible += 1
-            continue
-        if not is_expanding(f).expanding:
-            stats.not_expanding += 1
+        failure = certification_failure(f)
+        if failure is not None:
+            setattr(stats, failure, getattr(stats, failure) + 1)
             continue
         flips = [e for e in f.domain.edge_ids if rng.random() < 0.4]
         if flips:

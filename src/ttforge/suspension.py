@@ -87,7 +87,13 @@ class TorusPoint:
 
 
 class MappingTorus:
-    """The mapping torus of a graph self-map with its suspension semiflow."""
+    """The mapping torus of a graph self-map with its suspension semiflow.
+
+    A space for :func:`flow`, like :class:`CoverDescriptor`: time ``unit``
+    1, and the self-map as the ``first_return`` of the section.
+    """
+
+    unit = 1
 
     def __init__(self, f):
         if not f.is_self_map:
@@ -103,29 +109,39 @@ class MappingTorus:
             pt = vertex_point(pt)
         return TorusPoint(pt, Fraction(height))
 
+    def first_return(self, pt):
+        return map_point(self.map, pt)
+
     def __repr__(self):
         return "MappingTorus(%d edges)" % len(self.graph.edge_ids)
 
 
-def flow(torus, tp, s):
-    """Semiflow for nonnegative rational time, exactly."""
+def flow(space, tp, s):
+    """Semiflow for nonnegative rational time, exactly.
+
+    ``space`` is a mapping torus or a cover descriptor.  Heights run through
+    [0, unit); each whole unit of time applies the section's first return.
+    """
     s = Fraction(s)
     if s < 0:
         raise ValueError("the semiflow only runs forward")
+    if tp.height >= space.unit:
+        raise ValueError("height %s is outside the period %d"
+                         % (tp.height, space.unit))
     total = tp.height + s
-    whole = total.numerator // total.denominator
+    whole = total // space.unit
     pt = tp.point
     for _ in range(whole):
-        pt = map_point(torus.map, pt)
-    return TorusPoint(pt, total - whole)
+        pt = space.first_return(pt)
+    return space.point(pt, total - whole * space.unit)
 
 
-def return_time(torus, tp):
-    """Time until the orbit next meets the copy of the graph at height 0."""
-    return 1 - tp.height
+def return_time(space, tp):
+    """Time until the orbit next meets the section at height 0."""
+    return space.unit - tp.height
 
 
-def section_first_return(obj, pt):
+def section_first_return(space, pt):
     """First return of a section point to the section, with its return time.
 
     For a mapping torus the section is the graph at height 0 and the return
@@ -133,15 +149,10 @@ def section_first_return(obj, pt):
     cover at height 0 and the return map is the lift, after one full time
     unit of the longer period.
     """
-    if isinstance(obj, CoverDescriptor):
-        hit = lifted_flow(obj, CoverPoint(pt, Fraction(0)), obj.exponent)
-        if hit.height != 0:
-            raise AssertionError("descriptor flow missed its section")
-        return Fraction(obj.exponent), hit
-    hit = flow(obj, TorusPoint(pt, Fraction(0)), 1)
+    hit = flow(space, space.point(pt), space.unit)
     if hit.height != 0:
-        raise AssertionError("torus flow missed its section")
-    return Fraction(1), hit
+        raise AssertionError("flow missed its section")
+    return Fraction(space.unit), hit
 
 
 def h_maps(torus):
@@ -251,20 +262,25 @@ def _exact_realization(forward, back, downstairs, power):
     Otherwise fall back to constant speed across the image path.
     """
     if all(len(back.dart_image(e)) == 1 for e in back.domain.edge_ids):
-        def tracked(pt):
-            if pt.is_vertex:
-                return GraphPoint(vertex=forward.vertex_map[pt.vertex])
-            path, coord = (pt.edge,), pt.position
-            for _ in range(power):
-                path, coord = _image_coordinate(downstairs, path, coord)
-            return _point_on_path(forward.codomain,
-                                  forward.dart_image(pt.edge), coord)
-        return tracked
+        return _tracked(forward, lambda d: d, downstairs, power)
     return lambda pt: map_point(forward, pt)
 
 
-def flow_homotopy_pair(torus_x, torus_y, alpha, beta, power):
-    return FlowHomotopyPair(torus_x, torus_y, alpha, beta, power)
+def _tracked(lift, label, downstairs, power):
+    """A lift of the ``power``-th iterate downstairs, realized pointwise.
+
+    ``label`` sends a dart upstairs to the dart it lies over.  The lift's
+    image path is crossed following the iterated downstairs steps, not at
+    constant speed, so that projecting commutes with flowing bit for bit.
+    """
+    def point(pt):
+        if pt.is_vertex:
+            return vertex_point(lift.vertex_map[pt.vertex])
+        path, coord = (label(pt.edge),), pt.position
+        for _ in range(power):
+            path, coord = _image_coordinate(downstairs, path, coord)
+        return _point_on_path(lift.codomain, lift.dart_image(pt.edge), coord)
+    return point
 
 
 def iterate_breakpoints(f, dart, power, _cache=None):
@@ -345,7 +361,9 @@ class CoverDescriptor:
     power after projection, dart for dart.  The suspension upstairs uses a
     time unit of length j, so projecting commutes with flowing on the nose;
     j is also the winding number of the upstairs period around the
-    downstairs section (the dual pairing of the section class).
+    downstairs section (the dual pairing of the section class).  Its
+    ``unit`` is j and its ``first_return`` is the lift, which is what
+    :func:`flow` needs.
     """
 
     def __init__(self, cover, lift, exponent, base_map):
@@ -356,7 +374,7 @@ class CoverDescriptor:
         self.cover = cover
         self.lift = lift
         self.exponent = exponent
-        self.base_map = base_map
+        self.base = MappingTorus(base_map)
         big = base_map.power(exponent)
         for v in cover.graph.vertices:
             if cover.vertex_image[lift.vertex_map[v]] != \
@@ -366,6 +384,12 @@ class CoverDescriptor:
             if cover.project_darts(lift.dart_image(e)) != \
                     big.dart_image(cover.edge_label[e]):
                 raise ValueError("lift does not cover the power on %r" % e)
+        self.unit = exponent
+        self.first_return = _tracked(lift, cover.dart_label, base_map,
+                                     exponent)
+
+    def point(self, pt, height=0):
+        return CoverPoint(pt, height)
 
     @property
     def degree(self):
@@ -374,8 +398,7 @@ class CoverDescriptor:
     @property
     def dual_index(self):
         """Crossings of the downstairs section during one upstairs period."""
-        start = CoverPoint(vertex_point(self.cover.graph.vertices[0]),
-                           Fraction(0))
+        start = self.point(vertex_point(self.cover.graph.vertices[0]))
         return seam_crossings(self, start, self.exponent)
 
     def __repr__(self):
@@ -469,71 +492,27 @@ def _image_coordinate(f, path, coord):
     return f.apply_to_darts(path), prefix + u * len(f.dart_image(path[i]))
 
 
-def _wrap_point(desc, pt):
-    """One full upstairs period, parametrized compatibly with the base flow.
-
-    The lift's image path is crossed not at constant speed but following
-    the iterated downstairs steps, so that projecting commutes with flowing
-    bit for bit.  Combinatorially this is still the lift: the coordinate
-    computed downstairs is read off along the lifted image path.
-    """
-    if pt.is_vertex:
-        return vertex_point(desc.lift.vertex_map[pt.vertex])
-    path = (desc.cover.dart_label(pt.edge),)
-    coord = pt.position
-    for _ in range(desc.exponent):
-        path, coord = _image_coordinate(desc.base_map, path, coord)
-    return _point_on_path(desc.cover.graph, desc.lift.dart_image(pt.edge),
-                          coord)
-
-
-def lifted_flow(desc, cp, s):
-    """Semiflow upstairs, with the cover's longer time unit, exactly."""
-    s = Fraction(s)
-    if s < 0:
-        raise ValueError("the semiflow only runs forward")
-    if cp.height >= desc.exponent:
-        raise ValueError("height %s is outside the cover's period" % cp.height)
-    total = cp.height + s
-    whole = total // desc.exponent
-    pt = cp.point
-    for _ in range(whole):
-        pt = _wrap_point(desc, pt)
-    return CoverPoint(pt, total - whole * desc.exponent)
-
-
 def project_point(desc, cp):
     """Projection to the base mapping torus, commuting with the flows.
 
-    Heights upstairs run through [0, exponent); downstairs they wrap every
-    unit, applying the base map once per wrap.
+    Heights upstairs run through [0, exponent); the projected point flows
+    from height 0 downstairs for that long.
     """
     pt = cp.point
     if pt.is_vertex:
-        down = GraphPoint(vertex=desc.cover.vertex_image[pt.vertex])
+        down = vertex_point(desc.cover.vertex_image[pt.vertex])
     else:
         down = GraphPoint(edge=desc.cover.edge_label[pt.edge],
                           position=pt.position)
-    height = cp.height
-    whole = height.numerator // height.denominator
-    for _ in range(whole):
-        down = map_point(desc.base_map, down)
-    return TorusPoint(down, height - whole)
+    return flow(desc.base, desc.base.point(down), cp.height)
 
 
 def seam_crossings(desc, cp, duration):
     """How often the projected orbit crosses the downstairs section.
 
-    Counted by stepping through the projected orbit's return times, which
-    is the pairing of the orbit segment with the section's dual class.
+    The base flow meets its section once per unit of time, so over a
+    nonnegative duration that is the floor of frac(height) + duration: the
+    pairing of the orbit segment with the section's dual class.
     """
-    duration = Fraction(duration)
-    crossings = 0
-    remaining = duration
-    down = project_point(desc, cp)
-    while remaining >= 1 - down.height and remaining > 0:
-        step = 1 - down.height
-        down = TorusPoint(map_point(desc.base_map, down.point), Fraction(0))
-        remaining -= step
-        crossings += 1
-    return crossings
+    total = cp.height % 1 + Fraction(duration)
+    return max(0, total.numerator // total.denominator)

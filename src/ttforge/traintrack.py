@@ -183,7 +183,7 @@ class ExpansionReport:
     stable_length: int | None
 
 
-def is_expanding(f):
+def is_expanding(matrix):
     """Decide per-edge length growth via the condensation of the support.
 
     An edge is bounded exactly when every walk from it in the transition
@@ -191,7 +191,6 @@ def is_expanding(f):
     one, and meets at most one such cyclic component.  Any branching
     component, multiplicity two, or a walk through two cycles forces growth.
     """
-    matrix = transition_matrix(f)
     labels = matrix.labels
     n = matrix.dim
     adj = matrix.support()
@@ -466,7 +465,7 @@ def legal_loop_through(f, edge):
     direction, cut the cyclic subword between the two crossings (its turns are
     all taken, hence legal), then push the loop forward until it crosses the
     requested edge.  Pushing a legal loop forward keeps it immersed, so the
-    result is returned without any tightening.
+    result is returned without free reduction.
     """
     graph = f.domain
     if edge not in graph.edge_ids:

@@ -10,8 +10,9 @@ import itertools
 import numpy
 
 from ttforge.freegroup import SubgroupGraph
+from ttforge.suspension import TorusPoint, map_point, project_point
 from ttforge.graphs import (
-    EdgePath, SerreGraph, edge_of, inv, is_positive, reduce_darts,
+    SerreGraph, edge_of, inv, is_positive, reduce_darts,
 )
 
 
@@ -97,9 +98,7 @@ def fold_oracle(ambient, basepoint, loops):
         raise ValueError("unknown basepoint %r" % basepoint)
     words = []
     for loop in loops:
-        if isinstance(loop, EdgePath):
-            darts = loop.darts
-        elif isinstance(loop, str):
+        if isinstance(loop, str):
             from ttforge.graphs import token_dart
             darts = tuple(token_dart(t) for t in loop.split())
         else:
@@ -398,3 +397,23 @@ def invariant_subgraph_search(f):
                    for e in keep for d in f.dart_image(e)):
                 hits.append(frozenset(keep))
     return hits
+
+
+# -- seam crossings ------------------------------------------------------------
+
+
+def seam_crossings_oracle(desc, cp, duration):
+    """Crossings of the downstairs section, by stepping the projected orbit.
+
+    Walks from return time to return time, applying the base map at each
+    crossing, until the remaining duration falls short of the next return.
+    """
+    crossings = 0
+    remaining = duration
+    down = project_point(desc, cp)
+    while remaining >= 1 - down.height and remaining > 0:
+        step = 1 - down.height
+        down = TorusPoint(map_point(desc.base.map, down.point), 0)
+        remaining -= step
+        crossings += 1
+    return crossings

@@ -24,7 +24,7 @@ from ttforge.induced import (
 )
 from ttforge.suspension import (
     CoverPoint, MappingTorus, TorusPoint, breakpoint_samples, edge_point,
-    flow, flow_homotopy_pair, h_maps, lifted_flow, make_cover_descriptor,
+    FlowHomotopyPair, flow, h_maps, make_cover_descriptor,
     project_point, seam_crossings, section_first_return, vertex_point,
 )
 from ttforge.traintrack import (
@@ -158,7 +158,7 @@ def test_certificates_transfer_to_induced_map(announce, promotion):
         matrix = transition_matrix(fbar)
         if not is_irreducible(matrix):
             failures.append("%s: induced matrix is reducible" % name)
-        if not is_expanding(fbar).expanding:
+        if not is_expanding(matrix).expanding:
             failures.append("%s: induced map is not expanding" % name)
         if has_positive_power(transition_matrix(f)) is not None \
                 and has_positive_power(matrix) is None:
@@ -371,8 +371,8 @@ def test_flow_algebra_identities(announce, promotion):
                 failures.append("%s: comparison maps fail at %r" % (name, x))
                 break
         torus_bar = MappingTorus(pkg.induced)
-        pair = flow_homotopy_pair(torus, torus_bar, pkg.transfer,
-                                  pkg.projection, pkg.constant)
+        pair = FlowHomotopyPair(torus, torus_bar, pkg.transfer,
+                                pkg.projection, pkg.constant)
         ys = breakpoint_samples(torus_bar, extra)
         ys += random_torus_points(torus_bar, rng, max(0, 1000 - len(ys)))
         ok, detail = pair.check_composite(xs, ys)
@@ -412,7 +412,7 @@ def test_cover_descriptors_flow_correctly(announce, fib):
             failures.append("%s: seam crossings over one period off" % label)
         for cp in random_cover_points(desc, rng, 100):
             s = Fraction(rng.randrange(0, 96), 12)
-            upstairs = project_point(desc, lifted_flow(desc, cp, s))
+            upstairs = project_point(desc, flow(desc, cp, s))
             if upstairs != flow(torus, project_point(desc, cp), s):
                 failures.append("%s: projection breaks at %r + %s"
                                 % (label, cp, s))

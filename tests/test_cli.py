@@ -12,7 +12,7 @@ import pytest
 
 import ttforge.cli as cli
 from ttforge.cli import main
-from ttforge.io import PACKAGE_FILES, canonical_text
+from ttforge.io import PACKAGE_FILES, canonical_text, load_input_file
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -246,6 +246,17 @@ class TestProptest:
             "--inject-invalid", "1"])
         assert code == 2
         assert doc["results"]["all_ok"] is False
+
+    def test_injected_reducible_train_track_map_is_rejected(
+            self, capsys, monkeypatch):
+        # a train track map the generator drops at its irreducibility step
+        reducible = load_input_file(fixture("reducible.json")).graph_map
+        monkeypatch.setattr(cli, "_invalid_candidate", lambda: reducible)
+        code, doc, _ = run_json(capsys, [
+            "proptest", "--count", "1", "--seed", "3",
+            "--inject-invalid", "1"])
+        assert code == 0
+        assert doc["results"]["cases"][0]["injected_rejected"] is True
 
 
 class TestExportDot:

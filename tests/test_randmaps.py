@@ -75,7 +75,7 @@ class TestFlipOrientations:
             assert transition_matrix(flipped) == transition_matrix(f)
             assert is_train_track(flipped).is_train_track
             assert is_irreducible(transition_matrix(flipped))
-            assert is_expanding(flipped).expanding
+            assert is_expanding(transition_matrix(flipped)).expanding
 
     def test_flipped_images_mix_signs(self, sigma):
         flipped = flip_orientations(sigma, ["a"])
@@ -100,7 +100,7 @@ class TestCorpus:
             assert validate(f) is None
             assert is_train_track(f).is_train_track
             assert is_irreducible(transition_matrix(f))
-            assert is_expanding(f).expanding
+            assert is_expanding(transition_matrix(f)).expanding
             assert len(f.domain.edge_ids) <= 6
 
     def test_stats_account_for_every_attempt(self):

@@ -6,6 +6,8 @@ instead.  ``__init__.py`` is left out: its imports are the package's public
 names.  A relative import is deferred into a function only to break an
 import cycle.  The benchmark's tracer wraps package functions by name and reads
 the check names out of ``verify_package``, so those names are pinned too.
+No test runs the scripts under ``scripts/``, so every name they import from
+the package is checked to exist.
 """
 
 import ast
@@ -20,6 +22,7 @@ from ttforge import induced
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "ttforge"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted(p.name for p in (ROOT / "scripts").glob("*.py"))
 
 
 def unused_imports(source):
@@ -48,6 +51,49 @@ def test_detects_an_unused_import():
 def test_no_unused_imports(module):
     source = (SRC / module).read_text(encoding="utf-8")
     assert unused_imports(source) == []
+
+
+def unresolved_package_imports(source, package="ttforge"):
+    """(line, module, name) of each ``from package... import name`` that fails.
+
+    ``name`` is None when the module itself does not import.  A name may be
+    an attribute of the module or one of its submodules.
+    """
+    missing = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.ImportFrom) and node.level == 0
+                and node.module.split(".")[0] == package):
+            continue
+        try:
+            owner = importlib.import_module(node.module)
+        except ImportError:
+            missing.append((node.lineno, node.module, None))
+            continue
+        for alias in node.names:
+            if hasattr(owner, alias.name):
+                continue
+            try:
+                importlib.import_module(node.module + "." + alias.name)
+            except ImportError:
+                missing.append((node.lineno, node.module, alias.name))
+    return sorted(missing, key=lambda entry: entry[0])
+
+
+def test_detects_an_unresolved_package_import():
+    source = ("import os\n"
+              "from ttforge.graphs import rose, no_such_name\n"
+              "from ttforge.no_such_module import rose\n"
+              "from ttforge import io, induced\n"
+              "from os.path import no_such_name\n")
+    assert unresolved_package_imports(source) == [
+        (2, "ttforge.graphs", "no_such_name"),
+        (3, "ttforge.no_such_module", None)]
+
+
+@pytest.mark.parametrize("script", SCRIPTS)
+def test_script_imports_resolve(script):
+    source = (ROOT / "scripts" / script).read_text(encoding="utf-8")
+    assert unresolved_package_imports(source) == []
 
 
 def _import_targets(node, modules):

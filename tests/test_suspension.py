@@ -15,9 +15,9 @@ from ttforge.freegroup import fold, whole_group_graph
 from ttforge.graphs import GraphMap, rose
 from ttforge.induced import build_induced
 from ttforge.suspension import (
-    CoverDescriptor, CoverPoint, MappingTorus, TorusPoint, breakpoint_samples,
-    edge_point, flow, flow_homotopy_pair, h_maps, iterate_breakpoints,
-    lifted_flow, make_cover_descriptor, map_point, project_point, return_time,
+    CoverDescriptor, CoverPoint, FlowHomotopyPair, MappingTorus, TorusPoint,
+    breakpoint_samples, edge_point, flow, h_maps, iterate_breakpoints,
+    make_cover_descriptor, map_point, project_point, return_time,
     seam_crossings, section_first_return, vertex_point,
 )
 
@@ -181,7 +181,7 @@ class TestFlowHomotopyPair:
 
     def test_promoted_package_pair(self, sigma):
         pkg = build_induced(sigma)
-        pair = flow_homotopy_pair(
+        pair = FlowHomotopyPair(
             MappingTorus(pkg.source), MappingTorus(pkg.induced),
             pkg.transfer, pkg.projection, pkg.constant)
         xs, ys = self.sample_sets(pair, random.Random(3))
@@ -193,7 +193,7 @@ class TestFlowHomotopyPair:
 
     def test_fib_package_pair(self, fib):
         pkg = build_induced(fib)
-        pair = flow_homotopy_pair(
+        pair = FlowHomotopyPair(
             MappingTorus(pkg.source), MappingTorus(pkg.induced),
             pkg.transfer, pkg.projection, pkg.constant)
         xs, ys = self.sample_sets(pair, random.Random(5))
@@ -202,7 +202,7 @@ class TestFlowHomotopyPair:
 
     def test_multi_vertex_package_pair(self, cyc2):
         pkg = build_induced(cyc2)
-        pair = flow_homotopy_pair(
+        pair = FlowHomotopyPair(
             MappingTorus(pkg.source), MappingTorus(pkg.induced),
             pkg.transfer, pkg.projection, pkg.constant)
         xs, ys = self.sample_sets(pair, random.Random(7))
@@ -215,7 +215,7 @@ class TestFlowHomotopyPair:
     def test_identity_pair_gives_double_flow(self, fib):
         torus = MappingTorus(fib)
         ident = identity_map(ROSE2)
-        pair = flow_homotopy_pair(torus, torus, ident, ident, 0)
+        pair = FlowHomotopyPair(torus, torus, ident, ident, 0)
         xs, ys = self.sample_sets(pair, random.Random(9))
         ok, detail = pair.check_composite(xs, ys)
         assert ok, detail
@@ -225,7 +225,7 @@ class TestFlowHomotopyPair:
 
     def test_map_and_identity_pair(self, sigma):
         torus = MappingTorus(sigma)
-        pair = flow_homotopy_pair(torus, torus, sigma, identity_map(ROSE2), 1)
+        pair = FlowHomotopyPair(torus, torus, sigma, identity_map(ROSE2), 1)
         xs, ys = self.sample_sets(pair, random.Random(13))
         ok, detail = pair.check_composite(xs, ys)
         assert ok, detail
@@ -233,13 +233,13 @@ class TestFlowHomotopyPair:
     def test_rejects_wrong_power(self, sigma):
         torus = MappingTorus(sigma)
         with pytest.raises(ValueError, match="power"):
-            flow_homotopy_pair(torus, torus, sigma, sigma, 1)
+            FlowHomotopyPair(torus, torus, sigma, sigma, 1)
 
     def test_rejects_non_equivariant_maps(self, sigma):
         torus = MappingTorus(sigma)
         crush = GraphMap(ROSE2, ROSE2, {"v": "v"}, {"a": "a", "b": "a"})
         with pytest.raises(ValueError, match="equivariant"):
-            flow_homotopy_pair(torus, torus, crush, identity_map(ROSE2), 1)
+            FlowHomotopyPair(torus, torus, crush, identity_map(ROSE2), 1)
 
 
 class TestBreakpointSamples:
@@ -365,16 +365,16 @@ class TestLiftedFlow:
     def test_time_zero_is_identity(self, index2_descriptor):
         desc = index2_descriptor
         cp = CoverPoint(vertex_point(desc.cover.graph.vertices[0]), 0)
-        assert lifted_flow(desc, cp, 0) == cp
+        assert flow(desc, cp, 0) == cp
 
     def test_bounds(self, index2_descriptor):
         desc = index2_descriptor
         cp = CoverPoint(vertex_point(desc.cover.graph.vertices[0]), 0)
         with pytest.raises(ValueError):
-            lifted_flow(desc, cp, -1)
+            flow(desc, cp, -1)
         tall = CoverPoint(cp.point, Fraction(7, 2))
         with pytest.raises(ValueError, match="period"):
-            lifted_flow(desc, tall, 1)
+            flow(desc, tall, 1)
         with pytest.raises(ValueError):
             CoverPoint(cp.point, -1)
 
@@ -385,7 +385,7 @@ class TestLiftedFlow:
         for desc in (trivial_descriptor, index2_descriptor):
             for cp in self.random_cover_points(desc, rng, 120):
                 s = Fraction(rng.randrange(0, 96), 12)
-                upstairs = project_point(desc, lifted_flow(desc, cp, s))
+                upstairs = project_point(desc, flow(desc, cp, s))
                 downstairs = flow(torus, project_point(desc, cp), s)
                 assert upstairs == downstairs
 
@@ -417,3 +417,21 @@ class TestSectionDuality:
             assert seam_crossings(
                 desc, start, Fraction(2 * desc.exponent - 1, 2)) \
                 == desc.exponent - 1
+
+    def test_seam_crossings_match_stepping_oracle(self, trivial_descriptor,
+                                                  index2_descriptor):
+        from oracles import seam_crossings_oracle
+        for desc in (trivial_descriptor, index2_descriptor):
+            graph = desc.cover.graph
+            points = [vertex_point(v) for v in graph.vertices]
+            points += [edge_point(graph, e, Fraction(1, 3))
+                       for e in graph.edge_ids]
+            heights = [Fraction(k, 6) for k in range(6 * desc.exponent)]
+            durations = [Fraction(k, 4) for k in range(-8, 4 * desc.exponent
+                                                       + 9)]
+            for pt in points:
+                for h in heights:
+                    cp = CoverPoint(pt, h)
+                    for d in durations:
+                        assert seam_crossings(desc, cp, d) \
+                            == seam_crossings_oracle(desc, cp, d), (cp, d)

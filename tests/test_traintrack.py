@@ -191,18 +191,18 @@ class TestPositivePower:
 class TestExpansion:
     def test_fixtures_expand(self, named_fixture_maps):
         for name, f in named_fixture_maps.items():
-            assert is_expanding(f).expanding, name
+            assert is_expanding(transition_matrix(f)).expanding, name
 
     def test_identity_map_is_not_expanding(self):
         f = rose_map({"a": "a", "b": "b"})
-        report = is_expanding(f)
+        report = is_expanding(transition_matrix(f))
         assert not report.expanding
         assert report.witness_edge == "a"
         assert report.stable_length == 1
 
     def test_partial_growth_is_not_expanding(self):
         f = rose_map({"a": "a", "b": "a b"})
-        report = is_expanding(f)
+        report = is_expanding(transition_matrix(f))
         assert not report.expanding
         assert report.witness_edge == "a"
         assert "b" not in report.bounded_edges
@@ -210,14 +210,14 @@ class TestExpansion:
     def test_stable_length_of_a_swap(self):
         g = rose(["a", "b"], "v")
         f = GraphMap(g, g, {"v": "v"}, {"a": "b b", "b": "a"})
-        report = is_expanding(f)
+        report = is_expanding(transition_matrix(f))
         assert report.expanding
 
     def test_agrees_with_iteration_oracle_on_fixtures(
             self, named_fixture_maps, nilp):
         for f in list(named_fixture_maps.values()) + [nilp]:
             verdict, bounded = expansion_oracle(f)
-            report = is_expanding(f)
+            report = is_expanding(transition_matrix(f))
             assert report.expanding == verdict
             assert tuple(sorted(bounded)) == report.bounded_edges
 
@@ -228,13 +228,13 @@ class TestExpansion:
         # keeps the oracle exact while the expanding edges cross it sooner
         for f in valid_candidates(seed, 2):
             verdict, bounded = expansion_oracle(f, blow=512)
-            report = is_expanding(f)
+            report = is_expanding(transition_matrix(f))
             assert report.expanding == verdict
             assert tuple(sorted(bounded)) == report.bounded_edges
 
     def test_bounded_witness_really_is_bounded(self):
         f = rose_map({"a": "b", "b": "a", "c": "c a b"})
-        report = is_expanding(f)
+        report = is_expanding(transition_matrix(f))
         assert not report.expanding
         lengths = set()
         darts = (report.witness_edge,)
