@@ -24,14 +24,15 @@ from .traintrack import (
 )
 from .freegroup import (
     SubgroupGraph, LabeledGraph, fold, whole_group_graph, Pi1Endomorphism,
-    pi1_endomorphism, image_subgroup, is_injective_on, kernel_stabilization,
-    stable_quotient, chain_quotient, map_subgroup, subgroup_rank,
+    pi1_endomorphism, image_chain, image_subgroup, is_injective_on,
+    kernel_stabilization, stable_quotient, chain_quotient, map_subgroup,
+    subgroup_rank,
     hall_completion,
 )
 from .covers import NotLiftableError, based_lift_power, lift_graph_map
 from .induced import (
     InducedPackage, VerificationReport, SizeBudgetExceeded,
-    find_periodic_vertex, orbit_chains, injectivity_exponent, build_induced,
+    find_periodic_vertex, injectivity_exponent, build_induced,
     verify_package, conjugacy_check,
 )
 from .suspension import (

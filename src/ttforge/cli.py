@@ -20,8 +20,8 @@ from fractions import Fraction
 
 from . import io as io_mod
 from .freegroup import (
-    pi1_endomorphism, stable_quotient, whole_group_graph,
-    induces_pi1_isomorphism,
+    chain_quotient, image_chain, induces_pi1_isomorphism, pi1_endomorphism,
+    whole_group_graph,
 )
 from .graphs import GraphMap, format_path, rose, validate
 from .induced import build_induced, find_periodic_vertex, verify_package
@@ -29,9 +29,8 @@ from .randmaps import (
     GenerationStats, certification_failure, random_train_track_map,
 )
 from .suspension import (
-    CoverPoint, FlowHomotopyPair, MappingTorus, breakpoint_samples,
-    edge_point, flow, h_maps, make_cover_descriptor, project_point,
-    vertex_point, TorusPoint,
+    FlowHomotopyPair, MappingTorus, breakpoint_samples, edge_point, flow,
+    h_maps, make_cover_descriptor, project_point, vertex_point, TorusPoint,
 )
 from .traintrack import (
     find_invariant_subgraph, has_positive_power, is_expanding,
@@ -102,7 +101,7 @@ def cmd_quotient(args):
     bundle, f = _load_self_map(args.file)
     v, period = find_periodic_vertex(f)
     phi = pi1_endomorphism(f.power(period), v)
-    q = stable_quotient(phi)
+    q = chain_quotient(phi, image_chain(f, v, period))
     results = {
         "basepoint": phi.base,
         "period": period,
@@ -192,7 +191,7 @@ def cmd_suspend(args):
         ok = True
         detail = ""
         for tp in samples:
-            cp = CoverPoint(tp.point, tp.height)
+            cp = desc.point(tp.point, tp.height)
             for s in times:
                 moved = project_point(desc, flow(desc, cp, s))
                 direct = flow(torus, project_point(desc, cp), s)

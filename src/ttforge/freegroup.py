@@ -2,25 +2,30 @@
 
 The fundamental group of a finite graph is free; a finitely generated
 subgroup is stored as its pointed Stallings core: a folded graph immersed
-over the ambient graph by a labeling of edges.  Folding loops into a core,
-membership by path tracing, rank counting, images of subgroups under
-endomorphisms, kernel stabilization, the stable quotient data, and Hall
-completion of a core to a finite cover all live here.
+over the ambient graph by a labeling of edges.  Folding loops and graph
+maps into cores, membership by path tracing, rank counting, images of
+subgroups under graph maps, kernel stabilization, the stable quotient
+data, and Hall completion of a core to a finite cover all live here.
 
-`fold` reads the loops into a table with at most one dart per signed
-ambient label at each vertex and identifies vertices whenever a label would
-repeat (Kapovich-Myasnikov).  Reduced loops leave no valence-one vertex
-except possibly the basepoint, so the result is a core without trimming; a
-breadth-first renaming then turns the table into a canonical graph.
-`subgroup_rank` stops before the renaming: the rank E - V + 1 is read from
-the table, and a single nontrivial reduced loop has rank 1 with no table.
+One folding table serves everything (Kapovich-Myasnikov): paths are read
+in between seeded vertices, with at most one dart per signed ambient label
+at each vertex, and vertices are identified whenever a label would repeat.
+`fold` seeds the basepoint and reads reduced loops, which leave no
+valence-one vertex except possibly the basepoint.  A breadth-first renaming
+turns the table into a canonical graph; `subgroup_rank` stops before it and
+reads the rank E - V + 1 off the table.
 
-Images under an endomorphism phi come from one step, `map_subgroup`:
-H_{k+1} = fold(phi(basis of H_k)), whose words stay short where phi^k of the
-ambient basis grows like lambda^k.  `image_chain` iterates it up to the first
-step that keeps the rank, which it only rank-tests; stabilization and stable
-quotient (`chain_quotient` for a chain already at hand) read that chain.
-Injectivity on a subgroup, by Hopficity, is a rank query too.
+Images come from folding a graph map f over a subgroup graph H, without
+basis loops: each vertex u of H is seeded over f of the vertex below it,
+and each edge is read in as the f-image of its label.  Trimming the
+valence-one vertices other than the basepoint leaves the pointed core of
+f_*(H) (Stallings 1983); that is `map_subgroup`.  `image_chain` takes such
+single steps of f from the whole group until the first step that keeps the
+rank, which it only rank-tests, so its words are edge images of f even when
+the return map is a power of f.  Stabilization, the stable quotient
+(`chain_quotient` for a chain already at hand) and the injectivity exponent
+read that chain.  Injectivity on a subgroup, by Hopficity, is a rank query
+on one map fold.
 
 A labeling sends positive darts to positive ambient darts; the label of a
 reversed dart is the reversed label.  Folded means no vertex carries two
@@ -30,6 +35,7 @@ is deterministic wherever it is possible at all.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -259,11 +265,11 @@ def _find(parent, x):
     return root
 
 
-def _closed_loops(ambient, basepoint, loops):
-    """The loops as freely reduced dart tuples, trivial ones dropped."""
+def _loop_folding(ambient, basepoint, loops):
+    """The loops, freely reduced and trivial ones dropped, ready to fold."""
     if basepoint not in ambient._out:
         raise ValueError("unknown basepoint %r" % basepoint)
-    words = []
+    paths = []
     for loop in loops:
         if isinstance(loop, str):
             darts = tuple(token_dart(t) for t in loop.split())
@@ -275,21 +281,23 @@ def _closed_loops(ambient, basepoint, loops):
         if (ambient.origin(darts[0]) != basepoint
                 or ambient.terminus(darts[-1]) != basepoint):
             raise ValueError("loop %r is not closed at the basepoint" % (darts,))
-        words.append(darts)
-    return words
+        paths.append((0, darts, 0))
+    return _Folding(ambient, [basepoint], paths)
 
 
 class _Folding:
-    """Reduced nontrivial loops at a basepoint, folded only as far as asked.
+    """Paths between seeded vertices, folded only as far as asked.
 
-    ``table`` is `fold`'s Kapovich-Myasnikov pass, run at most once; `core`
-    renames it into a graph and `rank` reads it without one.
+    Seed i lies over the ambient vertex ``over[i]``, seed 0 being the
+    basepoint; each path ``(i, darts, j)`` is read in from seed i to seed j.
+    ``table`` is the Kapovich-Myasnikov pass, run at most once; `core` trims
+    and renames it into a graph and `rank` reads it without one.
     """
 
-    def __init__(self, ambient, basepoint, words):
+    def __init__(self, ambient, over, paths):
         self.ambient = ambient
-        self.basepoint = basepoint
-        self.words = words
+        self.over = over
+        self.paths = paths
 
     @cached_property
     def table(self):
@@ -299,9 +307,9 @@ class _Folding:
         ambient label -> target table (targets may be stale ids), None once
         the vertex is merged away.
         """
-        parent = [0]
-        over = [self.basepoint]
-        out = [{}]
+        parent = list(range(len(self.over)))
+        over = list(self.over)
+        out = [{} for _ in over]
         pending = []
 
         def add(v, label, w):
@@ -313,8 +321,8 @@ class _Folding:
             add(v, label, w)
             add(w, inv(label), v)
 
-        for word in self.words:
-            cur = _find(parent, 0)
+        for start, word, stop in self.paths:
+            cur = _find(parent, start)
             for d in word[:-1]:
                 nxt = out[cur].get(d)
                 if nxt is None:
@@ -324,7 +332,7 @@ class _Folding:
                     out.append({})
                     join(cur, d, nxt)
                 cur = _find(parent, nxt)
-            join(cur, word[-1], _find(parent, 0))
+            join(cur, word[-1], _find(parent, stop))
             while pending:
                 a, b = pending.pop()
                 a, b = _find(parent, a), _find(parent, b)
@@ -342,20 +350,30 @@ class _Folding:
         return parent, over, out
 
     def rank(self):
-        """See `subgroup_rank`; each live vertex holds one entry per dart."""
-        if len(self.words) < 2:
-            return len(self.words)
+        """E - V + 1 of the table, which holds one entry per live dart."""
         live = [darts for darts in self.table[2] if darts is not None]
         return sum(map(len, live)) // 2 - len(live) + 1
 
     def core(self):
-        """The table renamed by BFS from the base into a `SubgroupGraph`.
+        """The pointed core of the table as a `SubgroupGraph`.
 
-        Darts at a vertex go in order of their signed ambient label, which
-        is unique there.
+        Valence-one vertices other than the base are trimmed off the table
+        in place, which leaves its rank alone, and what is left is renamed
+        by BFS from the base.  Darts at a vertex go in order of their signed
+        ambient label, which is unique there.
         """
         parent, over, out = self.table
         base = _find(parent, 0)
+        hanging = [v for v, darts in enumerate(out)
+                   if darts is not None and len(darts) == 1 and v != base]
+        while hanging:
+            v = hanging.pop()
+            (label, w), = out[v].items()
+            w = _find(parent, w)
+            out[v] = None
+            del out[w][inv(label)]
+            if len(out[w]) == 1 and w != base:
+                hanging.append(w)
         order = {base: "w0"}
         seq = [base]
         new_edges = []
@@ -382,6 +400,24 @@ class _Folding:
         return SubgroupGraph(graph, self.ambient, elab, vimg, "w0")
 
 
+def _map_folding(f, sub):
+    """f after the immersion of a subgroup graph, ready to fold.
+
+    Each vertex u of ``sub`` is a seed over f of the ambient vertex below u,
+    its basepoint first, and each edge e is the path f(label(e)) between
+    its endpoints' seeds.  The fold's fundamental group at the first seed
+    is the image of ``sub``'s under f_* (Stallings 1983).
+    """
+    if f.domain != sub.ambient:
+        raise ValueError("map does not start on the subgroup's ambient graph")
+    order = sorted(sub.graph.vertices, key=lambda u: u != sub.basepoint)
+    seed = {u: i for i, u in enumerate(order)}
+    over = [f.vertex_map[sub.vertex_image[u]] for u in order]
+    paths = [(seed[o], f.dart_image(sub.edge_label[e]), seed[t])
+             for e, o, t in sub.graph.edge_data]
+    return _Folding(f.codomain, over, paths)
+
+
 def fold(ambient, basepoint, loops):
     """Stallings core of the subgroup generated by loops at the basepoint.
 
@@ -398,22 +434,17 @@ def fold(ambient, basepoint, loops):
     so permuting the input loops returns an identical object.  Callers that
     need only the rank use `subgroup_rank`, which skips the renaming.
     """
-    return _Folding(ambient, basepoint,
-                    _closed_loops(ambient, basepoint, loops)).core()
+    return _loop_folding(ambient, basepoint, loops).core()
 
 
 def subgroup_rank(ambient, basepoint, loops):
     """Rank of the subgroup generated by loops at the basepoint.
 
-    0 when every loop reduces to nothing.  1 for a single nontrivial loop,
-    with no folding at all: free groups are torsion-free, so a nontrivial
-    element generates an infinite cyclic subgroup.  Otherwise E - V + 1 of
-    `fold`'s table, with no renaming and no graph; a folded graph's rank is
-    E - V + 1 whatever trees hang off it (Stallings 1983), so hanging trees
-    need no trimming.
+    E - V + 1 of `fold`'s table, with no renaming and no graph; 0 when every
+    loop reduces to nothing.  A folded graph's rank is E - V + 1 whatever
+    trees hang off it (Stallings 1983), so hanging trees need no trimming.
     """
-    return _Folding(ambient, basepoint,
-                    _closed_loops(ambient, basepoint, loops)).rank()
+    return _loop_folding(ambient, basepoint, loops).rank()
 
 
 # -- endomorphisms of the fundamental group ----------------------------------
@@ -498,44 +529,47 @@ def endomorphism_on_rose(generators, images):
     return pi1_endomorphism(f, "v")
 
 
-def _image_folding(phi, sub):
-    """The images of the subgroup's basis, ready to fold.
+def map_subgroup(f, sub):
+    """Image of a subgroup under a graph map, as a folded core.
 
-    `Pi1Endomorphism.apply_word` returns reduced loops at the fixed
-    basepoint, so they are not reduced or checked a second time.
+    One fold of f after the immersion of ``sub`` (see `_map_folding`), based
+    over the image of ``sub``'s basepoint.
     """
-    if sub.vertex_image[sub.basepoint] != phi.base:
-        raise ValueError("subgroup is not based at the endomorphism basepoint")
-    words = [phi.apply_word(w) for w in sub.generator_words()]
-    return _Folding(phi.ambient, phi.base, [w for w in words if w])
+    return _map_folding(f, sub).core()
 
 
-def map_subgroup(phi, sub):
-    """Image of a subgroup under the endomorphism, as a folded core."""
-    return _image_folding(phi, sub).core()
+def image_chain(f, base, period=1):
+    """Images of the fundamental group under f's powers, up to stabilization.
 
-
-def image_chain(phi):
-    """Image subgroups of phi's powers up to kernel stabilization.
-
-    Returns ``(links, K)``.  Ranks of H_0 (the whole group), H_1, ...
-    strictly decrease until H_{K+1}, the first that keeps the rank; K is
-    the kernel stabilization constant.  Each step is rank-tested first
-    (see `subgroup_rank`): a single nontrivial image loop has rank 1
-    without folding, free groups being torsion-free, and more are folded
-    into a table that is renamed into a graph only when the rank drops.
-    ``links`` holds H_0, ..., H_{max(K, 1)}: H_{K+1} is built only when
-    K = 0, where H_1 is the promotion's core.
+    G_0 is the whole group at ``base``, which f returns to after ``period``
+    steps, and G_{j+1} is one map fold of f over G_j (`map_subgroup`).
+    Ranks never increase; at the first step j* that keeps the rank, f is
+    injective on G_{j*}, and every later step keeps it too (free groups are
+    Hopfian).  Ranks do not depend on the basepoint, so one chain serves
+    the whole orbit.  Returns ``(links, K)``: K = ceil(j* / period) is the
+    kernel stabilization constant of the return map f^period, and ``links``
+    holds G_0, G_period, ..., G_{period max(K, 1)}, its image subgroups at
+    ``base``.  A step that only finds j* is a rank query.
     """
-    links = [whole_group_graph(phi.ambient, phi.base)]
-    while True:
-        image = _image_folding(phi, links[-1])
-        K = len(links) - 1
-        kept = image.rank() == links[-1].rank()
-        if not kept or K == 0:
-            links.append(image.core())
-        if kept:
-            return links, K
+    cur = base
+    for _ in range(period):
+        cur = f.vertex_map.get(cur)
+    if cur != base:
+        raise ValueError("%r is not a vertex of period %d" % (base, period))
+    sub = whole_group_graph(f.domain, base)
+    links = [sub]
+    plateau = None
+    for j in itertools.count():
+        image = _map_folding(f, sub)
+        if plateau is None and image.rank() == sub.rank():
+            plateau = j
+        if plateau is not None:
+            K = -(-plateau // period)
+            if j == period * max(K, 1):
+                return links, K
+        sub = image.core()
+        if (j + 1) % period == 0:
+            links.append(sub)
 
 
 def image_subgroup(phi, k):
@@ -544,20 +578,18 @@ def image_subgroup(phi, k):
         raise ValueError("negative power")
     sub = whole_group_graph(phi.ambient, phi.base)
     for _ in range(k):
-        sub = map_subgroup(phi, sub)
+        sub = map_subgroup(phi.map, sub)
     return sub
 
 
-def is_injective_on(phi, sub):
-    """Whether the endomorphism is injective on the given subgroup.
+def is_injective_on(f, sub):
+    """Whether a graph map is injective on the fundamental group of ``sub``.
 
     Finitely generated free groups are Hopfian, so injectivity on a rank-n
     subgroup is equivalent to its image having rank n.  That rank is read
-    without building the image's graph (see `subgroup_rank`): one
-    nontrivial reduced image loop has rank 1, free groups being
-    torsion-free, and more are counted on the folding table.
+    off one map fold's table (see `subgroup_rank`), with no graph built.
     """
-    return _image_folding(phi, sub).rank() == sub.rank()
+    return _map_folding(f, sub).rank() == sub.rank()
 
 
 def kernel_stabilization(phi):
@@ -565,12 +597,9 @@ def kernel_stabilization(phi):
 
     Equivalently the first K at which the endomorphism is injective on the
     image of its K-th power; ranks of the image chain strictly decrease
-    until then and are preserved from K on.  The last step, H_{K+1}, is a
-    rank query only (see `image_chain`): rank 1 for a single nontrivial
-    reduced image loop, free groups being torsion-free, and E - V + 1 of
-    the folding table otherwise.
+    until then and are preserved from K on (see `image_chain`).
     """
-    return image_chain(phi)[1]
+    return image_chain(phi.map, phi.base)[1]
 
 
 @dataclass
@@ -599,11 +628,11 @@ def _tokens_to_text(tokens):
 
 def stable_quotient(phi):
     """Kernel stabilization constant plus the restricted endomorphism."""
-    return chain_quotient(phi, image_chain(phi))
+    return chain_quotient(phi, image_chain(phi.map, phi.base))
 
 
 def chain_quotient(phi, chain):
-    """`stable_quotient` read off phi's image chain (see `image_chain`)."""
+    """`stable_quotient` read off an `image_chain` whose links are phi's."""
     links, K = chain
     core = links[K]
     restriction = {}
@@ -623,20 +652,16 @@ def chain_quotient(phi, chain):
 def induces_pi1_isomorphism(f):
     """Whether a graph self-map is a homotopy equivalence.
 
-    Surjectivity on the fundamental group is checked by folding the images
-    of a basis and asking for the degree-one cover; injectivity then follows
-    from Hopficity and is not checked separately.
+    Surjectivity on the fundamental group is checked by one map fold of f
+    over the whole group and asking for the degree-one cover; injectivity
+    then follows from Hopficity and is not checked separately.
     """
     graph = f.domain
     if not graph.is_connected():
         return False
-    v = graph.vertices[0]
-    helper = whole_group_graph(graph, v)
-    base_image = f.vertex_map[v]
-    words = [f.apply_to_darts(w) for w in helper.generator_words()]
-    folded = fold(graph, base_image, words)
-    return (folded.is_covering()
-            and len(folded.graph.vertices) == len(graph.vertices))
+    image = map_subgroup(f, whole_group_graph(graph, graph.vertices[0]))
+    return (image.is_covering()
+            and len(image.graph.vertices) == len(graph.vertices))
 
 
 # -- Hall completion ----------------------------------------------------------

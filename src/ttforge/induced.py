@@ -9,7 +9,8 @@ core, and the exponent tying their powers together, then re-verifies every
 claimed identity bit for bit.
 
 Conventions: v is the chosen periodic vertex, r its period, n the smallest
-power making the map injective on the image subgroup along the orbit, and
+power such that the map is injective on the image subgroup of its (nr)-th
+power at v, read off the one image chain of single steps of the map, and
 the transfer map is a lift of the (2knr)-th power of the input, with k
 chosen so the basepoint orbit upstairs has settled into its cycle.
 """
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from .covers import based_lift_power, lift_graph_map
 from .freegroup import (
     Pi1Endomorphism, chain_quotient, fold, image_chain, is_injective_on,
-    pi1_endomorphism, reduce_tokens, subgroup_rank, whole_group_graph,
+    pi1_endomorphism, reduce_tokens, whole_group_graph,
 )
 from .graphs import GraphMap, compose, edge_of, inv, reduce_darts, validate
 from .traintrack import (
@@ -56,53 +57,16 @@ def find_periodic_vertex(f):
     return best
 
 
-def orbit_chains(f, v, r):
-    """Return endomorphism and its image chain at each vertex of v's orbit.
-
-    The return map is the r-th power of f, computed once and shared; the
-    list runs along the orbit from v as ``(phi, chain)`` pairs, each chain
-    the ``(links, K)`` of `image_chain`.
-    """
-    fr = f.power(r)
-    orbit = []
-    vi = v
-    for _ in range(r):
-        phi = pi1_endomorphism(fr, vi)
-        orbit.append((phi, image_chain(phi)))
-        vi = f.vertex_map[vi]
-    return orbit
-
-
-def injectivity_exponent(f, orbit):
+def injectivity_exponent(chain):
     """Smallest n >= 1 with f injective on the n-th image subgroup.
 
-    ``orbit`` holds the ``(phi, chain)`` pairs of `orbit_chains`.
-    Injectivity of the single map on the image of the n-th power of the
-    return map is tested by rank: the rank of the subgroup the images of its
-    basis generate at the next vertex of the orbit (`subgroup_rank`, no
-    graph built) against its own.  Candidates run through the image chain
-    of the return map up to its stabilization.  The same exponent works at
-    every vertex of the periodic orbit; it is computed at each vertex in
-    ``orbit`` and must agree.
+    ``chain`` is the `image_chain` of f at a vertex of period r.  f is
+    injective on the j-th image of the fundamental group exactly from the
+    chain's first rank plateau j* on, so the n-th image subgroup, the
+    (nr)-th, qualifies exactly when nr >= j*: n is max(K, 1) with
+    K = ceil(j* / r).
     """
-    exponents = []
-    for phi, (links, K) in orbit:
-        found = None
-        for n in range(1, max(K, 1) + 1):
-            sub = links[n]
-            words = [f.apply_to_darts(w) for w in sub.generator_words()]
-            if subgroup_rank(f.domain, f.vertex_map[phi.base],
-                             words) == sub.rank():
-                found = n
-                break
-        if found is None:
-            raise AssertionError(
-                "no injectivity exponent up to stabilization at %r" % phi.base)
-        exponents.append(found)
-    if len(set(exponents)) != 1:
-        raise AssertionError(
-            "injectivity exponent varies along the orbit: %r" % exponents)
-    return exponents[0]
+    return max(chain[1], 1)
 
 
 @dataclass
@@ -201,12 +165,11 @@ def build_induced(f, size_budget=None):
                          % expansion.witness_edge)
 
     v, r = find_periodic_vertex(f)
-    orbit = orbit_chains(f, v, r)
-    n = injectivity_exponent(f, orbit)
-    phi, chain = orbit[0]
+    chain = image_chain(f, v, r)
+    n = injectivity_exponent(chain)
+    phi = pi1_endomorphism(f.power(r), v)
     quotient = chain_quotient(phi, chain)
-    # n is at most max(K, 1), so the chain holds H_n;
-    # verify_package checks that n equals max(K, 1)
+    # the chain's links run up to index max(K, 1), which is n
     core = chain[0][n]
     if core.rank() == 0:
         raise ValueError("stable image subgroup is trivial")
@@ -384,11 +347,9 @@ def verify_package(pkg):
     report.record("growth_rate", growth is None,
                   growth or "difference 0.000e+00")
 
-    vbar, rbar = find_periodic_vertex(fbar)
-    phibar = pi1_endomorphism(fbar.power(rbar), vbar)
     # kernel stabilization 0: injective on the whole group
     report.record("induced_pi1_injective", is_injective_on(
-        phibar, whole_group_graph(phibar.ambient, phibar.base)))
+        fbar, whole_group_graph(fbar.domain, fbar.domain.vertices[0])))
 
     core = pkg.core
     labels = set(core.edge_label.values())

@@ -12,7 +12,8 @@ import os
 
 from . import __version__
 from .freegroup import (
-    SubgroupGraph, endomorphism_on_rose, pi1_endomorphism, stable_quotient,
+    SubgroupGraph, chain_quotient, endomorphism_on_rose, image_chain,
+    pi1_endomorphism,
 )
 from .graphs import GraphMap, SerreGraph, format_path, token_dart
 from .induced import InducedPackage
@@ -167,7 +168,8 @@ def load_package(outdir):
     transfer = map_from_obj(_read(os.path.join(outdir, "transfer.json")),
                             f.domain, core.graph)
     c = _read(os.path.join(outdir, "constants.json"))
-    phi = pi1_endomorphism(f.power(c["period"]), c["periodic_vertex"])
+    v, r = c["periodic_vertex"], c["period"]
+    phi = pi1_endomorphism(f.power(r), v)
     return InducedPackage(
         source=f, core=core, induced=induced, projection=projection,
         transfer=transfer, periodic_vertex=c["periodic_vertex"],
@@ -176,7 +178,7 @@ def load_package(outdir):
         multiplier=c["multiplier"], constant=c["constant"],
         basepoint=c["basepoint"],
         transfer_basepoint=c["transfer_basepoint"],
-        endomorphism=phi, quotient=stable_quotient(phi))
+        endomorphism=phi, quotient=chain_quotient(phi, image_chain(f, v, r)))
 
 
 def report_to_obj(report):

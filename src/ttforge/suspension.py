@@ -116,6 +116,14 @@ class MappingTorus:
         return "MappingTorus(%d edges)" % len(self.graph.edge_ids)
 
 
+def _check_period(space, tp):
+    """Reject a point whose height is past the space's time unit."""
+    if tp.height >= space.unit:
+        raise ValueError("height %s is outside the period %d"
+                         % (tp.height, space.unit))
+    return tp
+
+
 def flow(space, tp, s):
     """Semiflow for nonnegative rational time, exactly.
 
@@ -125,9 +133,7 @@ def flow(space, tp, s):
     s = Fraction(s)
     if s < 0:
         raise ValueError("the semiflow only runs forward")
-    if tp.height >= space.unit:
-        raise ValueError("height %s is outside the period %d"
-                         % (tp.height, space.unit))
+    _check_period(space, tp)
     total = tp.height + s
     whole = total // space.unit
     pt = tp.point
@@ -389,7 +395,7 @@ class CoverDescriptor:
                                      exponent)
 
     def point(self, pt, height=0):
-        return CoverPoint(pt, height)
+        return _check_period(self, CoverPoint(pt, height))
 
     @property
     def degree(self):
@@ -498,7 +504,7 @@ def project_point(desc, cp):
     Heights upstairs run through [0, exponent); the projected point flows
     from height 0 downstairs for that long.
     """
-    pt = cp.point
+    pt = _check_period(desc, cp).point
     if pt.is_vertex:
         down = vertex_point(desc.cover.vertex_image[pt.vertex])
     else:
@@ -514,5 +520,5 @@ def seam_crossings(desc, cp, duration):
     nonnegative duration that is the floor of frac(height) + duration: the
     pairing of the orbit segment with the section's dual class.
     """
-    total = cp.height % 1 + Fraction(duration)
+    total = _check_period(desc, cp).height % 1 + Fraction(duration)
     return max(0, total.numerator // total.denominator)

@@ -9,7 +9,9 @@ import itertools
 
 import numpy
 
-from ttforge.freegroup import SubgroupGraph
+from ttforge.freegroup import (
+    SubgroupGraph, fold, pi1_endomorphism, subgroup_rank, whole_group_graph,
+)
 from ttforge.suspension import TorusPoint, map_point, project_point
 from ttforge.graphs import (
     SerreGraph, edge_of, inv, is_positive, reduce_darts,
@@ -257,6 +259,61 @@ def fold_oracle(ambient, basepoint, loops):
     graph = SerreGraph(list(order.values()), new_edges,
                        allow_isolated=not new_edges)
     return SubgroupGraph(graph, ambient, elab, vimg, "w0")
+
+
+
+# -- the basis-loop image chain -----------------------------------------------
+
+
+# The image chain as it stood before single-step map folds: at each vertex of
+# the periodic orbit, phi = (f^r)_* there and H_{k+1} = fold(phi(basis of
+# H_k)), whose words grow like lambda^r.  Kept unchanged as the reference.
+
+
+def image_chain_oracle(phi):
+    """``(links, K)``: H_0 .. H_max(K,1), K the first k with rank kept."""
+    links = [whole_group_graph(phi.ambient, phi.base)]
+    while True:
+        words = [phi.apply_word(w) for w in links[-1].generator_words()]
+        K = len(links) - 1
+        kept = (subgroup_rank(phi.ambient, phi.base, words)
+                == links[-1].rank())
+        if not kept or K == 0:
+            links.append(fold(phi.ambient, phi.base, words))
+        if kept:
+            return links, K
+
+
+def orbit_chains_oracle(f, v, r):
+    """``(phi, chain)`` at each vertex of v's orbit, phi = (f^r)_* there."""
+    fr = f.power(r)
+    orbit = []
+    vi = v
+    for _ in range(r):
+        phi = pi1_endomorphism(fr, vi)
+        orbit.append((phi, image_chain_oracle(phi)))
+        vi = f.vertex_map[vi]
+    return orbit
+
+
+def orbit_exponents_oracle(f, orbit):
+    """Per orbit vertex, the least n >= 1 with f injective on H_n there.
+
+    Injectivity is the rank of the subgroup that f's images of H_n's basis
+    generate at the next orbit vertex; None when no n up to max(K, 1) works.
+    """
+    exponents = []
+    for phi, (links, K) in orbit:
+        found = None
+        for n in range(1, max(K, 1) + 1):
+            sub = links[n]
+            words = [f.apply_to_darts(w) for w in sub.generator_words()]
+            if subgroup_rank(f.domain, f.vertex_map[phi.base],
+                             words) == sub.rank():
+                found = n
+                break
+        exponents.append(found)
+    return exponents
 
 
 # -- irreducibility ------------------------------------------------------------

@@ -14,13 +14,12 @@ import pytest
 
 from ttforge.covers import based_lift_power
 from ttforge.freegroup import (
-    fold, hall_completion, image_subgroup, pi1_endomorphism, stable_quotient,
-    whole_group_graph,
+    fold, hall_completion, image_chain, image_subgroup, pi1_endomorphism,
+    stable_quotient, whole_group_graph,
 )
 from ttforge.graphs import GraphMap, compose, edge_of, format_path, inv, rose
 from ttforge.induced import (
-    build_induced, find_periodic_vertex, injectivity_exponent, orbit_chains,
-    verify_package,
+    build_induced, find_periodic_vertex, injectivity_exponent, verify_package,
 )
 from ttforge.suspension import (
     CoverPoint, MappingTorus, TorusPoint, breakpoint_samples, edge_point,
@@ -35,7 +34,7 @@ from ttforge.traintrack import (
 
 from oracles import (
     apply_endo, ball, darts_reduced, invariant_subgraph_search,
-    spectral_radius,
+    orbit_chains_oracle, orbit_exponents_oracle, spectral_radius,
 )
 
 GOLDEN = 1.6180339887
@@ -243,11 +242,12 @@ def test_injectivity_exponent_constant_on_orbit(announce, corpus100,
     cases += [("corpus[%d]" % i, f) for i, f in enumerate(corpus100)]
     for name, f in cases:
         v, r = find_periodic_vertex(f)
-        try:
-            # recomputed at every orbit vertex; raises if they disagree
-            n = injectivity_exponent(f, orbit_chains(f, v, r))
-        except AssertionError as exc:
-            failures.append("%s: %s" % (name, exc))
+        n = injectivity_exponent(image_chain(f, v, r))
+        # the basis-loop oracle, run at every orbit vertex
+        oracle = orbit_exponents_oracle(f, orbit_chains_oracle(f, v, r))
+        if oracle != [n] * r:
+            failures.append("%s: exponent %d, oracle %r along the orbit"
+                            % (name, n, oracle))
             continue
         core = image_subgroup(pi1_endomorphism(f.power(r), v), n)
         for m in (n * r, (n + 1) * r):

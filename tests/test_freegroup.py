@@ -354,21 +354,34 @@ class TestImageChain:
             image_subgroup(phi, -1)
 
     def test_map_subgroup_examples(self, sigma, fib):
-        phi = pi1_endomorphism(sigma)
-        assert map_subgroup(phi, fold(ROSE2, "v", ["a"])) \
+        assert map_subgroup(sigma, fold(ROSE2, "v", ["a"])) \
             == fold(ROSE2, "v", ["a b"])
-        ident = pi1_endomorphism(
-            GraphMap(ROSE2, ROSE2, {"v": "v"}, {"a": "a", "b": "b"}))
-        h = fold(ROSE2, "v", ["a b", "b b"])
-        assert map_subgroup(ident, h) == h
-        assert map_subgroup(pi1_endomorphism(fib), fold(ROSE2, "v", ["a"])) \
+        ident = GraphMap(ROSE2, ROSE2, {"v": "v"}, {"a": "a", "b": "b"})
+        for loops in (["a b", "b b"], ["a b -a"], []):
+            h = fold(ROSE2, "v", loops)
+            # the basepoint's hanging path is kept
+            assert map_subgroup(ident, h) == h
+        assert map_subgroup(fib, fold(ROSE2, "v", ["a"])) \
             == fold(ROSE2, "v", ["b"])
 
+    def test_map_subgroup_trims_hanging_trees(self):
+        # b -b cancels between the images of the two edges of the loop a b,
+        # leaving a hanging edge that the pointed core does not have
+        f = GraphMap(ROSE2, ROSE2, {"v": "v"}, {"a": "a b", "b": "-b a"})
+        assert map_subgroup(f, fold(ROSE2, "v", ["a b"])) \
+            == fold(ROSE2, "v", ["a a"])
+        assert map_subgroup(f, fold(ROSE2, "v", ["a b -a"])) \
+            == fold(ROSE2, "v", ["a b -b a -b -a"])
+
     def test_injectivity_by_rank(self, sigma):
-        phi = pi1_endomorphism(sigma)
-        assert not is_injective_on(phi, whole_group_graph(ROSE2, "v"))
-        assert is_injective_on(phi, fold(ROSE2, "v", ["a b"]))
-        assert is_injective_on(phi, fold(ROSE2, "v", []))
+        assert not is_injective_on(sigma, whole_group_graph(ROSE2, "v"))
+        assert is_injective_on(sigma, fold(ROSE2, "v", ["a b"]))
+        assert is_injective_on(sigma, fold(ROSE2, "v", []))
+
+    def test_chain_needs_a_return_to_the_base(self, cyc2):
+        with pytest.raises(ValueError, match="period"):
+            image_chain(cyc2, "u", 1)
+        assert image_chain(cyc2, "u", 2)[1] == image_chain(cyc2, "w", 2)[1]
 
     def test_stabilization_constants(self, sigma, fib, nilp, stab2, stab3):
         for f, expected in ((fib, 0), (sigma, 1), (nilp, 3),
@@ -394,16 +407,17 @@ class TestImageChain:
 
     def test_chain_equals_direct_power_images(
             self, named_fixture_maps, nilp, corpus100):
-        """The incremental chain against folding phi^k of the basis.
+        """The single-step chain of f against folding phi^k of the basis.
 
-        The chain builds H_0 .. H_{max(K, 1)}; H_{K+1} is only rank-tested,
-        so the direct fold's rank there must equal the rank of H_K.
+        The chain builds H_0 .. H_{max(K, 1)}, the images under powers of
+        the return map phi = (f^r)_*, and stops folding at the first step of
+        f that keeps the rank; from H_K on, the direct folds keep H_K's rank.
         """
         maps = list(named_fixture_maps.values()) + [nilp] + list(corpus100)
         for f in maps:
             v, r = find_periodic_vertex(f)
             phi = pi1_endomorphism(f.power(r), v)
-            links, K = image_chain(phi)
+            links, K = image_chain(f, v, r)
             assert K == kernel_stabilization(phi)
             assert len(links) == max(K, 1) + 1
             assert links[0] == image_subgroup(phi, 0)

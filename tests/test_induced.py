@@ -9,17 +9,21 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from ttforge.graphs import GraphMap, SerreGraph, compose, rose
+from ttforge.graphs import GraphMap, SerreGraph, compose, rose, validate
 from ttforge.traintrack import (
     has_positive_power, pf_eigenvalue, transition_matrix,
 )
+from ttforge.freegroup import image_chain
+from ttforge.randmaps import random_candidate
 from ttforge.induced import (
     SizeBudgetExceeded, _transfer_size, build_induced, conjugacy_check,
-    find_periodic_vertex, injectivity_exponent, orbit_chains, projection_map,
+    find_periodic_vertex, injectivity_exponent, projection_map,
     smallest_multiple_reaching, verify_package,
 )
+
+from oracles import orbit_chains_oracle, orbit_exponents_oracle
 
 ROSE2 = rose(["a", "b"])
 
@@ -65,20 +69,57 @@ class TestPeriodicVertex:
 
 class TestInjectivityExponent:
     def test_examples(self, sigma, fib, cyc2, stab2, stab3):
-        assert injectivity_exponent(sigma, orbit_chains(sigma, "v", 1)) == 1
-        assert injectivity_exponent(fib, orbit_chains(fib, "v", 1)) == 1
-        assert injectivity_exponent(cyc2, orbit_chains(cyc2, "u", 2)) == 1
-        assert injectivity_exponent(stab2, orbit_chains(stab2, "v", 1)) == 2
-        assert injectivity_exponent(stab3, orbit_chains(stab3, "v", 1)) == 3
+        for f, v, r, n in ((sigma, "v", 1, 1), (fib, "v", 1, 1),
+                           (cyc2, "u", 2, 1), (stab2, "v", 1, 2),
+                           (stab3, "v", 1, 3)):
+            assert injectivity_exponent(image_chain(f, v, r)) == n
 
     def test_constant_along_orbit(self, cyc2, pre1_r3):
-        # the exponent is recomputed at every orbit vertex given and a
-        # mismatch raises; the whole orbit agrees with its first vertex
-        orbit = orbit_chains(cyc2, "u", 2)
-        assert injectivity_exponent(cyc2, orbit) \
-            == injectivity_exponent(cyc2, orbit[:1])
-        assert injectivity_exponent(pre1_r3, orbit_chains(pre1_r3, "v0", 3)) \
-            == 1
+        # the chain from any orbit vertex gives the exponent that the
+        # basis-loop oracle finds at every orbit vertex
+        for f, v, r in ((cyc2, "u", 2), (pre1_r3, "v0", 3)):
+            oracle = orbit_exponents_oracle(f, orbit_chains_oracle(f, v, r))
+            assert oracle == [1] * r
+            for _ in range(r):
+                assert injectivity_exponent(image_chain(f, v, r)) == 1
+                v = f.vertex_map[v]
+
+
+def assert_chain_matches_oracle(f):
+    """K, the exponent and every link's canonical key, against the oracle.
+
+    The oracle runs the basis-loop chain of the return map at every vertex
+    of the periodic orbit; the single-step chain runs once, from the first.
+    """
+    v, r = find_periodic_vertex(f)
+    links, K = image_chain(f, v, r)
+    orbit = orbit_chains_oracle(f, v, r)
+    oracle_links, oracle_K = orbit[0][1]
+    assert K == oracle_K
+    assert [link.canonical_key() for link in links] \
+        == [link.canonical_key() for link in oracle_links]
+    n = injectivity_exponent((links, K))
+    assert orbit_exponents_oracle(f, orbit) == [n] * r
+
+
+class TestImageChainOracle:
+    @given(seed=st.integers(0, 10 ** 9))
+    @settings(max_examples=60, deadline=None)
+    def test_generated_maps(self, seed):
+        # any valid self-map, train track or not, so that edge images
+        # cancel and folds leave hanging trees to trim
+        f = random_candidate(random.Random(seed))
+        assume(f is not None and validate(f) is None)
+        assert_chain_matches_oracle(f)
+
+    def test_fixtures(self, named_fixture_maps, nilp):
+        for f in list(named_fixture_maps.values()) + [nilp]:
+            assert_chain_matches_oracle(f)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_ring_families(self, n):
+        assert_chain_matches_oracle(_two_strand_ring(n))
+        assert_chain_matches_oracle(_three_strand_ring(n))
 
 
 class TestMultiplierArithmetic:
@@ -187,45 +228,26 @@ class TestBuildInduced:
                 cur = pkg.induced.vertex_map[cur]
             assert cur == z, name
 
-    def test_one_image_chain_per_orbit_vertex(self, named_fixture_maps,
-                                              monkeypatch):
-        # each orbit vertex folds its chain H_1..H_{max(K,1)} into graphs
-        # once and only rank-tests H_{K+1} (when K >= 1, else H_1 is built),
-        # then rank-tests the candidates f(H_1)..f(H_n) of the injectivity
-        # exponent; every loop set folded is a _Folding, and a graph fold
-        # is one that reaches core()
+    def test_fold_input_is_linear_in_core_edges(self, monkeypatch):
+        # one chain of single-step map folds: every symbol read into a fold
+        # is an edge image of f, so the input stays a small multiple of the
+        # core's size instead of growing like the images of f^r
         from ttforge import freegroup
-        foldings = []
-        graphs = []
+        symbols = []
         real_init = freegroup._Folding.__init__
-        real_core = freegroup._Folding.core
 
-        def counting_init(self, *args):
-            foldings.append(args)
-            real_init(self, *args)
-
-        def counting_core(self):
-            graphs.append(self)
-            return real_core(self)
+        def counting_init(self, ambient, over, paths):
+            symbols.append(sum(len(darts) for _i, darts, _j in paths))
+            real_init(self, ambient, over, paths)
 
         monkeypatch.setattr(freegroup._Folding, "__init__", counting_init)
-        monkeypatch.setattr(freegroup._Folding, "core", counting_core)
-        cases = dict(named_fixture_maps, ring3=_two_strand_ring(3))
-        counts = {}
-        for name, f in cases.items():
-            foldings.clear()
-            graphs.clear()
-            pkg = build_induced(f)
-            r, n = pkg.period, pkg.exponent
-            K = pkg.quotient.exponent
-            rank_only = len(foldings) - len(graphs)
-            assert len(graphs) == r * max(K, 1), name
-            assert rank_only == r * n + r * (K >= 1), name
-            counts[name] = (len(graphs), rank_only)
-        assert counts == {"sigma": (1, 2), "fib": (1, 1), "cyc2": (2, 2),
-                          "stab2": (2, 3), "stab3": (3, 4),
-                          "pre1_r2": (2, 2), "pre1_r3": (3, 3),
-                          "ring3": (3, 6)}
+        for family in (_two_strand_ring, _three_strand_ring):
+            for n in range(2, 6):
+                symbols.clear()
+                pkg = build_induced(family(n))
+                core_edges = pkg.constants()["core_edges"]
+                assert 0 < sum(symbols) < 5 * core_edges, (
+                    family.__name__, n, sum(symbols), core_edges)
 
 
 def _two_strand_ring(n):

@@ -53,6 +53,55 @@ def test_no_unused_imports(module):
     assert unused_imports(source) == []
 
 
+def unread_private_functions(sources):
+    """(module, name) of each module-level ``_name`` function nothing reads.
+
+    ``sources`` maps module names to source text.  A function counts as read
+    when some other top-level statement of any module names it, as a name,
+    an attribute or an imported alias; its own body does not count, so a
+    helper that only calls itself is still reported.
+    """
+    defined = []
+    read = set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.asname or node.name)
+            if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and stmt.name.startswith("_")
+                    and not stmt.name.startswith("__")):
+                defined.append((module, stmt.name))
+                names.discard(stmt.name)
+            read |= names
+    return sorted(entry for entry in defined if entry[1] not in read)
+
+
+def test_detects_an_unread_private_function():
+    sources = {
+        "a": "def _used():\n    pass\n"
+             "def _recursive():\n    return _recursive()\n"
+             "def f():\n    return _used()\n",
+        "b": "from .c import _imported\n"
+             "def _only_defined():\n    pass\n"
+             "def _by_attribute():\n    pass\n"
+             "x = a._by_attribute\n",
+        "c": "def _imported():\n    pass\n",
+    }
+    assert unread_private_functions(sources) == [
+        ("a", "_recursive"), ("b", "_only_defined")]
+
+
+def test_no_unread_private_functions():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert unread_private_functions(sources) == []
+
+
 def unresolved_package_imports(source, package="ttforge"):
     """(line, module, name) of each ``from package... import name`` that fails.
 

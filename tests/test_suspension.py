@@ -375,8 +375,21 @@ class TestLiftedFlow:
         tall = CoverPoint(cp.point, Fraction(7, 2))
         with pytest.raises(ValueError, match="period"):
             flow(desc, tall, 1)
+        with pytest.raises(ValueError, match="period"):
+            desc.point(cp.point, Fraction(7, 2))
+        with pytest.raises(ValueError, match="period"):
+            project_point(desc, tall)
+        with pytest.raises(ValueError, match="period"):
+            seam_crossings(desc, tall, 1)
+        with pytest.raises(ValueError, match="period"):
+            desc.point(cp.point, desc.unit)
         with pytest.raises(ValueError):
             CoverPoint(cp.point, -1)
+        # heights below the period of 3 keep working
+        below = desc.point(cp.point, Fraction(5, 2))
+        assert project_point(desc, below).height == Fraction(1, 2)
+        assert seam_crossings(desc, below, 1) == 1
+        assert flow(desc, below, 1).height == Fraction(1, 2)
 
     def test_projection_commutes_with_flow(self, trivial_descriptor,
                                            index2_descriptor, fib):
