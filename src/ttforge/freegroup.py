@@ -22,10 +22,11 @@ valence-one vertices other than the basepoint leaves the pointed core of
 f_*(H) (Stallings 1983); that is `map_subgroup`.  `image_chain` takes such
 single steps of f from the whole group until the first step that keeps the
 rank, which it only rank-tests, so its words are edge images of f even when
-the return map is a power of f.  Stabilization, the stable quotient
-(`chain_quotient` for a chain already at hand) and the injectivity exponent
-read that chain.  Injectivity on a subgroup, by Hopficity, is a rank query
-on one map fold.
+the return map is a power of f.  Stabilization, the stable quotient and the
+injectivity exponent read that chain; `chain_quotient`, which writes the
+restriction to the stable image in the core's basis, serves `ttforge
+quotient`, and the promotion needs only the chain.  Injectivity on a
+subgroup, by Hopficity, is a rank query on one map fold.
 
 A labeling sends positive darts to positive ambient darts; the label of a
 reversed dart is the reversed label.  Folded means no vertex carries two
@@ -148,7 +149,6 @@ class SubgroupGraph(LabeledGraph):
         if basepoint not in graph._out:
             raise ValueError("basepoint %r is not a vertex" % basepoint)
         self.basepoint = basepoint
-        self._basis = None
 
     def rank(self):
         return len(self.graph.edge_ids) - len(self.graph.vertices) + 1
@@ -173,6 +173,22 @@ class SubgroupGraph(LabeledGraph):
                     queue.append(w)
         return tree, parent_path
 
+    @cached_property
+    def _tree_basis(self):
+        """The basis triples and the non-tree edge -> generator name map."""
+        tree, path_to = self.spanning_tree()
+        gens = []
+        generator = {}
+        extra = [e for e in self.graph.edge_ids if e not in tree]
+        for i, e in enumerate(sorted(extra)):
+            o = self.graph.origin(e)
+            t = self.graph.terminus(e)
+            loop = reduce_darts(
+                path_to[o] + (e,) + tuple(inv(d) for d in reversed(path_to[t])))
+            generator[e] = "g%d" % i
+            gens.append((generator[e], loop, self.project_darts(loop)))
+        return gens, generator
+
     def basis(self):
         """Free basis from the non-tree edges.
 
@@ -180,19 +196,7 @@ class SubgroupGraph(LabeledGraph):
         loop runs through the tree to the extra edge and back, freely
         reduced, and the ambient word is its projection.
         """
-        if self._basis is not None:
-            return self._basis
-        tree, path_to = self.spanning_tree()
-        gens = []
-        extra = [e for e in self.graph.edge_ids if e not in tree]
-        for i, e in enumerate(sorted(extra)):
-            o = self.graph.origin(e)
-            t = self.graph.terminus(e)
-            loop = reduce_darts(
-                path_to[o] + (e,) + tuple(inv(d) for d in reversed(path_to[t])))
-            gens.append(("g%d" % i, loop, self.project_darts(loop)))
-        self._basis = gens
-        return gens
+        return self._tree_basis[0]
 
     def generator_words(self):
         return [word for (_, _, word) in self.basis()]
@@ -208,22 +212,16 @@ class SubgroupGraph(LabeledGraph):
 
         Crossing a non-tree edge positively emits +1, negatively -1; tree
         crossings emit nothing.  The result is freely reduced as a word in
-        the abstract generators.
+        the abstract generators.  The tree and the names are `basis`'s.
         """
         word = reduce_darts(tuple(ambient_darts))
         end, lifted, consumed = self.trace(self.basepoint, word)
         if consumed != len(word) or end != self.basepoint:
             raise ValueError("word is not in the subgroup")
-        tree, _ = self.spanning_tree()
-        names = {}
-        for name, loop, _w in self.basis():
-            # the defining non-tree edge is the unique non-tree dart on the loop
-            for d in loop:
-                if edge_of(d) not in tree:
-                    names[edge_of(d)] = name
-                    break
-        return reduce_tokens((names[edge_of(d)], 1 if is_positive(d) else -1)
-                             for d in lifted if edge_of(d) not in tree)
+        generator = self._tree_basis[1]
+        return reduce_tokens(
+            (generator[edge_of(d)], 1 if is_positive(d) else -1)
+            for d in lifted if edge_of(d) in generator)
 
     def canonical_key(self):
         return (self.graph.vertices, self.graph.edge_data,
@@ -551,6 +549,8 @@ def image_chain(f, base, period=1):
     holds G_0, G_period, ..., G_{period max(K, 1)}, its image subgroups at
     ``base``.  A step that only finds j* is a rank query.
     """
+    if period < 1:
+        raise ValueError("period %r is not positive" % (period,))
     cur = base
     for _ in range(period):
         cur = f.vertex_map.get(cur)

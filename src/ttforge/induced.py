@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 from .covers import based_lift_power, lift_graph_map
 from .freegroup import (
-    Pi1Endomorphism, chain_quotient, fold, image_chain, is_injective_on,
-    pi1_endomorphism, reduce_tokens, whole_group_graph,
+    fold, image_chain, is_injective_on, pi1_endomorphism, reduce_tokens,
+    whole_group_graph,
 )
 from .graphs import GraphMap, compose, edge_of, inv, reduce_darts, validate
 from .traintrack import (
@@ -77,6 +77,9 @@ class InducedPackage:
     the promoted train track map on it; ``projection`` the labeling as a
     graph map; ``transfer`` the semi-conjugating map from the ambient graph
     into the core, a lift of the ``constant``-th power of the source.
+    ``chain`` is the `image_chain` ``(links, K)`` of the source at the
+    periodic vertex with its period: ``links[K]`` is the stable image
+    subgroup and K the kernel stabilization constant of the return map.
     """
 
     source: GraphMap
@@ -93,8 +96,7 @@ class InducedPackage:
     constant: int
     basepoint: str
     transfer_basepoint: str
-    endomorphism: Pi1Endomorphism
-    quotient: object
+    chain: tuple
 
     def constants(self):
         return {
@@ -107,7 +109,7 @@ class InducedPackage:
             "constant": self.constant,
             "core_rank": self.core.rank(),
             "core_edges": len(self.core.graph.edge_ids),
-            "stabilization": self.quotient.exponent,
+            "stabilization": self.chain[1],
         }
 
 
@@ -167,8 +169,6 @@ def build_induced(f, size_budget=None):
     v, r = find_periodic_vertex(f)
     chain = image_chain(f, v, r)
     n = injectivity_exponent(chain)
-    phi = pi1_endomorphism(f.power(r), v)
-    quotient = chain_quotient(phi, chain)
     # the chain's links run up to index max(K, 1), which is n
     core = chain[0][n]
     if core.rank() == 0:
@@ -201,7 +201,7 @@ def build_induced(f, size_budget=None):
             raise SizeBudgetExceeded(
                 "transfer map needs more than %d symbols" % size_budget)
 
-    half = based_lift_power(core, phi.map, k * n)
+    half = based_lift_power(core, f, k * n * r)
     transfer = compose(fbar.power(k * n * r), half)
 
     z = core.basepoint
@@ -223,8 +223,7 @@ def build_induced(f, size_budget=None):
         constant=K,
         basepoint=core.basepoint,
         transfer_basepoint=z,
-        endomorphism=phi,
-        quotient=quotient,
+        chain=chain,
     )
 
 
@@ -314,6 +313,7 @@ def verify_package(pkg):
         "transfer after f versus induced after transfer")
 
     k, n, r = pkg.multiplier, pkg.exponent, pkg.period
+    links, stabilization = pkg.chain
     report.record(
         "constant_consistent",
         K == 2 * k * n * r and k % pkg.orbit_period == 0
@@ -321,8 +321,8 @@ def verify_package(pkg):
         "K=%d k=%d n=%d r=%d" % (K, k, n, r))
     report.record(
         "exponent_matches_stabilization",
-        n == max(pkg.quotient.exponent, 1),
-        "n=%d stabilization=%d" % (n, pkg.quotient.exponent))
+        n == max(stabilization, 1),
+        "n=%d stabilization=%d" % (n, stabilization))
 
     cert = is_train_track(fbar)
     report.record("induced_train_track", cert.is_train_track,
@@ -362,7 +362,7 @@ def verify_package(pkg):
         "folded core projecting onto the whole graph")
     report.record(
         "rank_matches_quotient",
-        core.rank() == pkg.quotient.rank,
+        core.rank() == links[stabilization].rank(),
         "rank %d" % core.rank())
 
     crossed = set()
@@ -395,6 +395,8 @@ def _conjugate_word(u, word):
 def conjugacy_check(pkg, max_length=4, max_candidates=20000):
     """Compare the induced map's group action with the return endomorphism.
 
+    The return endomorphism, induced by the source's ``period``-th power at
+    the periodic vertex, is built here; the package does not carry it.
     Both actions are written at the periodic point upstairs, where the
     induced map's relevant power is based: one pushes fundamental group
     basis loops through that power, the other applies the return map to
@@ -419,7 +421,7 @@ def conjugacy_check(pkg, max_length=4, max_candidates=20000):
 
     helper = whole_group_graph(core.graph, z)
     big = fbar.power(power)
-    phi = pkg.endomorphism
+    phi = pi1_endomorphism(pkg.source.power(pkg.period), pkg.periodic_vertex)
 
     upstairs = {}
     downstairs = {}

@@ -11,10 +11,7 @@ import json
 import os
 
 from . import __version__
-from .freegroup import (
-    SubgroupGraph, chain_quotient, endomorphism_on_rose, image_chain,
-    pi1_endomorphism,
-)
+from .freegroup import SubgroupGraph, endomorphism_on_rose, image_chain
 from .graphs import GraphMap, SerreGraph, format_path, token_dart
 from .induced import InducedPackage
 
@@ -89,12 +86,11 @@ def labeled_from_obj(obj, ambient):
 
 
 class InputBundle:
-    """A parsed input: always a graph map, sometimes also an endomorphism."""
+    """A parsed input: its kind ("map" or "endomorphism") and its graph map."""
 
-    def __init__(self, kind, graph_map, endomorphism, document):
+    def __init__(self, kind, graph_map, document):
         self.kind = kind
         self.graph_map = graph_map
-        self.endomorphism = endomorphism
         self.document = document
         self.digest = content_digest(document)
 
@@ -117,13 +113,13 @@ def load_input(obj):
         payload = obj["endomorphism"]
         generators = payload["generators"]
         phi = endomorphism_on_rose(generators, payload["images"])
-        return InputBundle("endomorphism", phi.map, phi, obj)
+        return InputBundle("endomorphism", phi.map, obj)
     if "graph" not in obj or "map" not in obj:
         raise ValueError("input document needs 'graph' and 'map' "
                          "(or an 'endomorphism' payload)")
     graph = graph_from_obj(obj["graph"])
     f = map_from_obj(obj["map"], graph)
-    return InputBundle("map", f, None, obj)
+    return InputBundle("map", f, obj)
 
 
 def load_input_file(path):
@@ -168,8 +164,6 @@ def load_package(outdir):
     transfer = map_from_obj(_read(os.path.join(outdir, "transfer.json")),
                             f.domain, core.graph)
     c = _read(os.path.join(outdir, "constants.json"))
-    v, r = c["periodic_vertex"], c["period"]
-    phi = pi1_endomorphism(f.power(r), v)
     return InducedPackage(
         source=f, core=core, induced=induced, projection=projection,
         transfer=transfer, periodic_vertex=c["periodic_vertex"],
@@ -178,7 +172,7 @@ def load_package(outdir):
         multiplier=c["multiplier"], constant=c["constant"],
         basepoint=c["basepoint"],
         transfer_basepoint=c["transfer_basepoint"],
-        endomorphism=phi, quotient=chain_quotient(phi, image_chain(f, v, r)))
+        chain=image_chain(f, c["periodic_vertex"], c["period"]))
 
 
 def report_to_obj(report):

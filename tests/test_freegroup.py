@@ -247,6 +247,17 @@ class TestMembership:
         with pytest.raises(ValueError):
             h.rewrite(w("a"))
 
+    def test_rewrite_reuses_the_basis_tree(self, monkeypatch):
+        calls = []
+        tree = SubgroupGraph.spanning_tree
+        monkeypatch.setattr(SubgroupGraph, "spanning_tree",
+                            lambda self: calls.append(self) or tree(self))
+        h = fold(ROSE2, "v", ["a a", "b a -b", "a b a"])
+        for name, _loop, word in h.basis():
+            assert h.rewrite(word) == ((name, 1),)
+            assert h.rewrite(word + word) == ((name, 1), (name, 1))
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("gens", [
         ["a b"],
         ["a", "b a -b"],
@@ -382,6 +393,11 @@ class TestImageChain:
         with pytest.raises(ValueError, match="period"):
             image_chain(cyc2, "u", 1)
         assert image_chain(cyc2, "u", 2)[1] == image_chain(cyc2, "w", 2)[1]
+
+    def test_chain_needs_a_positive_period(self, sigma):
+        for period in (0, -1):
+            with pytest.raises(ValueError, match="not positive"):
+                image_chain(sigma, "v", period)
 
     def test_stabilization_constants(self, sigma, fib, nilp, stab2, stab3):
         for f, expected in ((fib, 0), (sigma, 1), (nilp, 3),

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ttforge.freegroup import fold, pi1_endomorphism
+from ttforge.freegroup import SubgroupGraph, endomorphism_on_rose, fold
 from ttforge.graphs import rose
 from ttforge.induced import build_induced, verify_package
 from ttforge.io import (
@@ -62,7 +62,6 @@ class TestInputDocuments:
         bundle = load_input(input_to_obj(sigma))
         assert bundle.kind == "map"
         assert bundle.graph_map == sigma
-        assert bundle.endomorphism is None
         assert bundle.digest == content_digest(input_to_obj(sigma))
 
     def test_endomorphism_document(self):
@@ -70,8 +69,9 @@ class TestInputDocuments:
                                 "images": {"x": "x y", "y": "x y"}}}
         bundle = load_input(doc)
         assert bundle.kind == "endomorphism"
-        assert bundle.endomorphism is not None
         f = bundle.graph_map
+        assert f == endomorphism_on_rose(
+            ["x", "y"], {"x": "x y", "y": "x y"}).map
         assert f.is_self_map
         assert sorted(f.domain.edge_ids) == ["x", "y"]
         assert f.dart_image("x") == ("x", "y")
@@ -84,20 +84,61 @@ class TestInputDocuments:
 
 
 class TestPackageFiles:
-    def test_write_and_load_round_trip(self, tmp_path, sigma):
+    def test_write_and_load_round_trip(self, tmp_path, sigma, cyc2, stab2,
+                                       pre1_r3):
+        # period > 1 (cyc2), K >= 2 (stab2), preperiod >= 1 (pre1_r3)
+        for name, f in (("sigma", sigma), ("cyc2", cyc2), ("stab2", stab2),
+                        ("pre1_r3", pre1_r3)):
+            pkg = build_induced(f)
+            report = verify_package(pkg)
+            outdir = tmp_path / name
+            write_package(outdir, pkg, report)
+            for piece in PACKAGE_FILES:
+                assert (outdir / piece).exists()
+            loaded = load_package(outdir)
+            assert loaded.source == pkg.source
+            assert loaded.core == pkg.core
+            assert loaded.induced == pkg.induced
+            assert loaded.projection == pkg.projection
+            assert loaded.transfer == pkg.transfer
+            assert loaded.constants() == pkg.constants()
+            assert verify_package(loaded).ok
+
+    @staticmethod
+    def _edit_constants(outdir, **changes):
+        path = outdir / "constants.json"
+        doc = json.loads(path.read_text())
+        doc.update(changes)
+        path.write_text(canonical_text(doc))
+
+    def test_edited_exponent_fails_its_check(self, tmp_path, stab2):
+        pkg = build_induced(stab2)
+        write_package(tmp_path, pkg, verify_package(pkg))
+        assert pkg.exponent == 2 and pkg.constants()["stabilization"] == 2
+        self._edit_constants(tmp_path, exponent=1)
+        checks = verify_package(load_package(tmp_path)).checks
+        assert checks["exponent_matches_stabilization"] == (
+            False, "n=1 stabilization=2")
+        assert checks["rank_matches_quotient"][0]
+
+    def test_edited_period_below_one_is_rejected(self, tmp_path, sigma):
         pkg = build_induced(sigma)
-        report = verify_package(pkg)
-        write_package(tmp_path, pkg, report)
-        for name in PACKAGE_FILES:
-            assert (tmp_path / name).exists()
-        loaded = load_package(tmp_path)
-        assert loaded.source == pkg.source
-        assert loaded.core == pkg.core
-        assert loaded.induced == pkg.induced
-        assert loaded.projection == pkg.projection
-        assert loaded.transfer == pkg.transfer
-        assert loaded.constants() == pkg.constants()
-        assert verify_package(loaded).ok
+        write_package(tmp_path, pkg, verify_package(pkg))
+        for period in (0, -1):
+            self._edit_constants(tmp_path, period=period)
+            with pytest.raises(ValueError, match="not positive"):
+                load_package(tmp_path)
+
+    def test_build_and_load_never_rewrite(self, tmp_path, monkeypatch,
+                                          named_fixture_maps):
+        calls = []
+        monkeypatch.setattr(SubgroupGraph, "rewrite",
+                            lambda self, darts: calls.append(darts))
+        for name, f in named_fixture_maps.items():
+            pkg = build_induced(f)
+            write_package(tmp_path / name, pkg, verify_package(pkg))
+            load_package(tmp_path / name)
+        assert calls == []
 
     def test_package_bytes_are_deterministic(self, tmp_path, fib):
         pkg = build_induced(fib)

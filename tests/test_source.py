@@ -7,17 +7,23 @@ names.  A relative import is deferred into a function only to break an
 import cycle.  The benchmark's tracer wraps package functions by name and reads
 the check names out of ``verify_package``, so those names are pinned too.
 No test runs the scripts under ``scripts/``, so every name they import from
-the package is checked to exist.
+the package is checked to exist.  The README's Python quick start and its
+sample ``ttforge quotient`` report are run and compared with the output the
+README shows.
 """
 
 import ast
+import contextlib
 import importlib
 import importlib.util
+import io
+import re
 from pathlib import Path
 
 import pytest
 
 from ttforge import induced
+from ttforge.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "ttforge"
@@ -236,3 +242,57 @@ def test_perfbench_targets_resolve():
         assert callable(getattr(owner, attr, None)), name
     checks = set(spans.verify_check_lines(induced.verify_package).values())
     assert checks == VERIFY_CHECKS
+
+
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+
+
+def fenced_block(text, after, lang):
+    """The first ``lang`` fenced block that follows the line ``after``."""
+    start = text.index(after)
+    match = re.compile(r"```%s\n(.*?)```" % lang, re.S).search(text, start)
+    return match.group(1)
+
+
+def shown_output(code):
+    """The output a code block shows in comments, one entry per ``print``.
+
+    A ``print`` line's trailing comment is its entry.  A ``print`` line
+    without one takes the comment-only lines right after it instead, joined
+    by one space, so a long output can wrap.
+    """
+    shown = []
+    continuing = False
+    for line in code.splitlines():
+        statement, _, comment = line.partition("#")
+        if statement.strip().startswith("print("):
+            shown.append(comment.strip())
+            continuing = not comment
+        elif continuing and not statement.strip() and comment:
+            shown[-1] = (shown[-1] + " " + comment.strip()).strip()
+        else:
+            continuing = False
+    return shown
+
+
+def test_shown_output_reads_wrapped_comments():
+    code = ("x = 1\nprint(x)\n# {'a': 1,\n#  'b': 2}\n\n"
+            "print(True)   # True\n# not output\n")
+    assert shown_output(code) == ["{'a': 1, 'b': 2}", "True"]
+
+
+def test_readme_quick_start_prints_what_it_shows():
+    code = fenced_block(README, "## Quick start", "python")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    assert out.getvalue().splitlines() == shown_output(code)
+
+
+def test_readme_quotient_report(monkeypatch, capsys):
+    command = re.search(r"For example, `(ttforge quotient [^`]*)` reports",
+                        README).group(1)
+    monkeypatch.chdir(ROOT)
+    assert main(command.split()[1:]) == 0
+    assert capsys.readouterr().out == fenced_block(
+        README, command + "` reports", "text")
