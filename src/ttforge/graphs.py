@@ -22,6 +22,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+from itertools import chain
+
 INV_PREFIX = "~"
 
 
@@ -268,29 +270,47 @@ def format_path(darts):
 # -- graph maps ------------------------------------------------------------
 
 
+class _DartTable(dict):
+    """Dart -> image path, filled in with the edge ids' images.
+
+    A reversed dart's image, the reversed image of its edge, is computed on
+    first use and kept.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, d):
+        if is_positive(d):
+            raise KeyError(d)
+        image = tuple(map(inv, reversed(self[inv(d)])))
+        self[d] = image
+        return image
+
+
 class GraphMap:
     """Map of Serre graphs: vertices to vertices, darts to nontrivial paths.
 
     ``edge_images`` assigns each positive dart (edge id) of the domain a dart
     sequence in the codomain; the image of a reversed dart is the reversed
-    image.  The constructor stores what it is given so that broken maps can be
-    fed to :func:`validate`; operations other than validate assume validity.
+    image.  Both live in one dart table, so substitution is one lookup per
+    symbol.  The constructor stores what it is given so that broken maps can
+    be fed to :func:`validate`; operations other than validate assume
+    validity.
     """
 
-    __slots__ = ("domain", "codomain", "vertex_map", "_images", "_rev_cache")
+    __slots__ = ("domain", "codomain", "vertex_map", "_table")
 
     def __init__(self, domain, codomain, vertex_map, edge_images):
         self.domain = domain
         self.codomain = codomain
         self.vertex_map = dict(vertex_map)
-        images = {}
+        table = _DartTable()
         for e in domain.edge_ids:
             img = edge_images.get(e, ())
             if isinstance(img, str):
                 img = tuple(token_dart(t) for t in img.split())
-            images[e] = tuple(img)
-        self._images = images
-        self._rev_cache = {}
+            table[e] = tuple(img)
+        self._table = table
 
     @classmethod
     def identity(cls, graph):
@@ -302,19 +322,10 @@ class GraphMap:
         return self.domain == self.codomain
 
     def dart_image(self, d):
-        if is_positive(d):
-            return self._images[d]
-        cached = self._rev_cache.get(d)
-        if cached is None:
-            cached = tuple(inv(x) for x in reversed(self._images[inv(d)]))
-            self._rev_cache[d] = cached
-        return cached
+        return self._table[d]
 
     def apply_to_darts(self, darts):
-        out = []
-        for d in darts:
-            out.extend(self.dart_image(d))
-        return tuple(out)
+        return tuple(chain.from_iterable(map(self._table.__getitem__, darts)))
 
     def apply_cycle(self, cycle):
         return CyclicPath(self.codomain, self.apply_to_darts(cycle.darts))
@@ -340,15 +351,18 @@ class GraphMap:
                 and self.domain == other.domain
                 and self.codomain == other.codomain
                 and self.vertex_map == other.vertex_map
-                and self._images == other._images)
+                and self._edge_images() == other._edge_images())
+
+    def _edge_images(self):
+        return list(map(self._table.__getitem__, self.domain.edge_ids))
 
     def __hash__(self):
         return hash((self.domain, self.codomain,
                      tuple(sorted(self.vertex_map.items())),
-                     tuple(sorted(self._images.items()))))
+                     tuple(zip(self.domain.edge_ids, self._edge_images()))))
 
     def __repr__(self):
-        ims = ", ".join("%s->%s" % (e, format_path(self._images[e]))
+        ims = ", ".join("%s->%s" % (e, format_path(self._table[e]))
                         for e in self.domain.edge_ids)
         return "GraphMap(%s)" % ims
 
@@ -386,7 +400,7 @@ def validate(m):
         if w not in m.codomain._out:
             return "vertex %r maps outside the codomain" % v
     for e in m.domain.edge_ids:
-        img = m._images[e]
+        img = m.dart_image(e)
         if not img:
             return "edge collapsed: %r has trivial image" % e
         for d in img:
@@ -400,6 +414,6 @@ def validate(m):
         if m.codomain.terminus(img[-1]) != m.vertex_map[m.domain.terminus(e)]:
             return "endpoint mismatch at terminus of %r" % e
     for e in m.domain.edge_ids:
-        if not is_reduced(m._images[e]):
+        if not is_reduced(m.dart_image(e)):
             return "not immersed: image of %r backtracks" % e
     return None

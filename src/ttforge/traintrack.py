@@ -1,11 +1,12 @@
 """Train track analysis of graph self-maps.
 
-Transition matrices over arbitrary-precision integers, irreducibility (a
-plain verdict from the strongly connected components) and primitivity, the
-expansion dichotomy, Perron-Frobenius values by exact power iteration (which
-``analyze`` reports; verification compares growth rates by an integer
-identity instead), turn calculus with legality certificates, legal loops
-through a prescribed edge, and invariant subgraph detection.
+Transition matrices over arbitrary-precision integers, stored as sparse
+rows, so that irreducibility (a plain verdict from the strongly connected
+components), primitivity, the expansion dichotomy and Perron-Frobenius
+values by exact power iteration (which ``analyze`` reports; verification
+compares growth rates by an integer identity instead) each cost O(nnz) per
+pass rather than O(dim^2); turn calculus with legality certificates, legal
+loops through a prescribed edge, and invariant subgraph detection.
 
 A self-map f is a train track map when it is surjective (every edge occurs in
 some image) and every iterate restricted to every edge is an immersion.  The
@@ -16,6 +17,7 @@ what :func:`is_train_track` certifies.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -30,28 +32,47 @@ class TransitionMatrix:
 
     Entry ``(e, e')`` counts occurrences of e' or its reverse in the image of
     e, so row sums are image lengths.  Entries are plain Python ints and never
-    overflow.
+    overflow.  Rows are stored sparse: ``entries[i]`` holds the sorted
+    ``(column, count)`` pairs of row i with a positive count, and
+    ``adjacency[i]`` their columns, the positivity digraph every routine here
+    walks, so each costs O(nnz) rather than O(dim^2).  The constructor takes
+    dense rows; ``rows`` is a dense view, for printing.
     """
 
-    __slots__ = ("labels", "rows")
+    __slots__ = ("labels", "entries", "adjacency")
 
     def __init__(self, labels, rows):
-        self.labels = tuple(labels)
-        self.rows = tuple(tuple(int(x) for x in row) for row in rows)
-        n = len(self.labels)
-        if len(self.rows) != n or any(len(r) != n for r in self.rows):
+        labels = tuple(labels)
+        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        n = len(labels)
+        if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("matrix shape does not match labels")
-        if any(x < 0 for row in self.rows for x in row):
+        if any(x < 0 for row in rows for x in row):
             raise ValueError("negative entry")
+        self._fill(labels, (tuple((j, x) for j, x in enumerate(row) if x)
+                            for row in rows))
+
+    @classmethod
+    def from_entries(cls, labels, entries):
+        """Matrix from sparse rows of sorted, positive ``(column, count)``."""
+        matrix = cls.__new__(cls)
+        matrix._fill(labels, entries)
+        return matrix
+
+    def _fill(self, labels, entries):
+        self.labels = tuple(labels)
+        self.entries = tuple(map(tuple, entries))
+        self.adjacency = tuple(tuple(j for j, _x in row)
+                               for row in self.entries)
 
     @property
     def dim(self):
         return len(self.labels)
 
-    def support(self):
-        """Adjacency lists of the positivity digraph (by index)."""
-        return [tuple(j for j, x in enumerate(row) if x > 0)
-                for row in self.rows]
+    @property
+    def rows(self):
+        return tuple(tuple(dict(row).get(j, 0) for j in range(self.dim))
+                     for row in self.entries)
 
     def to_text(self):
         lines = [" ".join(self.labels)]
@@ -61,10 +82,11 @@ class TransitionMatrix:
 
     def __eq__(self, other):
         return (isinstance(other, TransitionMatrix)
-                and self.labels == other.labels and self.rows == other.rows)
+                and self.labels == other.labels
+                and self.entries == other.entries)
 
     def __hash__(self):
-        return hash((self.labels, self.rows))
+        return hash((self.labels, self.entries))
 
     def __repr__(self):
         return "TransitionMatrix(%s)" % (self.to_text().replace("\n", "; "),)
@@ -75,13 +97,9 @@ def transition_matrix(f):
         raise ValueError("transition matrix needs a self map")
     labels = tuple(sorted(f.domain.edge_ids))
     index = {e: i for i, e in enumerate(labels)}
-    rows = []
-    for e in labels:
-        row = [0] * len(labels)
-        for d in f.dart_image(e):
-            row[index[edge_of(d)]] += 1
-        rows.append(row)
-    return TransitionMatrix(labels, rows)
+    return TransitionMatrix.from_entries(labels, (
+        sorted(Counter(index[edge_of(d)] for d in f.dart_image(e)).items())
+        for e in labels))
 
 
 def is_irreducible(matrix):
@@ -91,7 +109,7 @@ def is_irreducible(matrix):
     least one: the digraph is one strongly connected component and no row is
     zero, which for a 1x1 matrix asks for a loop.  The empty matrix passes.
     """
-    adj = matrix.support()
+    adj = matrix.adjacency
     return all(adj) and len(_strongly_connected_components(adj)) <= 1
 
 
@@ -107,12 +125,12 @@ def has_positive_power(matrix):
     if n == 0:
         return None
     full = (1 << n) - 1
-    adj = matrix.support()
+    adj = matrix.adjacency
     rows = [sum(1 << j for j in out) for out in adj]
     for t in range(1, (n - 1) ** 2 + 2):
         if all(row == full for row in rows):
             return t
-        rows = [reduce(or_, [rows[k] for k in out], 0) for out in adj]
+        rows = [reduce(or_, map(rows.__getitem__, out), 0) for out in adj]
     return None
 
 
@@ -192,32 +210,28 @@ def is_expanding(matrix):
     component, multiplicity two, or a walk through two cycles forces growth.
     """
     labels = matrix.labels
-    n = matrix.dim
-    adj = matrix.support()
+    adj = matrix.adjacency
     comps = _strongly_connected_components(adj)
-    comp_of = {}
+    comp_of = [0] * matrix.dim
     for ci, comp in enumerate(comps):
         for v in comp:
             comp_of[v] = ci
-    growing = []
-    cyclic = []
-    for comp in comps:
-        internal_arcs = 0
-        grow = False
-        for v in comp:
-            internal_mult = sum(matrix.rows[v][j] for j in comp)
-            if internal_mult >= 2:
-                grow = True
-            internal_arcs += sum(1 for j in adj[v] if j in comp)
-        has_cycle = internal_arcs > 0
-        cyclic.append(has_cycle)
-        growing.append(grow)
+    growing = [False] * len(comps)
+    cyclic = [False] * len(comps)
     # condensation DAG edges
     succ = [set() for _ in comps]
-    for v in range(n):
-        for w in adj[v]:
-            if comp_of[v] != comp_of[w]:
-                succ[comp_of[v]].add(comp_of[w])
+    for v, row in enumerate(matrix.entries):
+        ci = comp_of[v]
+        internal_mult = 0
+        for w, x in row:
+            if comp_of[w] == ci:
+                internal_mult += x
+            else:
+                succ[ci].add(comp_of[w])
+        if internal_mult:
+            cyclic[ci] = True
+        if internal_mult >= 2:
+            growing[ci] = True
     # DAG dynamic programming, memoized on component index
     reach_grow = {}
     max_cycles = {}
@@ -237,17 +251,13 @@ def is_expanding(matrix):
 
     for ci in range(len(comps)):
         visit(ci)
-    bounded = []
-    for i, e in enumerate(labels):
-        ci = comp_of[i]
-        if not reach_grow[ci] and max_cycles[ci] <= 1:
-            bounded.append(e)
+    bounded = [i for i in range(matrix.dim)
+               if not reach_grow[comp_of[i]] and max_cycles[comp_of[i]] <= 1]
     if not bounded:
         return ExpansionReport(True, (), None, None)
-    witness = bounded[0]
-    stable = _stable_length(matrix, labels.index(witness), set(
-        labels.index(e) for e in bounded))
-    return ExpansionReport(False, tuple(bounded), witness, stable)
+    stable = _stable_length(matrix, bounded[0], bounded)
+    return ExpansionReport(False, tuple(labels[i] for i in bounded),
+                           labels[bounded[0]], stable)
 
 
 def _stable_length(matrix, start, bounded_idx):
@@ -258,12 +268,12 @@ def _stable_length(matrix, start, bounded_idx):
     """
     idx = sorted(bounded_idx)
     pos = {v: i for i, v in enumerate(idx)}
-    rows = [tuple(matrix.rows[v][w] for w in idx) for v in idx]
+    rows = [tuple((pos[w], x) for w, x in matrix.entries[v]) for v in idx]
     state = tuple(1 for _ in idx)
     seen = {state: 0}
     hist = [state]
     while True:
-        state = tuple(sum(a * s for a, s in zip(row, state)) for row in rows)
+        state = tuple(sum(x * state[j] for j, x in row) for row in rows)
         if state in seen:
             first = seen[state]
             cycle = hist[first:]
@@ -299,12 +309,11 @@ def pf_eigenvalue(matrix, tol=Fraction(1, 10**9)):
     """
     if not is_irreducible(matrix):
         raise ValueError("matrix is not irreducible")
-    n = matrix.dim
-    rows = [tuple(matrix.rows[i][j] + (1 if i == j else 0) for j in range(n))
-            for i in range(n)]
-    x = [1] * n
+    # B = A + I, with the identity's ones kept as a separate x_i term
+    x = [1] * matrix.dim
     for step in range(1, PF_MAX_STEPS + 1):
-        y = [sum(a * b for a, b in zip(row, x)) for row in rows]
+        y = [xi + sum(a * x[j] for j, a in row)
+             for xi, row in zip(x, matrix.entries)]
         ratios = [Fraction(yi, xi) for yi, xi in zip(y, x)]
         lo, hi = min(ratios), max(ratios)
         if hi - lo <= tol:

@@ -14,7 +14,7 @@ from ttforge.freegroup import (
 )
 from ttforge.suspension import TorusPoint, map_point, project_point
 from ttforge.graphs import (
-    SerreGraph, edge_of, inv, is_positive, reduce_darts,
+    SerreGraph, compose, edge_of, inv, is_positive, reduce_darts,
 )
 
 
@@ -341,6 +341,97 @@ def irreducible_oracle(rows):
     return True
 
 
+def dense_transition_rows(f):
+    """Transition matrix of a self-map as dense rows, counted edge by edge."""
+    labels = sorted(f.domain.edge_ids)
+    return tuple(tuple(sum(1 for d in f.dart_image(e) if edge_of(d) == c)
+                       for c in labels) for e in labels)
+
+
+def transitive_closure(rows):
+    """reach[i][j]: a path of length >= 1 from i to j (Floyd-Warshall)."""
+    n = len(rows)
+    reach = [[x > 0 for x in row] for row in rows]
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                for j in range(n):
+                    if reach[k][j]:
+                        reach[i][j] = True
+    return reach
+
+
+def expansion_matrix_oracle(rows):
+    """``(bounded indices, stable length of the first or None)``.
+
+    Index i is bounded when every cyclic index it reaches lies in a simple
+    cycle of multiplicity one (each member has internal row sum 1), and no
+    cyclic index it reaches reaches a cyclic index of another component.
+    A bounded index's walk counts (A^m 1)_i are periodic from m = 2n on, so
+    its stable length is their maximum over m = 2n .. 3n, iterated dense.
+    """
+    n = len(rows)
+    reach = transitive_closure(rows)
+    cyclic = [j for j in range(n) if reach[j][j]]
+
+    def component(j):
+        return [k for k in range(n) if reach[j][k] and reach[k][j]]
+
+    def simple(j):
+        return all(sum(rows[a][b] for b in component(j)) == 1
+                   for a in component(j))
+
+    bounded = []
+    for i in range(n):
+        met = [j for j in cyclic if reach[i][j]]
+        if all(simple(j) for j in met) and not any(
+                reach[j][k] and not reach[k][j] for j in met for k in cyclic):
+            bounded.append(i)
+    if not bounded:
+        return bounded, None
+    lengths = [1] * n
+    seen = []
+    for m in range(3 * n + 1):
+        if m >= 2 * n:
+            seen.append(lengths[bounded[0]])
+        lengths = [sum(a * x for a, x in zip(row, lengths)) for row in rows]
+    return bounded, max(seen)
+
+
+def transfer_size_oracle(rows, power):
+    """1^T A^power 1 with dense matrix-vector products."""
+    lengths = [1] * len(rows)
+    for _ in range(power):
+        lengths = [sum(a * x for a, x in zip(row, lengths)) for row in rows]
+    return sum(lengths)
+
+
+def growth_rate_mismatch_oracle(up_labels, up_rows, down_labels, down_rows,
+                                edge_label):
+    """The first reason A_up Pi = Pi A_down fails, dense, or None.
+
+    Pi is the 0/1 matrix with Pi[e][c] = 1 when core edge e is labeled c;
+    both products are formed in full and compared row by row.
+    """
+    if not irreducible_oracle(down_rows):
+        return "source matrix is reducible"
+    if not irreducible_oracle(up_rows):
+        return "induced matrix is reducible"
+    pi = [[int(edge_label[e] == c) for c in down_labels] for e in up_labels]
+
+    def product(a, b):
+        return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
+                 for j in range(len(b[0]) if b else 0)]
+                for i in range(len(a))]
+
+    left = product(up_rows, pi)
+    right = product(pi, down_rows)
+    for e, lrow, rrow in zip(up_labels, left, right):
+        if lrow != rrow:
+            return "A_up Pi differs from Pi A_down at core edge %r" % e
+    return None
+
+
 # -- spectral radius -----------------------------------------------------------
 
 
@@ -454,6 +545,12 @@ def invariant_subgraph_search(f):
                    for e in keep for d in f.dart_image(e)):
                 hits.append(frozenset(keep))
     return hits
+
+
+def transfer_after_projection_oracle(pkg):
+    """P after p against fbar^K, both built in full and compared."""
+    return compose(pkg.transfer, pkg.projection) \
+        == pkg.induced.power(pkg.constant)
 
 
 # -- seam crossings ------------------------------------------------------------

@@ -11,7 +11,11 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ttforge.graphs import GraphMap, SerreGraph, compose, rose, validate
+from ttforge import graphs, induced
+from ttforge.covers import NotLiftableError, lift_by_tracing
+from ttforge.graphs import (
+    GraphMap, SerreGraph, compose, inv, rose, validate,
+)
 from ttforge.traintrack import (
     has_positive_power, pf_eigenvalue, transition_matrix,
 )
@@ -23,7 +27,10 @@ from ttforge.induced import (
     smallest_multiple_reaching, verify_package,
 )
 
-from oracles import orbit_chains_oracle, orbit_exponents_oracle
+from oracles import (
+    orbit_chains_oracle, orbit_exponents_oracle,
+    transfer_after_projection_oracle,
+)
 
 ROSE2 = rose(["a", "b"])
 
@@ -400,11 +407,138 @@ class TestVerifyPackage:
                      "exponent_matches_stabilization"):
             assert name in report.checks
 
+    @pytest.mark.parametrize("family", [_ring, _two_strand_ring],
+                             ids=["ring", "collapse_ring"])
+    def test_compose_output_is_linear_in_transfer(self, family,
+                                                  monkeypatch):
+        # every map verify builds is a small multiple of the transfer map:
+        # transfer after projection is decided without building induced^K
+        symbols = []
+        real_compose = graphs.compose
+
+        def counting_compose(g, h):
+            result = real_compose(g, h)
+            symbols.append(sum(len(result.dart_image(e))
+                               for e in result.domain.edge_ids))
+            return result
+
+        monkeypatch.setattr(graphs, "compose", counting_compose)
+        monkeypatch.setattr(induced, "compose", counting_compose)
+        for n in range(2, 7):
+            pkg = build_induced(family(n))
+            transfer = sum(len(pkg.transfer.dart_image(e))
+                           for e in pkg.transfer.domain.edge_ids)
+            symbols.clear()
+            assert verify_package(pkg).ok
+            assert 0 < sum(symbols) < 10 * transfer, (
+                n, sum(symbols), transfer)
+
     def test_corpus_packages_verify(self, corpus100):
         for f in corpus100:
             pkg = build_induced(f)
             report = verify_package(pkg)
             assert report.ok, report.failures()
+
+
+def _edited(m, vertex=None, image=None):
+    """m with one vertex image or one edge image replaced."""
+    vertex_map = dict(m.vertex_map)
+    images = {e: m.dart_image(e) for e in m.domain.edge_ids}
+    if vertex is not None:
+        vertex_map[vertex[0]] = vertex[1]
+    if image is not None:
+        images[image[0]] = image[1]
+    return GraphMap(m.domain, m.codomain, vertex_map, images)
+
+
+def tampered_packages(pkg):
+    """The package, then variants wrong in one place or lifted otherwise.
+
+    One dart of one transfer image is replaced by a core dart with the same
+    label (so the image stops being a path while p after P is unchanged),
+    by one with another label, and by its reverse; one vertex image of the
+    transfer and of the induced map moves within its fiber or leaves it;
+    the induced map becomes its square and the transfer P after f; one
+    transfer image is reversed; and the transfer and the induced map are
+    retraced from other vertices of the fiber, which keeps every premise of
+    the lifting decision but moves the vertex maps.
+    """
+    core, f, K = pkg.core, pkg.source, pkg.constant
+    P, fbar = pkg.transfer, pkg.induced
+    darts = core.graph.darts
+    out = [pkg]
+    e = P.domain.edge_ids[-1]
+    img = P.dart_image(e)
+    i = len(img) // 2
+    label = core.dart_label(img[i])
+    same = [d for d in darts
+            if d != img[i] and core.dart_label(d) == label]
+    other = [d for d in darts if core.dart_label(d) != label]
+    for d in same[:1] + other[:1] + [inv(img[i])]:
+        out.append(dataclasses.replace(pkg, transfer=_edited(
+            P, image=(e, img[:i] + (d,) + img[i + 1:]))))
+    out.append(dataclasses.replace(pkg, transfer=_edited(
+        P, image=(e, tuple(reversed(img))))))
+    for m, field in ((P, "transfer"), (fbar, "induced")):
+        v = m.domain.vertices[0]
+        moved = [w for w in core.graph.vertices if w != m.vertex_map[v]]
+        fiber = [w for w in moved if core.vertex_image[w]
+                 == core.vertex_image[m.vertex_map[v]]]
+        for w in fiber[:1] + [w for w in moved if w not in fiber][:1]:
+            out.append(dataclasses.replace(
+                pkg, **{field: _edited(m, vertex=(v, w))}))
+    out.append(dataclasses.replace(pkg, induced=fbar.power(2)))
+    out.append(dataclasses.replace(pkg, transfer=compose(P, f)))
+    fk = f.power(K)
+    base = core.vertex_image[core.basepoint]
+    for start, m, word_of, field in (
+            (base, P, fk.dart_image, "transfer"),
+            (core.basepoint, fbar,
+             lambda d: f.dart_image(core.dart_label(d)), "induced")):
+        graph = m.domain
+        for w in core.fiber(core.vertex_image[m.vertex_map[start]]):
+            if w == m.vertex_map[start]:
+                continue
+            try:
+                vm, images = lift_by_tracing(graph, start, w, word_of,
+                                             core.trace)
+            except NotLiftableError:
+                continue
+            out.append(dataclasses.replace(pkg, **{field: GraphMap(
+                graph, core.graph, vm, images)}))
+    return out
+
+
+class TestTransferAfterProjection:
+    """The lifting decision against the maps built in full."""
+
+    def test_matches_materialized_comparison(self, packages, monkeypatch):
+        pkgs = list(packages.values()) + [
+            build_induced(family(n)) for family in (_ring, _two_strand_ring)
+            for n in (2, 3, 4)]
+        built = []
+        real_compose = induced.compose
+
+        def spying_compose(g, h):
+            built.append((g, h))
+            return real_compose(g, h)
+
+        monkeypatch.setattr(induced, "compose", spying_compose)
+        outcomes = {}
+        for pkg in pkgs:
+            for bad in tampered_packages(pkg):
+                built.clear()
+                got = verify_package(bad).checks[
+                    "transfer_after_projection"][0]
+                assert got == transfer_after_projection_oracle(bad)
+                fallback = any(g is bad.transfer and h is bad.projection
+                               for g, h in built)
+                outcomes.setdefault((fallback, got), []).append(
+                    bad is pkg)
+        # every built package is accepted by lifting; lifting also rejects
+        # a package, and the fallback runs and rejects
+        assert outcomes[False, True].count(True) == len(pkgs)
+        assert outcomes[False, False] and outcomes[True, False]
 
 
 class TestConjugacy:

@@ -6,6 +6,7 @@ instead.  ``__init__.py`` is left out: its imports are the package's public
 names.  A relative import is deferred into a function only to break an
 import cycle.  The benchmark's tracer wraps package functions by name and reads
 the check names out of ``verify_package``, so those names are pinned too.
+The dense view of a transition matrix is read only where it is printed.
 No test runs the scripts under ``scripts/``, so every name they import from
 the package is checked to exist.  The README's Python quick start and its
 sample ``ttforge quotient`` report are run and compared with the output the
@@ -217,6 +218,52 @@ def test_detects_a_needless_local_import():
 def test_no_needless_local_imports():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
     assert needless_local_imports(sources) == []
+
+
+def attribute_readers(source, attr):
+    """Qualified names of the functions that read ``.attr``, sorted.
+
+    Methods are named ``Class.method``; a read outside any function is
+    named by its class, or ``""`` at module level.
+    """
+    readers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == attr
+                    and isinstance(child.ctx, ast.Load)):
+                readers.add(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return sorted(readers)
+
+
+def test_detects_attribute_readers():
+    source = ("class M:\n"
+              "    rows = 1\n"
+              "    def show(self):\n"
+              "        return [r for r in self.rows]\n"
+              "    def set(self, x):\n"
+              "        self.rows = x\n"
+              "def total(m):\n"
+              "    def inner():\n"
+              "        return m.rows\n"
+              "    return inner()\n"
+              "print(M().rows)\n")
+    assert attribute_readers(source, "rows") == ["", "M.show", "total.inner"]
+
+
+def test_dense_rows_only_at_print_boundaries():
+    """Matrix routines walk sparse rows; the dense view is for printing."""
+    readers = {(p.stem, name) for p in SRC.glob("*.py") for name in
+               attribute_readers(p.read_text(encoding="utf-8"), "rows")}
+    assert readers == {("cli", "cmd_analyze"),
+                       ("traintrack", "TransitionMatrix.to_text")}
 
 
 VERIFY_CHECKS = {

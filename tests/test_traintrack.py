@@ -6,6 +6,7 @@ the package.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,12 +18,15 @@ from ttforge.traintrack import (
     is_irreducible, is_train_track, legal_loop_through, pf_eigenvalue,
     transition_matrix,
 )
+from ttforge.induced import _growth_rate_mismatch, _transfer_size
 from ttforge.randmaps import random_candidate
 
 from oracles import (
-    expansion_oracle, invariant_subgraph_search, irreducible_oracle,
-    iterate_darts, darts_reduced, primitivity_exponent_oracle,
-    spectral_radius, train_track_oracle,
+    dense_transition_rows, expansion_matrix_oracle, expansion_oracle,
+    growth_rate_mismatch_oracle, invariant_subgraph_search,
+    irreducible_oracle, iterate_darts, darts_reduced,
+    primitivity_exponent_oracle, spectral_radius, train_track_oracle,
+    transfer_size_oracle,
 )
 
 GOLDEN = (1 + 5 ** 0.5) / 2
@@ -138,6 +142,81 @@ def arcs_matrix(n, arcs):
     for i, j in arcs:
         rows[i][j] = 1
     return square_matrix(rows)
+
+
+@st.composite
+def dense_rows(draw, max_dim=7, irreducible=False):
+    """Nonnegative square matrices: empty, 1x1, zero rows, spanning cycles.
+
+    With ``irreducible`` every matrix is nonempty with a spanning cycle.
+    """
+    dim = draw(st.integers(int(irreducible), max_dim))
+    rows = draw(st.lists(
+        st.lists(st.sampled_from((0, 0, 0, 1, 1, 2, 3)), min_size=dim,
+                 max_size=dim), min_size=dim, max_size=dim))
+    if irreducible or (dim and draw(st.booleans())):
+        order = draw(st.permutations(range(dim)))
+        for a, b in zip(order, order[1:] + order[:1]):
+            rows[a][b] = max(rows[a][b], 1)
+    elif dim:
+        for i in draw(st.lists(st.integers(0, dim - 1), max_size=2)):
+            rows[i] = [0] * dim
+    return rows
+
+
+class TestSparseRows:
+    """The sparse-row routines against dense reference versions."""
+
+    @given(rows=dense_rows())
+    @settings(max_examples=400, deadline=None)
+    def test_routines_match_dense_oracles(self, rows):
+        m = square_matrix(rows)
+        assert m.rows == tuple(tuple(row) for row in rows)
+        assert m == TransitionMatrix.from_entries(m.labels, m.entries)
+        assert is_irreducible(m) == irreducible_oracle(rows)
+        assert has_positive_power(m) == primitivity_exponent_oracle(rows)
+        bounded, stable = expansion_matrix_oracle(rows)
+        report = is_expanding(m)
+        assert report == ExpansionReport(
+            not bounded, tuple(m.labels[i] for i in bounded),
+            m.labels[bounded[0]] if bounded else None, stable)
+        for power in range(4):
+            assert _transfer_size(m, power) == transfer_size_oracle(
+                rows, power)
+
+    @given(down=dense_rows(max_dim=4, irreducible=True), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_growth_rate_mismatch_matches_dense_products(self, down, data):
+        # a core of up to 8 edges over the down matrix's edges; half the
+        # cases split each down entry over the columns with that label, so
+        # the identity holds unless a label has no core edge
+        k = len(down)
+        size = data.draw(st.integers(1, 8))
+        label = data.draw(st.lists(st.integers(0, k - 1), min_size=size,
+                                   max_size=size))
+        up = [[0] * size for _ in range(size)]
+        if data.draw(st.booleans()):
+            for e in range(size):
+                for c, count in enumerate(down[label[e]]):
+                    over = [j for j in range(size) if label[j] == c]
+                    for _ in range(count if over else 0):
+                        up[e][data.draw(st.sampled_from(over))] += 1
+        else:
+            up = data.draw(st.lists(st.lists(
+                st.integers(0, 2), min_size=size, max_size=size),
+                min_size=size, max_size=size))
+        a_down = square_matrix(down)
+        a_up = TransitionMatrix(["c%d" % i for i in range(size)], up)
+        edge_label = {"c%d" % e: "e%d" % label[e] for e in range(size)}
+        core = SimpleNamespace(edge_label=edge_label)
+        assert _growth_rate_mismatch(
+            core, a_down, a_up, is_irreducible(a_up)
+        ) == growth_rate_mismatch_oracle(
+            a_up.labels, up, a_down.labels, down, edge_label)
+
+    def test_rows_are_a_dense_count(self, named_fixture_maps, corpus100):
+        for f in list(named_fixture_maps.values()) + list(corpus100):
+            assert transition_matrix(f).rows == dense_transition_rows(f)
 
 
 class TestPositivePower:
