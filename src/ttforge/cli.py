@@ -276,8 +276,7 @@ def cmd_export_dot(args):
         bundle = io_mod.load_input_file(args.file)
         text = io_mod.export_dot(bundle.graph_map.domain)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        io_mod._write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK, None, None

@@ -29,7 +29,7 @@ INV_PREFIX = "~"
 
 def inv(dart):
     """Inverse dart: toggle the ``~`` prefix."""
-    if dart.startswith(INV_PREFIX):
+    if dart[:1] == INV_PREFIX:
         return dart[1:]
     return INV_PREFIX + dart
 
@@ -51,7 +51,7 @@ def edge_of(dart):
 def _check_id(kind, name):
     if not isinstance(name, str) or not name:
         raise ValueError("%s id must be a nonempty string, got %r" % (kind, name))
-    if any(c.isspace() for c in name):
+    if name.split() != [name]:
         raise ValueError("%s id %r contains whitespace" % (kind, name))
     if kind == "edge" and name[0] in ("~", "-"):
         raise ValueError("edge id %r may not start with '~' or '-'" % name)
@@ -66,8 +66,8 @@ class SerreGraph:
     objects occasionally need this).
     """
 
-    __slots__ = ("_vertices", "_edges", "_edge_ids", "_origin", "_out",
-                 "_key")
+    __slots__ = ("_vertices", "_edges", "_edge_ids", "_origin", "_terminus",
+                 "_out", "_key")
 
     def __init__(self, vertices, edges, allow_isolated=False):
         vertices = tuple(sorted(vertices))
@@ -78,14 +78,15 @@ class SerreGraph:
         edges = tuple(sorted((str(e), o, t) for (e, o, t) in edges))
         vset = set(vertices)
         origin = {}
+        terminus = {}
         for e, o, t in edges:
             _check_id("edge", e)
             if e in origin:
                 raise ValueError("duplicate edge id %r" % e)
             if o not in vset or t not in vset:
                 raise ValueError("edge %r has endpoint outside the vertex set" % e)
-            origin[e] = o
-            origin[inv(e)] = t
+            origin[e] = terminus[inv(e)] = o
+            origin[inv(e)] = terminus[e] = t
         out = {v: [] for v in vertices}
         for d, o in origin.items():
             out[o].append(d)
@@ -99,6 +100,7 @@ class SerreGraph:
         self._edges = edges
         self._edge_ids = tuple(e for (e, _, _) in edges)
         self._origin = origin
+        self._terminus = terminus
         self._out = out
         self._key = (vertices, edges)
 
@@ -127,7 +129,7 @@ class SerreGraph:
         return self._origin[d]
 
     def terminus(self, d):
-        return self._origin[inv(d)]
+        return self._terminus[d]
 
     def out_darts(self, v):
         return self._out[v]
@@ -192,7 +194,7 @@ def reduce_darts(darts):
 
 
 def is_reduced(darts):
-    return all(darts[i + 1] != inv(darts[i]) for i in range(len(darts) - 1))
+    return all(b != inv(a) for a, b in zip(darts, darts[1:]))
 
 
 class CyclicPath:
@@ -399,19 +401,19 @@ def validate(m):
             return "vertex %r has no image" % v
         if w not in m.codomain._out:
             return "vertex %r maps outside the codomain" % v
-    for e in m.domain.edge_ids:
+    origin, terminus = m.codomain._origin, m.codomain._terminus
+    for e, o, t in m.domain.edge_data:
         img = m.dart_image(e)
         if not img:
             return "edge collapsed: %r has trivial image" % e
         for d in img:
-            if not m.codomain.has_dart(d):
+            if d not in origin:
                 return "image of %r uses unknown dart %r" % (e, d)
-        for i in range(len(img) - 1):
-            if m.codomain.terminus(img[i]) != m.codomain.origin(img[i + 1]):
-                return "image of %r is not a path" % e
-        if m.codomain.origin(img[0]) != m.vertex_map[m.domain.origin(e)]:
+        if [terminus[d] for d in img[:-1]] != [origin[d] for d in img[1:]]:
+            return "image of %r is not a path" % e
+        if origin[img[0]] != m.vertex_map[o]:
             return "endpoint mismatch at origin of %r" % e
-        if m.codomain.terminus(img[-1]) != m.vertex_map[m.domain.terminus(e)]:
+        if terminus[img[-1]] != m.vertex_map[t]:
             return "endpoint mismatch at terminus of %r" % e
     for e in m.domain.edge_ids:
         if not is_reduced(m.dart_image(e)):

@@ -300,12 +300,13 @@ def _is_path_map(m, domain, codomain):
     return True
 
 
-def _transfer_after_projection(pkg, identities_held):
+def _transfer_after_projection(pkg, premises_held):
     """Whether P after p equals fbar^K: transfer, projection, induced map.
 
     Decided by unique path lifting when these premises hold: p is the
-    core's labeling and the core is immersed; ``identities_held``, that is
-    f p = p fbar and p P = f^K; and fbar and P send every edge to a
+    core's labeling and the core is immersed; ``premises_held``, that is
+    f p = p fbar, p P = f^K and fbar is a graph map (``graphs.validate``);
+    and fbar, a self-map of the core graph, and P send every edge to a
     nonempty core path from the image of its origin to the image of its
     terminus.  Unreduced substitution is associative, so p fbar^K = f^K p
     and p (P p) = (p P) p = f^K p.  For a core edge e, fbar^K(e) and
@@ -317,9 +318,9 @@ def _transfer_after_projection(pkg, identities_held):
     fails, both maps are built and compared.
     """
     core, p, P, fbar = pkg.core, pkg.projection, pkg.transfer, pkg.induced
-    if not (identities_held and p == projection_map(core)
+    if not (premises_held and p == projection_map(core)
             and core.is_immersion()
-            and _is_path_map(fbar, core.graph, core.graph)
+            and fbar.domain == core.graph == fbar.codomain
             and _is_path_map(P, core.ambient, core.graph)):
         return compose(P, p) == fbar.power(pkg.constant)
     power = {v: v for v in core.graph.vertices}
@@ -357,9 +358,11 @@ def verify_package(pkg):
     report.record(
         "transfer_covers_power", covers,
         "p after transfer versus f^%d" % K)
+    invalid = validate(fbar)
     report.record(
         "transfer_after_projection",
-        _transfer_after_projection(pkg, commutes and covers),
+        _transfer_after_projection(pkg, commutes and covers
+                                   and invalid is None),
         "transfer after p versus induced^%d" % K)
     report.record(
         "equivariance",
@@ -378,9 +381,13 @@ def verify_package(pkg):
         n == max(stabilization, 1),
         "n=%d stabilization=%d" % (n, stabilization))
 
-    cert = is_train_track(fbar)
-    report.record("induced_train_track", cert.is_train_track,
-                  cert.reason or "")
+    if invalid is None:
+        cert = is_train_track(fbar)
+        report.record("induced_train_track", cert.is_train_track,
+                      cert.reason or "")
+    else:
+        report.record("induced_train_track", False,
+                      "invalid graph map: %s" % invalid)
     a_down = transition_matrix(f)
     a_up = transition_matrix(fbar)
     up_irreducible = is_irreducible(a_up)

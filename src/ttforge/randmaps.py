@@ -63,18 +63,17 @@ def _immersed_path_between(rng, graph, a, b, max_len):
     """
     for _ in range(8):
         v = a
-        prev = None
+        back = None
         darts = []
         while len(darts) < max_len:
             if darts and v == b and rng.random() < 0.45:
                 return tuple(darts)
-            options = [d for d in graph.out_darts(v)
-                       if prev is None or d != inv(prev)]
+            options = [d for d in graph.out_darts(v) if d != back]
             if not options:
                 break
             d = rng.choice(options)
             darts.append(d)
-            prev = d
+            back = inv(d)
             v = graph.terminus(d)
         if darts and v == b:
             return tuple(darts)

@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ttforge.graphs import (
-    CyclicPath, GraphMap, SerreGraph, check_dart_sequence, compose,
-    dart_token, edge_of, format_path, inv, is_positive, reduce_darts, rose,
-    token_dart, validate,
+    INV_PREFIX, CyclicPath, GraphMap, SerreGraph, _check_id,
+    check_dart_sequence, compose, dart_token, edge_of, format_path, inv,
+    is_positive, reduce_darts, rose, token_dart, validate,
 )
 
 
@@ -238,3 +238,30 @@ def test_reduce_darts_pairs():
 def test_positive_edge_helpers():
     assert is_positive("a") and not is_positive("~a")
     assert edge_of("~a") == "a" == edge_of("a")
+
+
+def _inv_by_startswith(dart):
+    return dart[1:] if dart.startswith(INV_PREFIX) else INV_PREFIX + dart
+
+
+def _has_space_by_char(name):
+    return any(c.isspace() for c in name)
+
+
+# Unicode whitespace that str.isspace and str.split both know, and two
+# format characters (zero-width space, BOM) that neither treats as space
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.sampled_from(
+    "ab~-_0 \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0"
+    "\u1680\u2000\u2028\u2029\u3000\u200b\ufeff"), max_size=6)
+    | st.text(max_size=6))
+def test_string_shortcuts_match_their_definitions(name):
+    """inv's prefix slice and _check_id's split agree with str methods."""
+    assert inv(name) == _inv_by_startswith(name)
+    if name:
+        try:
+            _check_id("vertex", name)
+            rejected = False
+        except ValueError:
+            rejected = True
+        assert rejected == _has_space_by_char(name)

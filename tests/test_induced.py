@@ -509,13 +509,22 @@ def tampered_packages(pkg):
     return out
 
 
+@pytest.fixture(scope="module")
+def lifting_packages(packages):
+    """The fixture packages and both ring families at n = 2..4, by name."""
+    pkgs = dict(packages)
+    for family in (_ring, _two_strand_ring):
+        for n in (2, 3, 4):
+            pkgs["%s%d" % (family.__name__, n)] = build_induced(family(n))
+    return pkgs
+
+
 class TestTransferAfterProjection:
     """The lifting decision against the maps built in full."""
 
-    def test_matches_materialized_comparison(self, packages, monkeypatch):
-        pkgs = list(packages.values()) + [
-            build_induced(family(n)) for family in (_ring, _two_strand_ring)
-            for n in (2, 3, 4)]
+    def test_matches_materialized_comparison(self, lifting_packages,
+                                             monkeypatch):
+        pkgs = list(lifting_packages.values())
         built = []
         real_compose = induced.compose
 
@@ -539,6 +548,26 @@ class TestTransferAfterProjection:
         # a package, and the fallback runs and rejects
         assert outcomes[False, True].count(True) == len(pkgs)
         assert outcomes[False, False] and outcomes[True, False]
+
+
+def test_no_tampered_package_passes(lifting_packages):
+    """Every tampered package fails a check; an invalid f̄ fails its own."""
+    invalid_induced = []
+    for name, pkg in lifting_packages.items():
+        good, *tampered = tampered_packages(pkg)
+        assert verify_package(good).ok, name
+        for bad in tampered:
+            if (bad.transfer, bad.induced) == (good.transfer, good.induced):
+                continue  # fib: reversing a one-dart image changes nothing
+            report = verify_package(bad)
+            assert not report.ok, name
+            problem = validate(bad.induced)
+            if problem is not None:
+                invalid_induced.append(name)
+                assert report.checks["induced_train_track"] == (
+                    False, "invalid graph map: " + problem)
+    # f̄ with one vertex moved within its fiber used to pass all 15 checks
+    assert {"cyc2", "pre1_r2", "pre1_r3"} <= set(invalid_induced)
 
 
 class TestConjugacy:

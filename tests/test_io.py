@@ -1,6 +1,8 @@
 """Canonical serialization: round trips, digests, packages, DOT export."""
 
+import hashlib
 import json
+import os
 
 import pytest
 
@@ -150,12 +152,55 @@ class TestPackageFiles:
         for name in PACKAGE_FILES:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    @staticmethod
+    def _assert_same_files(a, b):
+        for name in PACKAGE_FILES:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+            assert (a / name).stat().st_mode == (b / name).stat().st_mode
+
+    def test_overwrite_leaves_no_stale_tail(self, tmp_path, sigma, pre1_r3):
+        small, large = build_induced(sigma), build_induced(pre1_r3)
+        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+        write_package(fresh, small, verify_package(small))
+        write_package(reused, large, verify_package(large))
+        assert all((reused / name).stat().st_size
+                   > (fresh / name).stat().st_size for name in PACKAGE_FILES)
+        write_package(reused, small, verify_package(small))
+        self._assert_same_files(fresh, reused)
+
+    def test_overwrite_of_empty_files(self, tmp_path, cyc2):
+        pkg = build_induced(cyc2)
+        report = verify_package(pkg)
+        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+        reused.mkdir()
+        for name in PACKAGE_FILES:
+            open(reused / name, "w").close()
+        write_package(fresh, pkg, report)
+        write_package(reused, pkg, report)
+        self._assert_same_files(fresh, reused)
+
+    def test_new_files_get_the_modes_of_open(self, tmp_path, sigma):
+        pkg = build_induced(sigma)
+        old = os.umask(0o027)
+        try:
+            write_package(tmp_path / "pkg", pkg, verify_package(pkg))
+            for name in PACKAGE_FILES:
+                with open(tmp_path / name, "w"):
+                    pass
+        finally:
+            os.umask(old)
+        for name in PACKAGE_FILES:
+            assert ((tmp_path / "pkg" / name).stat().st_mode
+                    == (tmp_path / name).stat().st_mode == 0o100640)
+
     def test_constants_file_contents(self, tmp_path, sigma):
         pkg = build_induced(sigma)
         write_package(tmp_path, pkg, verify_package(pkg))
         doc = json.loads((tmp_path / "constants.json").read_text())
         assert doc["constant"] == 2 and doc["schema"] == 1
         assert doc["input_digest"] == content_digest(input_to_obj(sigma))
+        assert doc["input_digest"] == hashlib.sha256(
+            (tmp_path / "source.json").read_bytes()).hexdigest()
         assert "tool_version" in doc
 
     def test_report_objects(self, sigma):

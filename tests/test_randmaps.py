@@ -1,10 +1,12 @@
 """Seeded map generation: determinism, bounds, certificates, statistics."""
 
+import hashlib
 import random
 
 import pytest
 
 from ttforge.graphs import inv, reduce_darts, validate
+from ttforge.io import canonical_text, input_to_obj
 from ttforge.randmaps import (
     GenerationStats, corpus, flip_orientations, random_candidate,
     random_graph, random_train_track_map,
@@ -125,3 +127,21 @@ class TestCorpus:
         random_train_track_map(rng, build_budget=300, stats=stats)
         assert stats.over_budget >= 0
         assert stats.accepted == 1
+
+    def test_benchmark_corpus_stream_is_pinned(self):
+        """The 300 maps the benchmark draws, and every rejection on the way.
+
+        Any change to the walk that adds, drops or reorders an RNG call
+        moves the digest or the counts.
+        """
+        stats = GenerationStats()
+        digest = hashlib.sha256()
+        for i in range(300):
+            f = random_train_track_map(random.Random("20260817:%d" % i),
+                                       6, 4, 200000, stats)
+            digest.update(canonical_text(input_to_obj(f)).encode("utf-8"))
+        assert digest.hexdigest() == (
+            "301444e2dfe67eff4a99983dabb56b2c049da0c5565892f60ad8b1ba7e9203df")
+        assert stats == GenerationStats(
+            attempts=4907, stuck=783, invalid=0, not_train_track=3452,
+            reducible=346, not_expanding=26, over_budget=0, accepted=300)

@@ -18,7 +18,10 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -264,6 +267,98 @@ def test_dense_rows_only_at_print_boundaries():
                attribute_readers(p.read_text(encoding="utf-8"), "rows")}
     assert readers == {("cli", "cmd_analyze"),
                        ("traintrack", "TransitionMatrix.to_text")}
+
+
+WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_APPEND", "O_CREAT", "O_TRUNC"}
+
+
+def file_writers(source):
+    """Qualified names of the functions that open a file for writing, sorted.
+
+    A call opens for writing when it is an ``open`` (builtin, ``os.open``
+    or a method) given a mode string holding w, a, x or +, or a flag
+    naming a write; ``write_text`` and ``write_bytes`` always do.  Names
+    are as in :func:`attribute_readers`.
+    """
+    writers = set()
+
+    def opens_for_writing(call):
+        func = call.func
+        name = func.id if isinstance(func, ast.Name) else getattr(
+            func, "attr", None)
+        if name in ("write_text", "write_bytes"):
+            return True
+        if name != "open":
+            return False
+        # the builtin and os.open take the path first, Path.open does not
+        path_first = isinstance(func, ast.Name) or (
+            isinstance(func.value, ast.Name) and func.value.id == "os")
+        modes = call.args[1 if path_first else 0:] + [
+            k.value for k in call.keywords if k.arg in ("mode", "flags")]
+        for mode in modes:
+            if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
+                if set(mode.value) & set("wax+"):
+                    return True
+            elif any(getattr(n, "attr", getattr(n, "id", None)) in WRITE_FLAGS
+                     for n in ast.walk(mode)):
+                return True
+        return False
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call) and opens_for_writing(child):
+                writers.add(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return sorted(writers)
+
+
+def test_detects_file_writers():
+    source = ("import os\n"
+              "def read(p):\n"
+              "    return open(p, encoding='utf-8').read(), open(p, 'rb')\n"
+              "def text(p):\n"
+              "    with open(p, 'w') as fh:\n"
+              "        fh.write('x')\n"
+              "def raw(p):\n"
+              "    os.close(os.open(p, os.O_WRONLY | os.O_CREAT, 0o666))\n"
+              "def raw_read(p):\n"
+              "    os.close(os.open(p, os.O_RDONLY))\n"
+              "class Store:\n"
+              "    def save(self, path):\n"
+              "        path.write_text('x')\n"
+              "    def append(self, path):\n"
+              "        return path.open(mode='a')\n"
+              "open('log', 'a+').close()\n")
+    assert file_writers(source) == [
+        "", "Store.append", "Store.save", "raw", "text"]
+
+
+def test_only_io_writes_files():
+    """Every file the package writes goes through ``io._write_text``."""
+    writers = {(p.stem, name) for p in SRC.glob("*.py")
+               for name in file_writers(p.read_text(encoding="utf-8"))}
+    assert writers == {("io", "_write_text")}
+
+
+def test_io_loads_no_openssl():
+    """Digests use the interpreter's built-in SHA-256 when it has one."""
+    code = ("import importlib.util, sys\n"
+            "import ttforge.io\n"
+            "print(any(importlib.util.find_spec(name)\n"
+            "          for name in ('_sha2', '_sha256')),\n"
+            "      '_hashlib' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    if out[0] != "True":
+        pytest.skip("no built-in sha256 in this interpreter")
+    assert out[1] == "False"
 
 
 VERIFY_CHECKS = {
