@@ -20,13 +20,12 @@ from .graphs import (
 from .traintrack import (
     TransitionMatrix, transition_matrix, is_irreducible, has_positive_power,
     is_expanding, pf_eigenvalue, TurnSystem, is_train_track,
-    legal_loop_through, find_invariant_subgraph,
+    certification_failure, legal_loop_through, find_invariant_subgraph,
 )
 from .freegroup import (
     SubgroupGraph, LabeledGraph, fold, whole_group_graph, Pi1Endomorphism,
     pi1_endomorphism, image_chain, image_subgroup, is_injective_on,
-    kernel_stabilization, stable_quotient, chain_quotient, map_subgroup,
-    subgroup_rank,
+    kernel_stabilization, stable_quotient, map_subgroup, subgroup_rank,
     hall_completion,
 )
 from .covers import NotLiftableError, based_lift_power, lift_graph_map
@@ -42,6 +41,4 @@ from .suspension import (
     make_cover_descriptor, project_point, seam_crossings,
     section_first_return,
 )
-from .randmaps import (
-    GenerationStats, certification_failure, corpus, random_train_track_map,
-)
+from .randmaps import GenerationStats, corpus, random_train_track_map

@@ -20,22 +20,20 @@ from fractions import Fraction
 
 from . import io as io_mod
 from .freegroup import (
-    chain_quotient, image_chain, induces_pi1_isomorphism, pi1_endomorphism,
+    induces_pi1_isomorphism, pi1_endomorphism, stable_quotient,
     whole_group_graph,
 )
 from .graphs import GraphMap, format_path, rose, validate
 from .induced import build_induced, find_periodic_vertex, verify_package
-from .randmaps import (
-    GenerationStats, certification_failure, random_train_track_map,
-)
+from .randmaps import GenerationStats, random_train_track_map
 from .suspension import (
     FlowHomotopyPair, MappingTorus, breakpoint_samples, edge_point, flow,
     h_maps, make_cover_descriptor, project_point, vertex_point, TorusPoint,
 )
 from .traintrack import (
-    find_invariant_subgraph, has_positive_power, is_expanding,
-    is_irreducible, is_train_track, legal_loop_through, pf_eigenvalue,
-    transition_matrix,
+    certification_failure, find_invariant_subgraph, has_positive_power,
+    is_expanding, is_irreducible, is_train_track, legal_loop_through,
+    pf_eigenvalue, transition_matrix,
 )
 
 log = logging.getLogger("ttforge")
@@ -101,7 +99,7 @@ def cmd_quotient(args):
     bundle, f = _load_self_map(args.file)
     v, period = find_periodic_vertex(f)
     phi = pi1_endomorphism(f.power(period), v)
-    q = chain_quotient(phi, image_chain(f, v, period))
+    q = stable_quotient(phi)
     results = {
         "basepoint": phi.base,
         "period": period,

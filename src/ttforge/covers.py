@@ -5,11 +5,10 @@ A lift that keeps the core invariant never touches those trees, so every
 lift here is traced inside the core or a finite covering.
 
 Every lift comes from one routine, `lift_by_tracing`: choose the image of a
-basepoint and trace edge images breadth-first.  Callers differ in what they
-trace into (the core, a finite covering) and in what a failure means: try
-the next basepoint image, as `lift_graph_map` does, or raise, as
-`based_lift_power` does because the theory promises its image stays in the
-core.
+basepoint and trace edge images breadth-first.  Its two callers differ in
+what a failure means: try the next basepoint image, as `lift_graph_map`
+does into a core or a finite covering, or raise, as `based_lift_power`
+does because the theory promises its image stays in the core.
 """
 
 from __future__ import annotations
@@ -66,6 +65,7 @@ def lift_by_tracing(graph, base, image, word_of, trace):
 def lift_graph_map(f, core):
     """Lift of the ambient self-map to a self-map of the core's graph.
 
+    ``core`` is a folded core or a connected finite covering, pointed.
     Tries each core vertex over the image of the core's base vertex, in id
     order, as the image of the basepoint; the first consistent assignment
     wins.  Raises NotLiftableError when none works, which for train track

@@ -23,7 +23,7 @@ f_*(H) (Stallings 1983); that is `map_subgroup`.  `image_chain` takes such
 single steps of f from the whole group until the first step that keeps the
 rank, which it only rank-tests, so its words are edge images of f even when
 the return map is a power of f.  Stabilization, the stable quotient and the
-injectivity exponent read that chain; `chain_quotient`, which writes the
+injectivity exponent read that chain; `stable_quotient`, which writes the
 restriction to the stable image in the core's basis, serves `ttforge
 quotient`, and the promotion needs only the chain.  Injectivity on a
 subgroup, by Hopficity, is a rank query on one map fold.
@@ -512,18 +512,12 @@ def pi1_endomorphism(f, base=None):
 def endomorphism_on_rose(generators, images):
     """Abstract endomorphism of a free group, realized on a rose.
 
-    ``images`` maps generator names to token words over the generators.
+    ``images`` maps generator names to token words over the generators,
+    which `GraphMap` parses.
     """
     rose_graph = rose(generators)
-    edge_images = {}
-    for g in generators:
-        word = images[g]
-        if isinstance(word, str):
-            darts = tuple(token_dart(t) for t in word.split())
-        else:
-            darts = tuple(word)
-        edge_images[g] = darts
-    f = GraphMap(rose_graph, rose_graph, {"v": "v"}, edge_images)
+    f = GraphMap(rose_graph, rose_graph, {"v": "v"},
+                 {g: images[g] for g in generators})
     return pi1_endomorphism(f, "v")
 
 
@@ -628,12 +622,7 @@ def _tokens_to_text(tokens):
 
 def stable_quotient(phi):
     """Kernel stabilization constant plus the restricted endomorphism."""
-    return chain_quotient(phi, image_chain(phi.map, phi.base))
-
-
-def chain_quotient(phi, chain):
-    """`stable_quotient` read off an `image_chain` whose links are phi's."""
-    links, K = chain
+    links, K = image_chain(phi.map, phi.base)
     core = links[K]
     restriction = {}
     for name, _loop, word in core.basis():

@@ -28,8 +28,8 @@ from .freegroup import (
 )
 from .graphs import GraphMap, compose, edge_of, inv, reduce_darts, validate
 from .traintrack import (
-    has_positive_power, is_expanding, is_irreducible, is_train_track,
-    transition_matrix,
+    certification_failure, has_positive_power, is_expanding, is_irreducible,
+    is_train_track, transition_matrix,
 )
 
 
@@ -115,6 +115,26 @@ class InducedPackage:
         }
 
 
+def basepoint_orbit(fbar, base, r):
+    """The orbit of ``base`` under the r-th power of the lift fbar.
+
+    Returns ``(preperiod, orbit_period, landing)``: the orbit enters its
+    cycle after ``preperiod`` steps and then repeats every
+    ``orbit_period``, so every multiple of the period that is at least the
+    preperiod lands on the same cycle point, ``landing``.
+    """
+    step = {}  # orbit point -> its step, in orbit order
+    cur = base
+    while cur not in step:
+        step[cur] = len(step)
+        for _ in range(r):
+            cur = fbar.vertex_map[cur]
+    preperiod = step[cur]
+    orbit_period = len(step) - preperiod
+    landing = list(step)[preperiod + -preperiod % orbit_period]
+    return preperiod, orbit_period, landing
+
+
 def smallest_multiple_reaching(step, floor):
     """Least positive multiple of ``step`` that is >= ``floor``.
 
@@ -147,26 +167,15 @@ def _transfer_size(matrix, power):
 def build_induced(f, size_budget=None):
     """Run the whole promotion and return the package.
 
-    The input must be a valid expanding irreducible train track map; each
-    precondition failure raises ValueError with the violated property.  A
-    ``size_budget`` caps the total symbol count of the transfer map's edge
-    images (its length grows like the growth rate to the power 2knr).
+    The input must be a valid expanding irreducible train track map; else
+    ValueError names the first admission check it fails (see
+    `traintrack.certification_failure`).  A ``size_budget`` caps the total
+    symbol count of the transfer map's edge images (its length grows like
+    the growth rate to the power 2knr).
     """
-    problem = validate(f)
-    if problem is not None:
-        raise ValueError("invalid graph map: %s" % problem)
-    if not f.is_self_map:
-        raise ValueError("need a self map")
-    cert = is_train_track(f)
-    if not cert.is_train_track:
-        raise ValueError("not a train track map: %s" % cert.reason)
-    matrix = transition_matrix(f)
-    if not is_irreducible(matrix):
-        raise ValueError("transition matrix is not irreducible")
-    expansion = is_expanding(matrix)
-    if not expansion.expanding:
-        raise ValueError("not expanding: edge %r stays bounded"
-                         % expansion.witness_edge)
+    failure = certification_failure(f)
+    if failure is not None:
+        raise ValueError(failure[1])
 
     v, r = find_periodic_vertex(f)
     chain = image_chain(f, v, r)
@@ -177,38 +186,17 @@ def build_induced(f, size_budget=None):
         raise ValueError("stable image subgroup is trivial")
 
     fbar = lift_graph_map(f, core)
-
-    # orbit of the basepoint upstairs under the r-th power of the lift
-    fbar_r_vertex = {}
-    for x in core.graph.vertices:
-        cur = x
-        for _ in range(r):
-            cur = fbar.vertex_map[cur]
-        fbar_r_vertex[x] = cur
-    seq = [core.basepoint]
-    first_seen = {core.basepoint: 0}
-    while True:
-        nxt = fbar_r_vertex[seq[-1]]
-        if nxt in first_seen:
-            preperiod = first_seen[nxt]
-            orbit_period = len(seq) - preperiod
-            break
-        first_seen[nxt] = len(seq)
-        seq.append(nxt)
+    preperiod, orbit_period, z = basepoint_orbit(fbar, core.basepoint, r)
     k = smallest_multiple_reaching(orbit_period, max(preperiod, 1))
     K = 2 * k * n * r
 
     if size_budget is not None:
-        if _transfer_size(matrix, K) > size_budget:
+        if _transfer_size(transition_matrix(f), K) > size_budget:
             raise SizeBudgetExceeded(
                 "transfer map needs more than %d symbols" % size_budget)
 
     half = based_lift_power(core, f, k * n * r)
     transfer = compose(fbar.power(k * n * r), half)
-
-    z = core.basepoint
-    for _ in range(k):
-        z = fbar_r_vertex[z]
 
     return InducedPackage(
         source=f,
@@ -371,10 +359,19 @@ def verify_package(pkg):
 
     k, n, r = pkg.multiplier, pkg.exponent, pkg.period
     links, stabilization = pkg.chain
+    core = pkg.core
+    # the orbit constants are re-derived, the orbit only on a valid lift
+    periodic = find_periodic_vertex(f)
+    orbit = (invalid is None and fbar.domain == core.graph == fbar.codomain
+             and basepoint_orbit(fbar, core.basepoint, periodic[1]))
     report.record(
         "constant_consistent",
-        K == 2 * k * n * r and k % pkg.orbit_period == 0
-        and k >= max(pkg.preperiod, 1) and n >= 1 and r >= 1,
+        orbit == (pkg.preperiod, pkg.orbit_period, pkg.transfer_basepoint)
+        and periodic == (pkg.periodic_vertex, r)
+        and pkg.basepoint == core.basepoint
+        and P.vertex_map.get(pkg.periodic_vertex) == pkg.transfer_basepoint
+        and K == 2 * k * n * r and k % pkg.orbit_period == 0
+        and k >= max(pkg.preperiod, 1) and n >= 1,
         "K=%d k=%d n=%d r=%d" % (K, k, n, r))
     report.record(
         "exponent_matches_stabilization",
@@ -412,7 +409,6 @@ def verify_package(pkg):
     report.record("induced_pi1_injective", is_injective_on(
         fbar, whole_group_graph(fbar.domain, fbar.domain.vertices[0])))
 
-    core = pkg.core
     labels = set(core.edge_label.values())
     vertex_images = set(core.vertex_image.values())
     report.record(

@@ -27,7 +27,7 @@ except ImportError:  # Python 3.11 and older name the module apart
 
 from . import __version__
 from .freegroup import SubgroupGraph, endomorphism_on_rose, image_chain
-from .graphs import GraphMap, SerreGraph, format_path, token_dart
+from .graphs import GraphMap, SerreGraph, format_path
 from .induced import InducedPackage
 
 SCHEMA = 1
@@ -87,9 +87,14 @@ def map_to_obj(f):
 
 
 def map_from_obj(obj, domain, codomain=None):
+    """The graph map of a map object; `GraphMap` parses the path strings."""
     codomain = domain if codomain is None else codomain
-    images = {e: tuple(token_dart(t) for t in word.split())
-              for e, word in obj["edges"].items()}
+    images = obj["edges"]
+    if not isinstance(images, dict):
+        raise ValueError("map edges must be an object of path strings")
+    for e, word in images.items():
+        if not isinstance(word, str):
+            raise ValueError("image of edge %r is not a path string" % (e,))
     return GraphMap(domain, codomain, dict(obj["vertices"]), images)
 
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .covers import NotLiftableError, lift_by_tracing
-from .freegroup import LabeledGraph, hall_completion, induces_pi1_isomorphism
+from .covers import NotLiftableError, lift_graph_map
+from .freegroup import SubgroupGraph, hall_completion, induces_pi1_isomorphism
 from .graphs import (
     GraphMap, SerreGraph, compose, edge_of, is_positive, validate,
 )
@@ -413,25 +413,14 @@ class CoverDescriptor:
 
 
 def _component_containing(cover, base):
-    """The connected component of a covering through one vertex."""
-    graph = cover.graph
-    keep = {base}
-    queue = [base]
-    while queue:
-        v = queue.pop(0)
-        for d in graph.out_darts(v):
-            w = graph.terminus(d)
-            if w not in keep:
-                keep.add(w)
-                queue.append(w)
-    if len(keep) == len(graph.vertices):
-        return cover
-    edges = [(e, o, t) for e, o, t in graph.edge_data if o in keep]
-    sub = SerreGraph(sorted(keep), edges)
-    return LabeledGraph(
-        sub, cover.ambient,
+    """The connected component of a covering through ``base``, based there."""
+    keep = SubgroupGraph(cover.graph, cover.ambient, cover.edge_label,
+                         cover.vertex_image, base).spanning_tree()[1]
+    edges = [(e, o, t) for e, o, t in cover.graph.edge_data if o in keep]
+    return SubgroupGraph(
+        SerreGraph(keep, edges), cover.ambient,
         {e: cover.edge_label[e] for e, _, _ in edges},
-        {v: cover.vertex_image[v] for v in keep})
+        {v: cover.vertex_image[v] for v in keep}, base)
 
 
 def make_cover_descriptor(f, sub, max_exponent=12):
@@ -440,9 +429,10 @@ def make_cover_descriptor(f, sub, max_exponent=12):
     The self-map must be a homotopy equivalence (checked); the subgroup's
     core is completed to a covering if it is not one already, keeping the
     component through the basepoint.  Exponents are tried in increasing
-    order, each with every basepoint fiber vertex as a candidate image, and
-    the first consistent lift wins; that exponent is also how far the cover
-    winds around the section direction per upstairs period.
+    order, each lifted by `lift_graph_map` (every basepoint fiber vertex a
+    candidate image, the first consistent lift winning); that exponent is
+    also how far the cover winds around the section direction per upstairs
+    period.
     """
     if not induces_pi1_isomorphism(f):
         raise ValueError("descriptors need a homotopy equivalence downstairs")
@@ -454,27 +444,12 @@ def make_cover_descriptor(f, sub, max_exponent=12):
     if base is None or base not in cover.graph.vertices:
         base = cover.graph.vertices[0]
     cover = _component_containing(cover, base)
-
-    def trace(vertex, word):
-        # tracing through a covering never gets stuck
-        end, lifted, consumed = cover.trace(vertex, word)
-        if consumed != len(word):
-            raise AssertionError("trace failed inside a covering")
-        return end, lifted, consumed
-
-    graph = cover.graph
     for j in range(1, max_exponent + 1):
-        big = f.power(j)
-        target_down = big.vertex_map[cover.vertex_image[base]]
-        for candidate in sorted(cover.fiber(target_down)):
-            try:
-                vm, images = lift_by_tracing(
-                    graph, base, candidate,
-                    lambda d: big.dart_image(cover.dart_label(d)), trace)
-            except NotLiftableError:
-                continue
-            return CoverDescriptor(cover, GraphMap(graph, graph, vm, images),
-                                   j, f)
+        try:
+            lift = lift_graph_map(f.power(j), cover)
+        except NotLiftableError:
+            continue
+        return CoverDescriptor(cover, lift, j, f)
     raise NotLiftableError(
         "no power up to %d lifts to the cover" % max_exponent)
 

@@ -5,8 +5,9 @@ rows, so that irreducibility (a plain verdict from the strongly connected
 components), primitivity, the expansion dichotomy and Perron-Frobenius
 values by exact power iteration (which ``analyze`` reports; verification
 compares growth rates by an integer identity instead) each cost O(nnz) per
-pass rather than O(dim^2); turn calculus with legality certificates, legal
-loops through a prescribed edge, and invariant subgraph detection.
+pass rather than O(dim^2); turn calculus with legality certificates, the
+admission chain of the promotion and the generator, legal loops through a
+prescribed edge, and invariant subgraph detection.
 
 A self-map f is a train track map when it is surjective (every edge occurs in
 some image) and every iterate restricted to every edge is an immersion.  The
@@ -24,7 +25,7 @@ from functools import reduce
 from math import gcd
 from operator import or_
 
-from .graphs import CyclicPath, edge_of, inv, turn
+from .graphs import CyclicPath, edge_of, inv, turn, validate
 
 
 class TransitionMatrix:
@@ -417,8 +418,10 @@ def is_train_track(f):
     """Certify the train track condition for a valid self-map.
 
     Surjectivity on edges plus: the derivative closure of the taken turns
-    contains no degenerate turn.  The certificate stores the closed legal set
-    or the degenerating orbit, and can be rechecked independently.
+    contains no degenerate turn, which is the union of the taken turns'
+    orbits, each walked once.  The certificate stores the closed legal set
+    or the degenerating orbit, and `TrainTrackCertificate.check` rechecks
+    it independently.
     """
     covered = set()
     for e in f.domain.edge_ids:
@@ -430,12 +433,43 @@ def is_train_track(f):
             False, "not surjective: edge %r is never crossed" % missing[0],
             None, None)
     ts = TurnSystem(f)
+    closure = set()
     for t in sorted(ts.taken):
+        # an orbit already walked holds t's whole orbit, legal throughout
+        if t in closure:
+            continue
         orbit = ts.orbit(t)
         if orbit[-1][0] == orbit[-1][1]:
             return TrainTrackCertificate(
                 False, "taken turn %r degenerates" % (t,), None, tuple(orbit))
-    return TrainTrackCertificate(True, None, ts.closure_of_taken(), None)
+        closure.update(orbit)
+    return TrainTrackCertificate(True, None, frozenset(closure), None)
+
+
+def certification_failure(f):
+    """The first admission check f fails, or None.
+
+    In order: a valid graph map, a self-map, a train track map, an
+    irreducible transition matrix, expanding.  A failure is ``(field,
+    message)``: the `randmaps.GenerationStats` field counting it and the
+    ValueError message of `induced.build_induced`.
+    """
+    problem = validate(f)
+    if problem is not None:
+        return "invalid", "invalid graph map: %s" % problem
+    if not f.is_self_map:
+        return "invalid", "need a self map"
+    cert = is_train_track(f)
+    if not cert.is_train_track:
+        return "not_train_track", "not a train track map: %s" % cert.reason
+    matrix = transition_matrix(f)
+    if not is_irreducible(matrix):
+        return "reducible", "transition matrix is not irreducible"
+    expansion = is_expanding(matrix)
+    if not expansion.expanding:
+        return "not_expanding", ("not expanding: edge %r stays bounded"
+                                 % expansion.witness_edge)
+    return None
 
 
 # -- legal loops --------------------------------------------------------------

@@ -72,6 +72,23 @@ class TestAnalyze:
         assert main(["analyze", fixture("backtracking.json")]) == 1
         assert "invalid graph map" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edges,named", [
+        ({"a": ["a", "a"], "b": "a b"}, "'a'"),
+        ({"a": "a b", "b": 7}, "'b'"),
+        (["a b", "a b"], "object"),
+    ], ids=["list", "int", "edge-list"])
+    def test_non_string_edge_image_is_input_error(self, capsys, tmp_path,
+                                                  edges, named):
+        doc = json.loads((FIXTURES / "sigma.json").read_text())
+        doc["map"]["edges"] = edges
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert named in err
+        assert "Traceback" not in err
+
 
 class TestQuotient:
     def test_collapsing_substitution(self, capsys):

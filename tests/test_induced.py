@@ -22,9 +22,9 @@ from ttforge.traintrack import (
 from ttforge.freegroup import image_chain
 from ttforge.randmaps import random_candidate
 from ttforge.induced import (
-    SizeBudgetExceeded, _transfer_size, build_induced, conjugacy_check,
-    find_periodic_vertex, injectivity_exponent, projection_map,
-    smallest_multiple_reaching, verify_package,
+    SizeBudgetExceeded, _transfer_size, basepoint_orbit, build_induced,
+    conjugacy_check, find_periodic_vertex, injectivity_exponent,
+    projection_map, smallest_multiple_reaching, verify_package,
 )
 
 from oracles import (
@@ -334,6 +334,37 @@ class TestVerifyPackage:
         assert not report.ok
         assert "constant_consistent" in report.failures()
         assert "transfer_covers_power" in report.failures()
+
+    @pytest.mark.parametrize("name", ["sigma", "cyc2", "pre1_r2"])
+    def test_tampered_orbit_constants_are_caught(self, packages, name):
+        # verify re-derives the periodic vertex and the basepoint orbit
+        # upstairs, and reads the transfer basepoint off the transfer
+        pkg = packages[name]
+        edits = [("preperiod", pkg.preperiod + 1),
+                 ("orbit_period", pkg.orbit_period + 1)]
+        for field, vertices in (
+                ("transfer_basepoint", pkg.core.graph.vertices),
+                ("basepoint", pkg.core.graph.vertices),
+                ("periodic_vertex", pkg.source.domain.vertices)):
+            edits += [(field, w) for w in vertices
+                      if w != getattr(pkg, field)][:1]
+        assert {field for field, _ in edits} >= {
+            "preperiod", "orbit_period", "transfer_basepoint", "basepoint"}
+        for field, value in edits:
+            report = verify_package(
+                dataclasses.replace(pkg, **{field: value}))
+            ok, detail = report.checks["constant_consistent"]
+            assert not ok, (field, value)
+            assert detail == "K=%d k=%d n=%d r=%d" % (
+                pkg.constant, pkg.multiplier, pkg.exponent, pkg.period)
+
+    def test_basepoint_orbit_gives_the_package_constants(self, packages):
+        for pkg in packages.values():
+            assert basepoint_orbit(
+                pkg.induced, pkg.core.basepoint, pkg.period) == (
+                pkg.preperiod, pkg.orbit_period, pkg.transfer_basepoint)
+            assert pkg.transfer.vertex_map[pkg.periodic_vertex] == \
+                pkg.transfer_basepoint
 
     def test_tampered_transfer_is_caught(self, packages):
         pkg = packages["sigma"]

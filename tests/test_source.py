@@ -7,6 +7,7 @@ names.  A relative import is deferred into a function only to break an
 import cycle.  The benchmark's tracer wraps package functions by name and reads
 the check names out of ``verify_package``, so those names are pinned too.
 The dense view of a transition matrix is read only where it is printed.
+Admission, the lift search and the stable quotient each have one home.
 No test runs the scripts under ``scripts/``, so every name they import from
 the package is checked to exist.  The README's Python quick start and its
 sample ``ttforge quotient`` report are run and compared with the output the
@@ -359,6 +360,55 @@ def test_io_loads_no_openssl():
     if out[0] != "True":
         pytest.skip("no built-in sha256 in this interpreter")
     assert out[1] == "False"
+
+
+def function_sites(source, name):
+    """Whether ``source`` defines and whether it calls a function ``name``.
+
+    A call counts by plain name or as an attribute; a definition at any
+    depth counts.
+    """
+    defines = calls = False
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defines = defines or node.name == name
+        elif isinstance(node, ast.Call):
+            func = node.func
+            calls = calls or name in (getattr(func, "id", None),
+                                      getattr(func, "attr", None))
+    return defines, calls
+
+
+def test_detects_function_sites():
+    source = ("import m\n"
+              "def f():\n    return m.g(1)\n"
+              "class C:\n    def h(self):\n        return f()\n")
+    assert function_sites(source, "f") == (True, True)
+    assert function_sites(source, "g") == (False, True)
+    assert function_sites(source, "h") == (True, False)
+
+
+PACKAGE_SOURCES = {p.stem: p.read_text(encoding="utf-8")
+                   for p in SRC.glob("*.py")}
+
+
+def test_one_lift_search():
+    """Every traced lift goes through covers.py; others call lift_graph_map."""
+    callers = {module for module, source in PACKAGE_SOURCES.items()
+               if function_sites(source, "lift_by_tracing")[1]}
+    assert callers == {"covers"}
+
+
+def test_one_admission_chain():
+    """Build, the generator and proptest share traintrack's chain."""
+    homes = {module for module, source in PACKAGE_SOURCES.items()
+             if function_sites(source, "certification_failure")[0]}
+    assert homes == {"traintrack"}
+
+
+def test_one_stable_quotient_entry_point():
+    assert [module for module, source in PACKAGE_SOURCES.items()
+            if "chain_quotient" in source] == []
 
 
 VERIFY_CHECKS = {

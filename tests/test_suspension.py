@@ -11,12 +11,15 @@ from fractions import Fraction
 import pytest
 
 from ttforge.covers import NotLiftableError
-from ttforge.freegroup import fold, whole_group_graph
-from ttforge.graphs import GraphMap, rose
+from ttforge.freegroup import (
+    LabeledGraph, SubgroupGraph, fold, whole_group_graph,
+)
+from ttforge.graphs import GraphMap, SerreGraph, rose
 from ttforge.induced import build_induced
 from ttforge.suspension import (
     CoverDescriptor, CoverPoint, FlowHomotopyPair, MappingTorus, TorusPoint,
-    breakpoint_samples, edge_point, flow, h_maps, iterate_breakpoints,
+    _component_containing, breakpoint_samples, edge_point, flow, h_maps,
+    iterate_breakpoints,
     make_cover_descriptor, map_point, project_point, return_time,
     seam_crossings, section_first_return, vertex_point,
 )
@@ -346,6 +349,21 @@ class TestCoverDescriptor:
         core = fold(ROSE2, "v", ["a b"])
         with pytest.raises(ValueError, match="covering"):
             CoverDescriptor(core, fib, 1, fib)
+
+    def test_component_is_based_at_the_chosen_vertex(self):
+        # two disjoint copies of the rose: a degree-two, disconnected cover
+        graph = SerreGraph(["p", "q"], [("ap", "p", "p"), ("bp", "p", "p"),
+                                        ("aq", "q", "q"), ("bq", "q", "q")])
+        cover = LabeledGraph(graph, ROSE2,
+                             {"ap": "a", "bp": "b", "aq": "a", "bq": "b"},
+                             {"p": "v", "q": "v"})
+        part = _component_containing(cover, "q")
+        assert isinstance(part, SubgroupGraph) and part.basepoint == "q"
+        assert part.graph.vertices == ("q",)
+        assert part.graph.edge_ids == ("aq", "bq")
+        assert part.is_covering() and part.degree() == 1
+        whole = _component_containing(whole_group_graph(ROSE2, "v"), "v")
+        assert whole == whole_group_graph(ROSE2, "v")
 
 
 class TestLiftedFlow:

@@ -6,6 +6,7 @@ the package.
 """
 
 import random
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -13,13 +14,16 @@ from hypothesis import given, settings, strategies as st
 
 from ttforge.graphs import CyclicPath, GraphMap, inv, rose, turn, validate
 from ttforge.traintrack import (
-    ExpansionReport, TransitionMatrix, TurnSystem,
+    ExpansionReport, TransitionMatrix, TurnSystem, certification_failure,
     find_invariant_subgraph, has_positive_power, is_expanding,
     is_irreducible, is_train_track, legal_loop_through, pf_eigenvalue,
     transition_matrix,
 )
-from ttforge.induced import _growth_rate_mismatch, _transfer_size
-from ttforge.randmaps import random_candidate
+from ttforge.induced import (
+    _growth_rate_mismatch, _transfer_size, build_induced,
+)
+from ttforge.io import load_input_file
+from ttforge.randmaps import GenerationStats, random_candidate
 
 from oracles import (
     dense_transition_rows, expansion_matrix_oracle, expansion_oracle,
@@ -503,3 +507,35 @@ class TestInvariantSubgraph:
         for f in corpus100:
             assert find_invariant_subgraph(f) is None
             assert not invariant_subgraph_search(f)
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+class TestCertificationFailure:
+    """One admission chain: a field for the generator, a message for build."""
+
+    @pytest.mark.parametrize("name,field,message", [
+        ("backtracking.json", "invalid", "invalid graph map: not immersed"),
+        ("nilp.json", "not_train_track", "not a train track map: "),
+        ("reducible.json", "reducible",
+         "transition matrix is not irreducible"),
+        ("nonexpanding.json", "not_expanding", "not expanding: edge "),
+    ])
+    def test_first_failed_check(self, name, field, message):
+        f = load_input_file(FIXTURES / name).graph_map
+        failure = certification_failure(f)
+        assert failure[0] == field and failure[1].startswith(message)
+        assert hasattr(GenerationStats(), field)
+        with pytest.raises(ValueError) as raised:
+            build_induced(f)
+        assert str(raised.value) == failure[1]
+
+    def test_self_map_is_required(self):
+        f = GraphMap(rose(["a", "b"]), rose(["a"]), {"v": "v"},
+                     {"a": "a", "b": "a"})
+        assert certification_failure(f) == ("invalid", "need a self map")
+
+    def test_fixtures_that_promote_pass(self, sigma, fib, cyc2, pre1_r2):
+        for f in (sigma, fib, cyc2, pre1_r2):
+            assert certification_failure(f) is None
