@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 from .graphs import (
     SerreGraph, CyclicPath, GraphMap,
     rose, inv, edge_of, reduce_darts, compose, validate,
-    format_path,
 )
 from .traintrack import (
     TransitionMatrix, transition_matrix, is_irreducible, has_positive_power,

@@ -23,7 +23,7 @@ from .freegroup import (
     induces_pi1_isomorphism, pi1_endomorphism, stable_quotient,
     whole_group_graph,
 )
-from .graphs import GraphMap, format_path, rose, validate
+from .graphs import GraphMap, rose, validate
 from .induced import build_induced, find_periodic_vertex, verify_package
 from .randmaps import GenerationStats, random_train_track_map
 from .suspension import (
@@ -90,7 +90,7 @@ def cmd_analyze(args):
         sorted(witness.edges) if witness is not None else None)
     if cert.is_train_track and irreducible and expansion.expanding:
         results["legal_loops"] = {
-            e: format_path(legal_loop_through(f, e).cycle.darts)
+            e: " ".join(legal_loop_through(f, e).cycle.darts)
             for e in f.domain.edge_ids}
     return EXIT_OK, bundle, results
 
@@ -107,7 +107,7 @@ def cmd_quotient(args):
         "stabilization": q.exponent,
         "rank": q.rank,
         "injective_on_image": q.injective,
-        "image_basis": {name: format_path(word)
+        "image_basis": {name: " ".join(word)
                         for name, _loop, word in q.core.basis()},
         "restriction": dict(q.restriction),
     }

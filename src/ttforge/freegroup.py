@@ -41,8 +41,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .graphs import (
-    GraphMap, SerreGraph, edge_of, inv, is_positive, reduce_darts,
-    rose, token_dart,
+    GraphMap, SerreGraph, dart_key, edge_of, inv, is_positive, reduce_darts,
+    rose,
 )
 
 
@@ -130,17 +130,6 @@ class LabeledGraph:
         return next(iter(sizes.values()))
 
 
-def reduce_tokens(tokens):
-    """Free reduction of a word of ``(name, sign)`` generator tokens."""
-    out = []
-    for tok in tokens:
-        if out and out[-1][0] == tok[0] and out[-1][1] == -tok[1]:
-            out.pop()
-        else:
-            out.append(tok)
-    return tuple(out)
-
-
 class SubgroupGraph(LabeledGraph):
     """Pointed folded core representing a finitely generated subgroup."""
 
@@ -175,7 +164,7 @@ class SubgroupGraph(LabeledGraph):
 
     @cached_property
     def _tree_basis(self):
-        """The basis triples and the non-tree edge -> generator name map."""
+        """The basis triples and the non-tree dart -> generator dart map."""
         tree, path_to = self.spanning_tree()
         gens = []
         generator = {}
@@ -185,8 +174,9 @@ class SubgroupGraph(LabeledGraph):
             t = self.graph.terminus(e)
             loop = reduce_darts(
                 path_to[o] + (e,) + tuple(inv(d) for d in reversed(path_to[t])))
-            generator[e] = "g%d" % i
-            gens.append((generator[e], loop, self.project_darts(loop)))
+            name = generator[e] = "g%d" % i
+            generator[inv(e)] = inv(name)
+            gens.append((name, loop, self.project_darts(loop)))
         return gens, generator
 
     def basis(self):
@@ -208,20 +198,19 @@ class SubgroupGraph(LabeledGraph):
         return consumed == len(word) and end == self.basepoint
 
     def rewrite(self, ambient_darts):
-        """Express a member loop in the basis; tokens are (name, sign).
+        """Express a member loop in the basis, as a word of generator darts.
 
-        Crossing a non-tree edge positively emits +1, negatively -1; tree
-        crossings emit nothing.  The result is freely reduced as a word in
-        the abstract generators.  The tree and the names are `basis`'s.
+        Crossing a non-tree edge positively emits its generator name ``g``,
+        negatively ``-g``; tree crossings emit nothing.  The result is freely
+        reduced as a word in the abstract generators.  The tree and the names
+        are `basis`'s.
         """
         word = reduce_darts(tuple(ambient_darts))
         end, lifted, consumed = self.trace(self.basepoint, word)
         if consumed != len(word) or end != self.basepoint:
             raise ValueError("word is not in the subgroup")
         generator = self._tree_basis[1]
-        return reduce_tokens(
-            (generator[edge_of(d)], 1 if is_positive(d) else -1)
-            for d in lifted if edge_of(d) in generator)
+        return reduce_darts(generator[d] for d in lifted if d in generator)
 
     def canonical_key(self):
         return (self.graph.vertices, self.graph.edge_data,
@@ -269,11 +258,7 @@ def _loop_folding(ambient, basepoint, loops):
         raise ValueError("unknown basepoint %r" % basepoint)
     paths = []
     for loop in loops:
-        if isinstance(loop, str):
-            darts = tuple(token_dart(t) for t in loop.split())
-        else:
-            darts = tuple(loop)
-        darts = reduce_darts(darts)
+        darts = reduce_darts(loop.split() if isinstance(loop, str) else loop)
         if not darts:
             continue
         if (ambient.origin(darts[0]) != basepoint
@@ -357,8 +342,8 @@ class _Folding:
 
         Valence-one vertices other than the base are trimmed off the table
         in place, which leaves its rank alone, and what is left is renamed
-        by BFS from the base.  Darts at a vertex go in order of their signed
-        ambient label, which is unique there.
+        by BFS from the base.  Darts at a vertex go in the `dart_key` order
+        of their signed ambient label, which is unique there.
         """
         parent, over, out = self.table
         base = _find(parent, 0)
@@ -379,7 +364,7 @@ class _Folding:
         vimg = {"w0": over[base]}
         visited_edges = set()
         for v in seq:
-            for label in sorted(out[v]):
+            for label in sorted(out[v], key=dart_key):
                 far = _find(parent, out[v][label])
                 o, t, lab = ((v, far, label) if is_positive(label)
                              else (far, v, inv(label)))
@@ -512,8 +497,8 @@ def pi1_endomorphism(f, base=None):
 def endomorphism_on_rose(generators, images):
     """Abstract endomorphism of a free group, realized on a rose.
 
-    ``images`` maps generator names to token words over the generators,
-    which `GraphMap` parses.
+    ``images`` maps generator names to words over the generators, as text
+    or dart tuples, which `GraphMap` reads.
     """
     rose_graph = rose(generators)
     f = GraphMap(rose_graph, rose_graph, {"v": "v"},
@@ -603,7 +588,7 @@ class StableQuotientReport:
     ``exponent`` is the kernel stabilization constant; ``core`` the folded
     graph of the stable image subgroup, on which the endomorphism restricts
     injectively; ``restriction`` expresses that restriction in the core's
-    basis (token words, ``-`` marking inverses).
+    basis, as text words of generator darts (``"g0 -g1"``).
     """
 
     exponent: int
@@ -616,10 +601,6 @@ class StableQuotientReport:
         return self.restriction[name]
 
 
-def _tokens_to_text(tokens):
-    return " ".join(n if s > 0 else "-" + n for (n, s) in tokens)
-
-
 def stable_quotient(phi):
     """Kernel stabilization constant plus the restricted endomorphism."""
     links, K = image_chain(phi.map, phi.base)
@@ -627,7 +608,7 @@ def stable_quotient(phi):
     restriction = {}
     for name, _loop, word in core.basis():
         image = phi.apply_word(word)
-        restriction[name] = _tokens_to_text(core.rewrite(image))
+        restriction[name] = " ".join(core.rewrite(image))
     return StableQuotientReport(
         exponent=K,
         core=core,

@@ -5,15 +5,17 @@ Conventions used throughout the package:
 * A graph is a finite Serre graph: a set of darts (oriented edges) with a
   fixed-point-free involution and an origin map to the vertex set.  We build
   graphs from unoriented edge data ``(edge_id, origin, terminus)``; the edge id
-  names the positively oriented dart and the reversed dart gets a ``~`` prefix.
-  Edge ids therefore may not start with ``~`` (nor ``-``, which the text form
-  of paths uses for inverses, see :func:`token_dart`).
-* The canonical representative of an unoriented edge is the lexicographically
-  smaller of its two dart ids, which by the naming rule is always the positive
-  dart.  Everything that needs a reproducible edge order (transition matrices,
-  certificates, serialized reports) sorts these representatives.
+  names the positively oriented dart and the reversed dart gets a ``-``
+  prefix, which is also how text writes it (``"a -b"``).  Edge ids therefore
+  may not start with ``-``; ``~`` is rejected too.
+* The canonical representative of an unoriented edge is its positive dart,
+  the edge id.  Darts are ordered by :func:`dart_key`, every positive dart
+  before every reversed one; everything that needs a reproducible order
+  (out-darts, transition matrices, certificates, serialized reports) uses it
+  or sorts edge ids.
 * An edge path is a tuple of dart ids in which consecutive darts are
-  incident; :func:`reduce_darts` is its free reduction.
+  incident; :func:`reduce_darts` is its free reduction.  Words in abstract
+  generators are spelled the same way, generator names standing for edges.
 * A graph map sends vertices to vertices and darts to nontrivial edge paths,
   compatibly with the involution.  Iteration is by substitution *without* free
   reduction; train track maps keep such substitutions reduced, which is what
@@ -24,28 +26,28 @@ from __future__ import annotations
 
 from itertools import chain
 
-INV_PREFIX = "~"
+INV_PREFIX = "-"
 
 
 def inv(dart):
-    """Inverse dart: toggle the ``~`` prefix."""
+    """Inverse dart: toggle the ``-`` prefix."""
     if dart[:1] == INV_PREFIX:
         return dart[1:]
     return INV_PREFIX + dart
 
 
 def is_positive(dart):
-    return not dart.startswith(INV_PREFIX)
+    return dart[:1] != INV_PREFIX
 
 
 def edge_of(dart):
-    """Canonical representative of the unoriented edge through ``dart``.
+    """The unoriented edge through ``dart``: its positive dart, the edge id."""
+    return dart[1:] if dart[:1] == INV_PREFIX else dart
 
-    Lexicographically smaller of the dart pair; with the ``~`` naming rule this
-    is the positive dart, i.e. the edge id.
-    """
-    other = inv(dart)
-    return dart if dart < other else other
+
+def dart_key(dart):
+    """Sort key of the canonical dart order: positive darts first, then ids."""
+    return (dart[:1] == INV_PREFIX, dart)
 
 
 def _check_id(kind, name):
@@ -91,7 +93,7 @@ class SerreGraph:
         for d, o in origin.items():
             out[o].append(d)
         for v in out:
-            out[v] = tuple(sorted(out[v]))
+            out[v] = tuple(sorted(out[v], key=dart_key))
         if not allow_isolated:
             for v in vertices:
                 if not out[v]:
@@ -120,7 +122,7 @@ class SerreGraph:
 
     @property
     def darts(self):
-        return tuple(sorted(self._origin))
+        return tuple(sorted(self._origin, key=dart_key))
 
     def has_dart(self, d):
         return d in self._origin
@@ -183,7 +185,7 @@ def check_dart_sequence(graph, darts):
 
 
 def reduce_darts(darts):
-    """Freely reduce a dart sequence (cancel adjacent d, ~d pairs)."""
+    """Freely reduce a dart sequence (cancel adjacent d, -d pairs)."""
     out = []
     for d in darts:
         if out and out[-1] == inv(d):
@@ -246,27 +248,19 @@ class CyclicPath:
         return hash(self.darts)
 
     def __repr__(self):
-        return "CyclicPath(%s)" % format_path(self.darts)
+        return "CyclicPath(%s)" % " ".join(self.darts)
 
 
 def turn(a, b):
-    """Canonical unordered pair of darts (a turn when both share an origin)."""
-    return (a, b) if a <= b else (b, a)
+    """Canonical unordered pair of darts (a turn when both share an origin).
 
-
-# -- text form of paths ----------------------------------------------------
-
-
-def dart_token(dart):
-    return "-" + dart[1:] if dart.startswith(INV_PREFIX) else dart
-
-
-def token_dart(token):
-    return INV_PREFIX + token[1:] if token.startswith("-") else token
-
-
-def format_path(darts):
-    return " ".join(dart_token(d) for d in darts)
+    The pair is in `dart_key` order, compared inline: turns are formed once
+    per image symbol.
+    """
+    reversed_a = a[0] == INV_PREFIX
+    if reversed_a == (b[0] == INV_PREFIX):
+        return (a, b) if a <= b else (b, a)
+    return (b, a) if reversed_a else (a, b)
 
 
 # -- graph maps ------------------------------------------------------------
@@ -309,9 +303,7 @@ class GraphMap:
         table = _DartTable()
         for e in domain.edge_ids:
             img = edge_images.get(e, ())
-            if isinstance(img, str):
-                img = tuple(token_dart(t) for t in img.split())
-            table[e] = tuple(img)
+            table[e] = tuple(img.split() if isinstance(img, str) else img)
         self._table = table
 
     @classmethod
@@ -364,7 +356,7 @@ class GraphMap:
                      tuple(zip(self.domain.edge_ids, self._edge_images()))))
 
     def __repr__(self):
-        ims = ", ".join("%s->%s" % (e, format_path(self._table[e]))
+        ims = ", ".join("%s->%s" % (e, " ".join(self._table[e]))
                         for e in self.domain.edge_ids)
         return "GraphMap(%s)" % ims
 

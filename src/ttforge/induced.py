@@ -23,8 +23,7 @@ from itertools import chain
 
 from .covers import based_lift_power, lift_graph_map
 from .freegroup import (
-    fold, image_chain, is_injective_on, pi1_endomorphism, reduce_tokens,
-    whole_group_graph,
+    fold, image_chain, is_injective_on, pi1_endomorphism, whole_group_graph,
 )
 from .graphs import GraphMap, compose, edge_of, inv, reduce_darts, validate
 from .traintrack import (
@@ -444,7 +443,7 @@ class ConjugacyReport:
 
 
 def _conjugate_word(u, word):
-    return reduce_tokens(u + word + tuple((n, -s) for n, s in reversed(u)))
+    return reduce_darts(u + word + tuple(map(inv, reversed(u))))
 
 
 def conjugacy_check(pkg, max_length=4, max_candidates=20000):
@@ -504,10 +503,7 @@ def conjugacy_check(pkg, max_length=4, max_candidates=20000):
 
     names = sorted(upstairs)
     tried = 0
-    gens = []
-    for name in names:
-        gens.append((name, 1))
-        gens.append((name, -1))
+    gens = [g for name in names for g in (name, inv(name))]
     frontier = [()]
     seen = {()}
     while frontier and tried < max_candidates:
@@ -518,7 +514,7 @@ def conjugacy_check(pkg, max_length=4, max_candidates=20000):
             return ConjugacyReport(True, u, tried, conjugate_ok)
         if len(u) < max_length:
             for g in gens:
-                if u and u[-1][0] == g[0] and u[-1][1] == -g[1]:
+                if u and u[-1] == inv(g):
                     continue
                 nxt = u + (g,)
                 if nxt not in seen:

@@ -2,8 +2,8 @@
 
 One fixed schema, deterministic serialization (sorted keys, two-space
 indent, trailing newline), and a content digest over the canonical bytes.
-Paths are space-separated dart tokens with "-" marking the reversed edge,
-so documents stay readable and diffable.
+Paths are their darts joined by spaces, a reversed dart being its edge id
+with a leading "-", so documents stay readable and diffable.
 
 Every file is written in place by :func:`_write_text`: the UTF-8 bytes go
 over the old contents, then the file is cut to their length.  Rewriting a
@@ -27,7 +27,7 @@ except ImportError:  # Python 3.11 and older name the module apart
 
 from . import __version__
 from .freegroup import SubgroupGraph, endomorphism_on_rose, image_chain
-from .graphs import GraphMap, SerreGraph, format_path
+from .graphs import GraphMap, SerreGraph
 from .induced import InducedPackage
 
 SCHEMA = 1
@@ -82,7 +82,7 @@ def graph_from_obj(obj):
 
 def map_to_obj(f):
     return {"vertices": {v: f.vertex_map[v] for v in f.domain.vertices},
-            "edges": {e: format_path(f.dart_image(e))
+            "edges": {e: " ".join(f.dart_image(e))
                       for e in f.domain.edge_ids}}
 
 

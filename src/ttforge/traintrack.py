@@ -25,7 +25,7 @@ from functools import reduce
 from math import gcd
 from operator import or_
 
-from .graphs import CyclicPath, edge_of, inv, turn, validate
+from .graphs import CyclicPath, dart_key, edge_of, inv, turn, validate
 
 
 class TransitionMatrix:
@@ -331,6 +331,11 @@ def pf_eigenvalue(matrix, tol=Fraction(1, 10**9)):
 # -- turns and the train track condition -------------------------------------
 
 
+def _turn_key(t):
+    """Turns in `dart_key` order, the order certificates walk them in."""
+    return dart_key(t[0]), dart_key(t[1])
+
+
 class TurnSystem:
     """Directions, derivative map, and the turns taken by a self-map.
 
@@ -434,7 +439,7 @@ def is_train_track(f):
             None, None)
     ts = TurnSystem(f)
     closure = set()
-    for t in sorted(ts.taken):
+    for t in sorted(ts.taken, key=_turn_key):
         # an orbit already walked holds t's whole orbit, legal throughout
         if t in closure:
             continue
@@ -539,7 +544,7 @@ def legal_loop_through(f, edge):
             "loop never crosses %r; map does not look irreducible" % edge)
     ts = TurnSystem(f)
     orbits = []
-    for t in sorted(set(cycle.turns())):
+    for t in sorted(set(cycle.turns()), key=_turn_key):
         orbit = ts.orbit(t)
         if orbit[-1][0] == orbit[-1][1]:
             raise ValueError("turn %r of the loop is illegal" % (t,))

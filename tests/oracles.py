@@ -101,8 +101,7 @@ def fold_oracle(ambient, basepoint, loops):
     words = []
     for loop in loops:
         if isinstance(loop, str):
-            from ttforge.graphs import token_dart
-            darts = tuple(token_dart(t) for t in loop.split())
+            darts = tuple(loop.split())
         else:
             darts = tuple(loop)
         darts = reduce_darts(darts)
@@ -236,14 +235,15 @@ def fold_oracle(ambient, basepoint, loops):
     while head < len(seq):
         v = seq[head]
         head += 1
-        # darts at v sorted by signed ambient label; folded graphs have at
-        # most one dart per label so the order is total
+        # darts at v sorted by signed ambient label, every positive label
+        # before every reversed one; folded graphs have at most one dart per
+        # label so the order is total
         local = []
         for (er, side) in incident[v]:
             lab = edges[er][0]
             slabel = lab if side == 0 else inv(lab)
-            local.append((slabel, er, side))
-        for slabel, er, side in sorted(local):
+            local.append((side, slabel, er))
+        for side, slabel, er in sorted(local):
             if er in visited_edges:
                 continue
             visited_edges.add(er)

@@ -90,6 +90,33 @@ class TestAnalyze:
         assert "Traceback" not in err
 
 
+    def test_unknown_dart_is_named_as_written(self, capsys, tmp_path):
+        doc = json.loads((FIXTURES / "sigma.json").read_text())
+        doc["map"]["edges"]["a"] = "a -z"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: invalid graph map: image of 'a' uses unknown dart '-z'\n")
+
+    @pytest.mark.parametrize("command", ["analyze", "induce"])
+    def test_non_ascii_edge_ids(self, capsys, tmp_path, command):
+        """Edge ids é, b give the verdicts of c, b, which sort the same."""
+        text = (FIXTURES / "fib.json").read_text()
+        renamed = {}
+        for new_id in ("\u00e9", "c"):
+            path = tmp_path / ("%s.json" % ord(new_id))
+            path.write_text(text.replace('"a"', '"%s"' % new_id)
+                            .replace('"a b"', '"%s b"' % new_id),
+                            encoding="utf-8")
+            code, doc, _ = run_json(capsys, [command, str(path)])
+            assert code == 0
+            doc["results"].pop("out_dir", None)
+            renamed[new_id] = json.dumps(doc["results"]).replace(
+                "\\u00e9", "c")
+        assert renamed["\u00e9"] == renamed["c"]
+
+
 class TestQuotient:
     def test_collapsing_substitution(self, capsys):
         code, doc, _ = run_json(capsys, ["quotient", fixture("sigma.json")])

@@ -83,8 +83,8 @@ class TestFlipOrientations:
         flipped = flip_orientations(sigma, ["a"])
         darts = [d for e in flipped.domain.edge_ids
                  for d in flipped.dart_image(e)]
-        assert any(d.startswith("~") for d in darts)
-        assert any(not d.startswith("~") for d in darts)
+        assert any(d.startswith("-") for d in darts)
+        assert any(not d.startswith("-") for d in darts)
 
     def test_endpoints_swap(self, cyc2):
         flipped = flip_orientations(cyc2, ["c1"])

@@ -8,6 +8,7 @@ import cycle.  The benchmark's tracer wraps package functions by name and reads
 the check names out of ``verify_package``, so those names are pinned too.
 The dense view of a transition matrix is read only where it is printed.
 Admission, the lift search and the stable quotient each have one home.
+Darts and words have one spelling, with no converter between spellings.
 No test runs the scripts under ``scripts/``, so every name they import from
 the package is checked to exist.  The README's Python quick start and its
 sample ``ttforge quotient`` report are run and compared with the output the
@@ -27,6 +28,7 @@ from pathlib import Path
 
 import pytest
 
+import ttforge
 from ttforge import induced
 from ttforge.cli import main
 
@@ -409,6 +411,57 @@ def test_one_admission_chain():
 def test_one_stable_quotient_entry_point():
     assert [module for module, source in PACKAGE_SOURCES.items()
             if "chain_quotient" in source] == []
+
+
+def tilde_sites(source):
+    """Qualified names of the functions holding a string that starts with ``~``.
+
+    Names are as in :func:`attribute_readers`.
+    """
+    sites = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Constant) and isinstance(child.value, str)
+                    and child.value.startswith("~")):
+                sites.add(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return sorted(sites)
+
+
+def test_detects_tilde_sites():
+    source = ("T = '~'\n"
+              "def f(d):\n"
+              "    return d in ('~', '-') or 'a ~ b'\n"
+              "class C:\n"
+              "    def g(self):\n"
+              "        return '~x'\n")
+    assert tilde_sites(source) == ["", "C.g", "f"]
+
+
+SPELLING_CONVERTERS = ("dart_token", "token_dart", "format_path",
+                       "reduce_tokens", "_tokens_to_text")
+
+
+def test_one_dart_spelling():
+    """Darts, path text and generator words all mark an inverse with ``-``.
+
+    Nothing converts between spellings, and ``~`` survives only where edge
+    ids starting with it are rejected.
+    """
+    for name in SPELLING_CONVERTERS:
+        assert not hasattr(ttforge, name), name
+        assert [module for module, source in PACKAGE_SOURCES.items()
+                if function_sites(source, name)[0]] == [], name
+    sites = {(module, name) for module, source in PACKAGE_SOURCES.items()
+             for name in tilde_sites(source)}
+    assert sites == {("graphs", "_check_id")}
 
 
 VERIFY_CHECKS = {

@@ -63,7 +63,7 @@ def random_torus_points(torus, rng, count, den=24):
 
 class TestGraphPoints:
     def test_edge_point_canonicalizes_orientation(self):
-        assert edge_point(ROSE2, "~a", Fraction(1, 4)) \
+        assert edge_point(ROSE2, "-a", Fraction(1, 4)) \
             == edge_point(ROSE2, "a", Fraction(3, 4))
 
     def test_endpoints_become_vertices(self):
@@ -268,7 +268,7 @@ class TestBreakpointSamples:
 
     def test_reversed_dart_bends_mirror(self, fib):
         forward = iterate_breakpoints(fib, "b", 2)
-        backward = iterate_breakpoints(fib, "~b", 2)
+        backward = iterate_breakpoints(fib, "-b", 2)
         assert backward == {1 - q for q in forward}
 
     def test_iterated_map_is_linear_between_bends(self, fib, cyc2):
