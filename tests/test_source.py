@@ -226,13 +226,13 @@ def test_no_needless_local_imports():
     assert needless_local_imports(sources) == []
 
 
-def attribute_readers(source, attr):
-    """Qualified names of the functions that read ``.attr``, sorted.
+def node_sites(source, matches):
+    """Qualified names of the functions holding a node ``matches`` accepts.
 
-    Methods are named ``Class.method``; a read outside any function is
-    named by its class, or ``""`` at module level.
+    Sorted.  Methods are named ``Class.method``; a node outside any
+    function is named by its class, or ``""`` at module level.
     """
-    readers = set()
+    sites = set()
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
@@ -240,13 +240,19 @@ def attribute_readers(source, attr):
                                   ast.ClassDef)):
                 visit(child, scope + (child.name,))
                 continue
-            if (isinstance(child, ast.Attribute) and child.attr == attr
-                    and isinstance(child.ctx, ast.Load)):
-                readers.add(".".join(scope))
+            if matches(child):
+                sites.add(".".join(scope))
             visit(child, scope)
 
     visit(ast.parse(source), ())
-    return sorted(readers)
+    return sorted(sites)
+
+
+def attribute_readers(source, attr):
+    """Qualified names (as in :func:`node_sites`) of the readers of ``.attr``."""
+    return node_sites(source, lambda node: (
+        isinstance(node, ast.Attribute) and node.attr == attr
+        and isinstance(node.ctx, ast.Load)))
 
 
 def test_detects_attribute_readers():
@@ -281,9 +287,8 @@ def file_writers(source):
     A call opens for writing when it is an ``open`` (builtin, ``os.open``
     or a method) given a mode string holding w, a, x or +, or a flag
     naming a write; ``write_text`` and ``write_bytes`` always do.  Names
-    are as in :func:`attribute_readers`.
+    are as in :func:`node_sites`.
     """
-    writers = set()
 
     def opens_for_writing(call):
         func = call.func
@@ -307,18 +312,8 @@ def file_writers(source):
                 return True
         return False
 
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef)):
-                visit(child, scope + (child.name,))
-                continue
-            if isinstance(child, ast.Call) and opens_for_writing(child):
-                writers.add(".".join(scope))
-            visit(child, scope)
-
-    visit(ast.parse(source), ())
-    return sorted(writers)
+    return node_sites(source, lambda node: (
+        isinstance(node, ast.Call) and opens_for_writing(node)))
 
 
 def test_detects_file_writers():
@@ -414,25 +409,10 @@ def test_one_stable_quotient_entry_point():
 
 
 def tilde_sites(source):
-    """Qualified names of the functions holding a string that starts with ``~``.
-
-    Names are as in :func:`attribute_readers`.
-    """
-    sites = set()
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef)):
-                visit(child, scope + (child.name,))
-                continue
-            if (isinstance(child, ast.Constant) and isinstance(child.value, str)
-                    and child.value.startswith("~")):
-                sites.add(".".join(scope))
-            visit(child, scope)
-
-    visit(ast.parse(source), ())
-    return sorted(sites)
+    """Qualified names (as in :func:`node_sites`) of strings starting ``~``."""
+    return node_sites(source, lambda node: (
+        isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and node.value.startswith("~")))
 
 
 def test_detects_tilde_sites():
