@@ -33,8 +33,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     stats = GenerationStats()
-    maps = corpus(args.count, args.seed, max_edges=args.max_edges,
-                  max_image_len=args.max_image_len, stats=stats)
+    try:
+        maps = corpus(args.count, args.seed, max_edges=args.max_edges,
+                      max_image_len=args.max_image_len, stats=stats)
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
 
     print("generation (seed %r):" % args.seed)
     rejected = stats.attempts - stats.accepted

@@ -85,7 +85,7 @@ def cmd_analyze(args):
         lam = pf_eigenvalue(matrix)
         results["growth_rate"] = lam.value
         results["growth_error_bound"] = lam.error_bound
-    witness = find_invariant_subgraph(f)
+    witness = find_invariant_subgraph(matrix)
     results["invariant_subgraph"] = (
         sorted(witness.edges) if witness is not None else None)
     if cert.is_train_track and irreducible and expansion.expanding:

@@ -68,8 +68,8 @@ class SerreGraph:
     objects occasionally need this).
     """
 
-    __slots__ = ("_vertices", "_edges", "_edge_ids", "_origin", "_terminus",
-                 "_out", "_key")
+    __slots__ = ("_vertices", "_edges", "_edge_ids", "_darts", "_origin",
+                 "_terminus", "_out", "_key")
 
     def __init__(self, vertices, edges, allow_isolated=False):
         vertices = tuple(sorted(vertices))
@@ -81,6 +81,7 @@ class SerreGraph:
         vset = set(vertices)
         origin = {}
         terminus = {}
+        out = {v: [] for v in vertices}
         for e, o, t in edges:
             _check_id("edge", e)
             if e in origin:
@@ -89,11 +90,12 @@ class SerreGraph:
                 raise ValueError("edge %r has endpoint outside the vertex set" % e)
             origin[e] = terminus[inv(e)] = o
             origin[inv(e)] = terminus[e] = t
-        out = {v: [] for v in vertices}
-        for d, o in origin.items():
-            out[o].append(d)
-        for v in out:
-            out[v] = tuple(sorted(out[v], key=dart_key))
+            out[o].append(e)
+        # edges are sorted, so positive darts and then reversed ones, edge
+        # by edge, are in the `dart_key` order, at each vertex and overall
+        for e, _o, t in edges:
+            out[t].append(inv(e))
+        out = {v: tuple(darts) for v, darts in out.items()}
         if not allow_isolated:
             for v in vertices:
                 if not out[v]:
@@ -101,6 +103,7 @@ class SerreGraph:
         self._vertices = vertices
         self._edges = edges
         self._edge_ids = tuple(e for (e, _, _) in edges)
+        self._darts = self._edge_ids + tuple(map(inv, self._edge_ids))
         self._origin = origin
         self._terminus = terminus
         self._out = out
@@ -122,7 +125,7 @@ class SerreGraph:
 
     @property
     def darts(self):
-        return tuple(sorted(self._origin, key=dart_key))
+        return self._darts
 
     def has_dart(self, d):
         return d in self._origin

@@ -120,7 +120,18 @@ def flip_orientations(f, flip_edges):
 
 def random_train_track_map(rng, max_edges=6, max_image_len=4,
                            build_budget=200000, stats=None):
-    """Keep sampling until a certified map survives the promotion probe."""
+    """Keep sampling until a certified map survives the promotion probe.
+
+    Unmeetable bounds raise ValueError before ``rng`` is drawn from:
+    one-dart images never grow, and every accepted transfer has at least
+    1^T A^2 1 >= 4 symbols (K = 2knr >= 2), as ``a -> a a`` does.
+    """
+    for name, value, least in (("max_edges", max_edges, 1),
+                               ("max_image_len", max_image_len, 2),
+                               ("build_budget", build_budget, 4)):
+        if value < least:
+            raise ValueError("%s must be at least %d, got %r"
+                             % (name, least, value))
     if stats is None:
         stats = GenerationStats()
     while True:

@@ -1,13 +1,13 @@
 """Train track analysis of graph self-maps.
 
 Transition matrices over arbitrary-precision integers, stored as sparse
-rows, so that irreducibility (a plain verdict from the strongly connected
-components), primitivity, the expansion dichotomy and Perron-Frobenius
-values by exact power iteration (which ``analyze`` reports; verification
-compares growth rates by an integer identity instead) each cost O(nnz) per
-pass rather than O(dim^2); turn calculus with legality certificates, the
-admission chain of the promotion and the generator, legal loops through a
-prescribed edge, and invariant subgraph detection.
+rows, so that primitivity, Perron-Frobenius values by exact power iteration
+(which ``analyze`` reports; verification compares growth rates by an
+integer identity instead) and one condensation of the positivity digraph
+each cost O(nnz) per pass rather than O(dim^2); that condensation answers
+irreducibility, the expansion dichotomy and invariant subgraph detection.
+Then turn calculus with legality certificates, the admission chain of the
+promotion and the generator, and legal loops through a prescribed edge.
 
 A self-map f is a train track map when it is surjective (every edge occurs in
 some image) and every iterate restricted to every edge is an immersion.  The
@@ -22,6 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import count
 from math import gcd
 from operator import or_
 
@@ -103,6 +104,54 @@ def transition_matrix(f):
         for e in labels))
 
 
+def _condensation(matrix):
+    """Strongly connected components of the positivity digraph.
+
+    Returns ``(comp, succ)``: ``comp[i]`` numbers the component of index i,
+    and ``succ[c]`` is the set of other components that c's arcs enter.
+    Tarjan's pass, iterative, closes a component only after every component
+    it reaches, so every number in ``succ[c]`` is below c and one loop over
+    the components in increasing order sees each successor first.
+    """
+    adj = matrix.adjacency
+    n = len(adj)
+    comp = [None] * n
+    found = [None] * n
+    low = [0] * n
+    tick = count()
+    stack = []
+    succ = []
+    for root in range(n):
+        work = [(root, iter(adj[root]))] if found[root] is None else []
+        while work:
+            v, arcs = work[-1]
+            if found[v] is None:
+                found[v] = low[v] = next(tick)
+                stack.append(v)
+            for w in arcs:
+                if found[w] is None:
+                    work.append((w, iter(adj[w])))
+                    break
+                if comp[w] is None:
+                    low[v] = min(low[v], found[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == found[v]:
+                    # v roots a component: the stack above it, v included
+                    c = len(succ)
+                    members = [stack.pop()]
+                    while members[-1] != v:
+                        members.append(stack.pop())
+                    for w in members:
+                        comp[w] = c
+                    succ.append({comp[w] for u in members for w in adj[u]}
+                                - {c})
+    return comp, succ
+
+
 def is_irreducible(matrix):
     """Strong connectivity of the positivity digraph.
 
@@ -110,8 +159,7 @@ def is_irreducible(matrix):
     least one: the digraph is one strongly connected component and no row is
     zero, which for a 1x1 matrix asks for a loop.  The empty matrix passes.
     """
-    adj = matrix.adjacency
-    return all(adj) and len(_strongly_connected_components(adj)) <= 1
+    return all(matrix.entries) and len(_condensation(matrix)[1]) <= 1
 
 
 def has_positive_power(matrix):
@@ -138,68 +186,18 @@ def has_positive_power(matrix):
 # -- expansion --------------------------------------------------------------
 
 
-def _strongly_connected_components(adj):
-    """Tarjan, iterative.  Returns list of components (sets of indices)."""
-    n = len(adj)
-    index = [None] * n
-    low = [0] * n
-    onstack = [False] * n
-    stack = []
-    comps = []
-    counter = [0]
-    for root in range(n):
-        if index[root] is not None:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter[0]
-                counter[0] += 1
-                stack.append(v)
-                onstack[v] = True
-            advanced = False
-            for i in range(pi, len(adj[v])):
-                w = adj[v][i]
-                if index[w] is None:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if onstack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    onstack[w] = False
-                    comp.add(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-    return comps
-
-
 @dataclass(frozen=True)
 class ExpansionReport:
     """Outcome of the expansion dichotomy.
 
     ``expanding`` edges have image length under iteration going to infinity.
-    When the map is not expanding, ``witness_edge`` is the smallest bounded
-    edge and ``stable_length`` the eventual (maximal periodic) length of its
-    iterated images.
+    ``bounded_edges`` are the others, in id order; when there are any,
+    ``witness_edge`` is the smallest.
     """
 
     expanding: bool
     bounded_edges: tuple
     witness_edge: str | None
-    stable_length: int | None
 
 
 def is_expanding(matrix):
@@ -210,78 +208,21 @@ def is_expanding(matrix):
     one, and meets at most one such cyclic component.  Any branching
     component, multiplicity two, or a walk through two cycles forces growth.
     """
-    labels = matrix.labels
-    adj = matrix.adjacency
-    comps = _strongly_connected_components(adj)
-    comp_of = [0] * matrix.dim
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    growing = [False] * len(comps)
-    cyclic = [False] * len(comps)
-    # condensation DAG edges
-    succ = [set() for _ in comps]
+    comp, succ = _condensation(matrix)
+    # the largest row sum inside a component: 0 for an index without a
+    # loop, 1 for a simple cycle, 2 or more for a branching component
+    mult = [0] * len(succ)
     for v, row in enumerate(matrix.entries):
-        ci = comp_of[v]
-        internal_mult = 0
-        for w, x in row:
-            if comp_of[w] == ci:
-                internal_mult += x
-            else:
-                succ[ci].add(comp_of[w])
-        if internal_mult:
-            cyclic[ci] = True
-        if internal_mult >= 2:
-            growing[ci] = True
-    # DAG dynamic programming, memoized on component index
-    reach_grow = {}
-    max_cycles = {}
-
-    def visit(ci):
-        if ci in reach_grow:
-            return
-        rg = growing[ci]
-        mc = 1 if cyclic[ci] else 0
-        best = 0
-        for d in succ[ci]:
-            visit(d)
-            rg = rg or reach_grow[d]
-            best = max(best, max_cycles[d])
-        reach_grow[ci] = rg
-        max_cycles[ci] = mc + best
-
-    for ci in range(len(comps)):
-        visit(ci)
-    bounded = [i for i in range(matrix.dim)
-               if not reach_grow[comp_of[i]] and max_cycles[comp_of[i]] <= 1]
-    if not bounded:
-        return ExpansionReport(True, (), None, None)
-    stable = _stable_length(matrix, bounded[0], bounded)
-    return ExpansionReport(False, tuple(labels[i] for i in bounded),
-                           labels[bounded[0]], stable)
-
-
-def _stable_length(matrix, start, bounded_idx):
-    """Eventual periodic maximum of |f^m(e)| for a bounded edge.
-
-    Iterates the length vector restricted to the bounded edges (which are
-    closed under reachability) and detects the cycle of states.
-    """
-    idx = sorted(bounded_idx)
-    pos = {v: i for i, v in enumerate(idx)}
-    rows = [tuple((pos[w], x) for w, x in matrix.entries[v]) for v in idx]
-    state = tuple(1 for _ in idx)
-    seen = {state: 0}
-    hist = [state]
-    while True:
-        state = tuple(sum(x * state[j] for j, x in row) for row in rows)
-        if state in seen:
-            first = seen[state]
-            cycle = hist[first:]
-            j = pos[start]
-            return max(s[j] for s in cycle)
-        seen[state] = len(hist)
-        hist.append(state)
+        c = comp[v]
+        mult[c] = max(mult[c], sum(x for w, x in row if comp[w] == c))
+    # cyclic components met by the walks from c, where 2 stands for growth
+    met = []
+    for c, out in enumerate(succ):
+        met.append(min(2, mult[c] + max((met[d] for d in out), default=0)))
+    bounded = tuple(label for label, c in zip(matrix.labels, comp)
+                    if met[c] <= 1)
+    return ExpansionReport(not bounded, bounded,
+                           bounded[0] if bounded else None)
 
 
 # -- Perron-Frobenius value --------------------------------------------------
@@ -569,25 +510,22 @@ class InvariantSubgraphWitness:
         return True
 
 
-def find_invariant_subgraph(f):
+def find_invariant_subgraph(matrix):
     """Smallest-generated proper nonempty invariant edge set, if any.
 
-    Grows the image closure of each single edge in id order and returns the
-    first proper one; every minimal invariant set arises this way, and the
-    map is irreducible exactly when the search is empty.
+    An edge's image closure is every edge its component reaches, its own
+    component included; the first edge in id order with a proper closure
+    gives the witness.  Every minimal invariant set arises this way, and a
+    matrix without zero rows is irreducible exactly when there is none.
     """
-    all_edges = tuple(sorted(f.domain.edge_ids))
-    full = frozenset(all_edges)
-    for e in all_edges:
-        closure = {e}
-        frontier = [e]
-        while frontier:
-            cur = frontier.pop()
-            for d in f.dart_image(cur):
-                e2 = edge_of(d)
-                if e2 not in closure:
-                    closure.add(e2)
-                    frontier.append(e2)
-        if frozenset(closure) != full:
-            return InvariantSubgraphWitness(frozenset(closure))
+    comp, succ = _condensation(matrix)
+    reach = [set() for _ in succ]
+    for label, c in zip(matrix.labels, comp):
+        reach[c].add(label)
+    for c, out in enumerate(succ):
+        for d in out:
+            reach[c] |= reach[d]
+    for c in comp:
+        if len(reach[c]) < matrix.dim:
+            return InvariantSubgraphWitness(frozenset(reach[c]))
     return None

@@ -547,6 +547,28 @@ def invariant_subgraph_search(f):
     return hits
 
 
+def invariant_subgraph_oracle(rows):
+    """The first proper image closure of a single index, or None.
+
+    Grows the closure of each index in order, one breadth-first search over
+    the positivity digraph apiece, the index itself included, and returns
+    the first closure that misses some index, as a frozenset of indices.
+    """
+    n = len(rows)
+    for i in range(n):
+        closure = {i}
+        frontier = [i]
+        while frontier:
+            cur = frontier.pop()
+            for j, x in enumerate(rows[cur]):
+                if x and j not in closure:
+                    closure.add(j)
+                    frontier.append(j)
+        if len(closure) != n:
+            return frozenset(closure)
+    return None
+
+
 def transfer_after_projection_oracle(pkg):
     """P after p against fbar^K, both built in full and compared."""
     return compose(pkg.transfer, pkg.projection) \

@@ -328,8 +328,9 @@ def test_invariant_subgraph_search_matches_oracle(announce, corpus100,
             failures.append("%s: too large for the exhaustive oracle" % name)
             continue
         hits = invariant_subgraph_search(f)
-        found = find_invariant_subgraph(f)
-        irreducible = is_irreducible(transition_matrix(f))
+        matrix = transition_matrix(f)
+        found = find_invariant_subgraph(matrix)
+        irreducible = is_irreducible(matrix)
         if (found is None) != (not hits):
             failures.append("%s: search found %r, oracle found %d sets"
                             % (name, found, len(hits)))

@@ -2,10 +2,15 @@
 
 Everything runs in process through main(argv) against the JSON documents
 under fixtures/, so the tests see real argv parsing, stdout bytes, and
-exit codes without spawning interpreters.
+exit codes without spawning interpreters.  The one exception is generator
+bounds no map can meet: those run in a subprocess under a timeout, so a
+generator that never stops fails the test instead of hanging the suite.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,7 +19,8 @@ import ttforge.cli as cli
 from ttforge.cli import main
 from ttforge.io import PACKAGE_FILES, canonical_text, load_input_file
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 def fixture(name):
@@ -301,6 +307,27 @@ class TestProptest:
             "--inject-invalid", "1"])
         assert code == 0
         assert doc["results"]["cases"][0]["injected_rejected"] is True
+
+    @pytest.mark.parametrize("argv,bound", [
+        (["-m", "ttforge.cli", "proptest", "--max-image-len", "0"],
+         "max_image_len"),
+        (["-m", "ttforge.cli", "proptest", "--max-image-len", "1"],
+         "max_image_len"),
+        (["-m", "ttforge.cli", "proptest", "--budget", "0"], "build_budget"),
+        (["-m", "ttforge.cli", "proptest", "--budget", "1"], "build_budget"),
+        (["-m", "ttforge.cli", "proptest", "--max-edges", "0"], "max_edges"),
+        ([str(ROOT / "scripts" / "corpus_stats.py"), "--max-image-len", "1"],
+         "max_image_len"),
+        ([str(ROOT / "scripts" / "corpus_stats.py"), "--max-edges", "0"],
+         "max_edges"),
+    ], ids=["len0", "len1", "budget0", "budget1", "edges0",
+            "stats-len1", "stats-edges0"])
+    def test_unmeetable_bounds_exit_one(self, argv, bound):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable] + argv, env=env, timeout=20,
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: %s must be at least" % bound)
 
 
 class TestExportDot:

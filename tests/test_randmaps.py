@@ -29,6 +29,16 @@ def connected(graph):
     return len(seen) == len(graph.vertices)
 
 
+class NoDraws(random.Random):
+    """A generator whose every draw fails, so a sampling loop cannot spin."""
+
+    def random(self):
+        raise AssertionError("drew from the generator")
+
+    def getrandbits(self, k):
+        raise AssertionError("drew from the generator")
+
+
 class TestRandomGraph:
     def test_shape_bounds(self):
         rng = random.Random(1)
@@ -127,6 +137,19 @@ class TestCorpus:
         random_train_track_map(rng, build_budget=300, stats=stats)
         assert stats.over_budget >= 0
         assert stats.accepted == 1
+
+    @pytest.mark.parametrize("bound,value", [
+        ("max_edges", 0), ("max_image_len", 0), ("max_image_len", 1),
+        ("build_budget", 0), ("build_budget", 3)])
+    def test_unmeetable_bounds_raise_before_drawing(self, bound, value):
+        with pytest.raises(ValueError, match="%s must be at least" % bound):
+            random_train_track_map(NoDraws(), **{bound: value})
+
+    def test_least_bounds_are_met(self):
+        # one loop edge, images of two darts, four transfer symbols: a -> a a
+        f = random_train_track_map(random.Random(5), max_edges=1,
+                                   max_image_len=2, build_budget=4)
+        assert transition_matrix(f).rows == ((2,),)
 
     def test_benchmark_corpus_stream_is_pinned(self):
         """The 300 maps the benchmark draws, and every rejection on the way.

@@ -278,6 +278,19 @@ def test_dense_rows_only_at_print_boundaries():
                        ("traintrack", "TransitionMatrix.to_text")}
 
 
+def test_one_pass_over_the_positivity_digraph():
+    """Irreducibility, expansion and invariant subgraphs read one condensation.
+
+    Outside ``TransitionMatrix`` itself, the digraph is walked only by
+    ``_condensation`` and by the primitivity walk ``has_positive_power``.
+    """
+    readers = {(p.stem, name) for p in SRC.glob("*.py") for name in
+               attribute_readers(p.read_text(encoding="utf-8"), "adjacency")
+               if not name.startswith("TransitionMatrix")}
+    assert readers == {("traintrack", "_condensation"),
+                       ("traintrack", "has_positive_power")}
+
+
 WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_APPEND", "O_CREAT", "O_TRUNC"}
 
 

@@ -27,10 +27,10 @@ from ttforge.randmaps import GenerationStats, random_candidate
 
 from oracles import (
     dense_transition_rows, expansion_matrix_oracle, expansion_oracle,
-    growth_rate_mismatch_oracle, invariant_subgraph_search,
-    irreducible_oracle, iterate_darts, darts_reduced,
-    primitivity_exponent_oracle, spectral_radius, train_track_oracle,
-    transfer_size_oracle,
+    growth_rate_mismatch_oracle, invariant_subgraph_oracle,
+    invariant_subgraph_search, irreducible_oracle, iterate_darts,
+    darts_reduced, primitivity_exponent_oracle, spectral_radius,
+    train_track_oracle, transfer_size_oracle,
 )
 
 GOLDEN = (1 + 5 ** 0.5) / 2
@@ -179,11 +179,18 @@ class TestSparseRows:
         assert m == TransitionMatrix.from_entries(m.labels, m.entries)
         assert is_irreducible(m) == irreducible_oracle(rows)
         assert has_positive_power(m) == primitivity_exponent_oracle(rows)
-        bounded, stable = expansion_matrix_oracle(rows)
+        bounded, _stable = expansion_matrix_oracle(rows)
         report = is_expanding(m)
         assert report == ExpansionReport(
             not bounded, tuple(m.labels[i] for i in bounded),
-            m.labels[bounded[0]] if bounded else None, stable)
+            m.labels[bounded[0]] if bounded else None)
+        closure = invariant_subgraph_oracle(rows)
+        witness = find_invariant_subgraph(m)
+        assert (witness.edges if witness is not None else None) == (
+            None if closure is None
+            else frozenset(m.labels[i] for i in closure))
+        if all(any(row) for row in rows):
+            assert (witness is None) == is_irreducible(m)
         for power in range(4):
             assert _transfer_size(m, power) == transfer_size_oracle(
                 rows, power)
@@ -281,7 +288,6 @@ class TestExpansion:
         report = is_expanding(transition_matrix(f))
         assert not report.expanding
         assert report.witness_edge == "a"
-        assert report.stable_length == 1
 
     def test_partial_growth_is_not_expanding(self):
         f = rose_map({"a": "a", "b": "a b"})
@@ -319,12 +325,14 @@ class TestExpansion:
         f = rose_map({"a": "b", "b": "a", "c": "c a b"})
         report = is_expanding(transition_matrix(f))
         assert not report.expanding
+        bounded, stable = expansion_matrix_oracle(dense_transition_rows(f))
+        assert report.witness_edge == sorted(f.domain.edge_ids)[bounded[0]]
         lengths = set()
         darts = (report.witness_edge,)
         for k in range(1, 20):
             darts = f.apply_to_darts(darts)
             lengths.add(len(darts))
-        assert max(lengths) == report.stable_length
+        assert max(lengths) == stable
 
 
 class TestPFEigenvalue:
@@ -476,11 +484,11 @@ class TestLegalLoop:
 class TestInvariantSubgraph:
     def test_irreducible_fixtures_have_none(self, named_fixture_maps):
         for f in named_fixture_maps.values():
-            assert find_invariant_subgraph(f) is None
+            assert find_invariant_subgraph(transition_matrix(f)) is None
 
     def test_reducible_map_witness(self):
         f = rose_map({"a": "a", "b": "a b"})
-        w = find_invariant_subgraph(f)
+        w = find_invariant_subgraph(transition_matrix(f))
         assert w is not None
         assert w.edges == frozenset({"a"})
         assert w.check(f)
@@ -495,9 +503,10 @@ class TestInvariantSubgraph:
     @settings(max_examples=80, deadline=None)
     def test_matches_exhaustive_search_and_irreducibility(self, seed):
         for f in valid_candidates(seed, 2):
-            w = find_invariant_subgraph(f)
+            matrix = transition_matrix(f)
+            w = find_invariant_subgraph(matrix)
             exhaustive = invariant_subgraph_search(f)
-            irreducible = is_irreducible(transition_matrix(f))
+            irreducible = is_irreducible(matrix)
             assert (w is None) == (not exhaustive) == irreducible
             if w is not None:
                 assert w.check(f)
@@ -505,7 +514,7 @@ class TestInvariantSubgraph:
 
     def test_corpus_is_irreducible(self, corpus100):
         for f in corpus100:
-            assert find_invariant_subgraph(f) is None
+            assert find_invariant_subgraph(transition_matrix(f)) is None
             assert not invariant_subgraph_search(f)
 
 
