@@ -70,14 +70,15 @@ def main(argv=None):
 
     print("\npromotion over %d maps (%d failed verification):"
           % (len(maps), bad))
-    print("  constant K:     %s" % ", ".join(
-        "%d x%d" % (value, n) for value, n in sorted(constants.items())))
-    print("  (r, n, k):      %s" % ", ".join(
-        "%r x%d" % (p, n) for p, n in sorted(profiles.items())))
-    print("  core edges:     min %d  max %d"
-          % (min(core_edges), max(core_edges)))
-    print("  growth rate:    %s" % spread(growths))
-    print("  growth gap:     max %.2e" % max(growth_gaps))
+    if maps:
+        print("  constant K:     %s" % ", ".join(
+            "%d x%d" % (value, n) for value, n in sorted(constants.items())))
+        print("  (r, n, k):      %s" % ", ".join(
+            "%r x%d" % (p, n) for p, n in sorted(profiles.items())))
+        print("  core edges:     min %d  max %d"
+              % (min(core_edges), max(core_edges)))
+        print("  growth rate:    %s" % spread(growths))
+        print("  growth gap:     max %.2e" % max(growth_gaps))
     return 1 if bad else 0
 
 

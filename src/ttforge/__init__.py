@@ -31,13 +31,12 @@ from .covers import NotLiftableError, based_lift_power, lift_graph_map
 from .induced import (
     InducedPackage, VerificationReport, SizeBudgetExceeded,
     find_periodic_vertex, injectivity_exponent, build_induced,
-    verify_package, conjugacy_check,
+    verify_package,
 )
 from .suspension import (
     MappingTorus, TorusPoint, GraphPoint, CoverPoint, CoverDescriptor,
-    vertex_point, edge_point, map_point, flow, return_time, h_maps,
+    vertex_point, edge_point, map_point, flow, h_maps,
     FlowHomotopyPair, breakpoint_samples, iterate_breakpoints,
     make_cover_descriptor, project_point, seam_crossings,
-    section_first_return,
 )
 from .randmaps import GenerationStats, corpus, random_train_track_map

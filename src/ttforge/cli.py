@@ -25,7 +25,7 @@ from .freegroup import (
 )
 from .graphs import GraphMap, rose, validate
 from .induced import build_induced, find_periodic_vertex, verify_package
-from .randmaps import GenerationStats, random_train_track_map
+from .randmaps import GenerationStats, check_bounds, random_train_track_map
 from .suspension import (
     FlowHomotopyPair, MappingTorus, breakpoint_samples, edge_point, flow,
     h_maps, make_cover_descriptor, project_point, vertex_point, TorusPoint,
@@ -236,6 +236,7 @@ def _proptest_case(seed, index, max_edges, max_image_len, budget, inject):
 
 
 def cmd_proptest(args):
+    check_bounds(args.max_edges, args.max_image_len, args.budget)
     cases = []
     jobs = max(1, args.jobs)
     argv = [(args.seed, i, args.max_edges, args.max_image_len,
@@ -264,11 +265,7 @@ def cmd_proptest(args):
 
 def cmd_export_dot(args):
     if os.path.isdir(args.file):
-        source = io_mod.load_input(
-            io_mod._read(os.path.join(args.file, "source.json")))
-        core = io_mod.labeled_from_obj(
-            io_mod._read(os.path.join(args.file, "core.json")),
-            source.graph_map.domain)
+        core = io_mod.load_core(args.file)[1]
         text = io_mod.export_dot(core.graph, core.edge_label, name="core")
     else:
         bundle = io_mod.load_input_file(args.file)

@@ -6,7 +6,10 @@ carried by a folded core, and the map lifts to an expanding irreducible
 train track self-map of that core.  This module builds the whole package:
 the core, the induced map, the transfer map from the ambient graph into the
 core, and the exponent tying their powers together, then re-verifies every
-claimed identity bit for bit.
+claimed identity bit for bit.  That the promoted map represents the stable
+endomorphism needs no check of its own: with the projection commuting and
+the transfer basepoint on the induced map's cycle, the induced action on
+loops there is the lift of the source's, by unique path lifting.
 
 Conventions: v is the chosen periodic vertex, r its period, n the smallest
 power such that the map is injective on the image subgroup of its (nr)-th
@@ -22,10 +25,8 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 from .covers import based_lift_power, lift_graph_map
-from .freegroup import (
-    fold, image_chain, is_injective_on, pi1_endomorphism, whole_group_graph,
-)
-from .graphs import GraphMap, compose, edge_of, inv, reduce_darts, validate
+from .freegroup import image_chain, is_injective_on, whole_group_graph
+from .graphs import GraphMap, compose, edge_of, validate
 from .traintrack import (
     certification_failure, has_positive_power, is_expanding, is_irreducible,
     is_train_track, transition_matrix,
@@ -430,95 +431,3 @@ def verify_package(pkg):
 
     return report
 
-
-@dataclass
-class ConjugacyReport:
-    """Result of matching the induced action against the stable restriction."""
-
-    matched: bool
-    conjugator: tuple
-    candidates_tried: int
-    subgroup_conjugate: bool = True
-    detail: str = ""
-
-
-def _conjugate_word(u, word):
-    return reduce_darts(u + word + tuple(map(inv, reversed(u))))
-
-
-def conjugacy_check(pkg, max_length=4, max_candidates=20000):
-    """Compare the induced map's group action with the return endomorphism.
-
-    The return endomorphism, induced by the source's ``period``-th power at
-    the periodic vertex, is built here; the package does not carry it.
-    Both actions are written at the periodic point upstairs, where the
-    induced map's relevant power is based: one pushes fundamental group
-    basis loops through that power, the other applies the return map to
-    their projections and lifts back.  The two agree up to one inner
-    automorphism; the conjugator is searched outward from the identity,
-    where every fixture lands.  Also records whether the subgroup carried
-    by the periodic point is conjugate to the stable image by the
-    connecting path, which is the "up to conjugacy" in the statement that
-    the promoted map represents the stable endomorphism.
-    """
-    core = pkg.core
-    fbar = pkg.induced
-    q = pkg.orbit_period
-    power = q * pkg.period
-    z = pkg.transfer_basepoint
-    cur = z
-    for _ in range(power):
-        cur = fbar.vertex_map[cur]
-    if cur != z:
-        return ConjugacyReport(False, (), 0, False,
-                               "periodic point is not fixed by the power")
-
-    helper = whole_group_graph(core.graph, z)
-    big = fbar.power(power)
-    phi = pi1_endomorphism(pkg.source.power(pkg.period), pkg.periodic_vertex)
-
-    upstairs = {}
-    downstairs = {}
-    for name, loop, _word in helper.basis():
-        upstairs[name] = helper.rewrite(big.apply_to_darts(loop))
-        projected = core.project_darts(loop)
-        returned = phi.apply_word(projected, q)
-        end, lifted, consumed = core.trace(z, returned)
-        if consumed != len(returned) or end != z:
-            return ConjugacyReport(False, (), 0, False,
-                                   "return image does not lift closed")
-        downstairs[name] = helper.rewrite(lifted)
-
-    # the subgroup at the periodic point versus the stable image: conjugate
-    # by the projection of any path connecting the basepoints
-    _, path_to = core.spanning_tree()
-    delta = core.project_darts(path_to[z])
-    moved = [reduce_darts(delta + core.project_darts(loop)
-                          + tuple(inv(d) for d in reversed(delta)))
-             for _name, loop, _word in helper.basis()]
-    ambient = core.ambient
-    base_down = core.vertex_image[core.basepoint]
-    conjugate_ok = (fold(ambient, base_down, moved)
-                    == fold(ambient, base_down, core.generator_words()))
-
-    names = sorted(upstairs)
-    tried = 0
-    gens = [g for name in names for g in (name, inv(name))]
-    frontier = [()]
-    seen = {()}
-    while frontier and tried < max_candidates:
-        u = frontier.pop(0)
-        tried += 1
-        if all(_conjugate_word(u, downstairs[g]) == upstairs[g]
-               for g in names):
-            return ConjugacyReport(True, u, tried, conjugate_ok)
-        if len(u) < max_length:
-            for g in gens:
-                if u and u[-1] == inv(g):
-                    continue
-                nxt = u + (g,)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-    return ConjugacyReport(False, (), tried, conjugate_ok,
-                           "no conjugator within bounds")

@@ -183,12 +183,16 @@ def write_package(outdir, pkg, report):
     _write(os.path.join(outdir, "report.json"), report_to_obj(report))
 
 
+def load_core(outdir):
+    """The source self-map and the folded core of a package directory."""
+    f = load_input(_read(os.path.join(outdir, "source.json"))).graph_map
+    return f, labeled_from_obj(_read(os.path.join(outdir, "core.json")),
+                               f.domain)
+
+
 def load_package(outdir):
     """Rebuild a package from its directory; derived pieces are recomputed."""
-    source = load_input(_read(os.path.join(outdir, "source.json")))
-    f = source.graph_map
-    core = labeled_from_obj(_read(os.path.join(outdir, "core.json")),
-                            f.domain)
+    f, core = load_core(outdir)
     induced = map_from_obj(_read(os.path.join(outdir, "induced.json")),
                            core.graph)
     projection = map_from_obj(_read(os.path.join(outdir, "projection.json")),

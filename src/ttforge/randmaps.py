@@ -118,12 +118,10 @@ def flip_orientations(f, flip_edges):
     return GraphMap(new_graph, new_graph, dict(f.vertex_map), images)
 
 
-def random_train_track_map(rng, max_edges=6, max_image_len=4,
-                           build_budget=200000, stats=None):
-    """Keep sampling until a certified map survives the promotion probe.
+def check_bounds(max_edges, max_image_len, build_budget):
+    """Reject bounds no map can meet, with ValueError, before any RNG draw.
 
-    Unmeetable bounds raise ValueError before ``rng`` is drawn from:
-    one-dart images never grow, and every accepted transfer has at least
+    One-dart images never grow, and every accepted transfer has at least
     1^T A^2 1 >= 4 symbols (K = 2knr >= 2), as ``a -> a a`` does.
     """
     for name, value, least in (("max_edges", max_edges, 1),
@@ -132,6 +130,12 @@ def random_train_track_map(rng, max_edges=6, max_image_len=4,
         if value < least:
             raise ValueError("%s must be at least %d, got %r"
                              % (name, least, value))
+
+
+def random_train_track_map(rng, max_edges=6, max_image_len=4,
+                           build_budget=200000, stats=None):
+    """Keep sampling until a certified map survives the promotion probe."""
+    check_bounds(max_edges, max_image_len, build_budget)
     if stats is None:
         stats = GenerationStats()
     while True:
@@ -160,6 +164,7 @@ def random_train_track_map(rng, max_edges=6, max_image_len=4,
 def corpus(count, seed, max_edges=6, max_image_len=4, build_budget=200000,
            stats=None):
     """Deterministic list of certified maps for a seed."""
+    check_bounds(max_edges, max_image_len, build_budget)
     rng = random.Random(seed)
     return [random_train_track_map(rng, max_edges, max_image_len,
                                    build_budget, stats)

@@ -142,25 +142,6 @@ def flow(space, tp, s):
     return space.point(pt, total - whole * space.unit)
 
 
-def return_time(space, tp):
-    """Time until the orbit next meets the section at height 0."""
-    return space.unit - tp.height
-
-
-def section_first_return(space, pt):
-    """First return of a section point to the section, with its return time.
-
-    For a mapping torus the section is the graph at height 0 and the return
-    map is the defining self-map; for a cover descriptor the section is the
-    cover at height 0 and the return map is the lift, after one full time
-    unit of the longer period.
-    """
-    hit = flow(space, space.point(pt), space.unit)
-    if hit.height != 0:
-        raise AssertionError("flow missed its section")
-    return Fraction(space.unit), hit
-
-
 def h_maps(torus):
     """The pair of comparison maps between the torus and itself as a model.
 

@@ -41,7 +41,7 @@ class TransitionMatrix:
     dense rows; ``rows`` is a dense view, for printing.
     """
 
-    __slots__ = ("labels", "entries", "adjacency")
+    __slots__ = ("labels", "entries", "adjacency", "_condensed")
 
     def __init__(self, labels, rows):
         labels = tuple(labels)
@@ -66,6 +66,7 @@ class TransitionMatrix:
         self.entries = tuple(map(tuple, entries))
         self.adjacency = tuple(tuple(j for j, _x in row)
                                for row in self.entries)
+        self._condensed = None
 
     @property
     def dim(self):
@@ -111,8 +112,11 @@ def _condensation(matrix):
     and ``succ[c]`` is the set of other components that c's arcs enter.
     Tarjan's pass, iterative, closes a component only after every component
     it reaches, so every number in ``succ[c]`` is below c and one loop over
-    the components in increasing order sees each successor first.
+    the components in increasing order sees each successor first.  The
+    pass runs once per matrix, which keeps its result in ``_condensed``.
     """
+    if matrix._condensed is not None:
+        return matrix._condensed
     adj = matrix.adjacency
     n = len(adj)
     comp = [None] * n
@@ -147,9 +151,10 @@ def _condensation(matrix):
                         members.append(stack.pop())
                     for w in members:
                         comp[w] = c
-                    succ.append({comp[w] for u in members for w in adj[u]}
-                                - {c})
-    return comp, succ
+                    succ.append(frozenset(
+                        {comp[w] for u in members for w in adj[u]} - {c}))
+    matrix._condensed = tuple(comp), tuple(succ)
+    return matrix._condensed
 
 
 def is_irreducible(matrix):

@@ -24,7 +24,7 @@ from ttforge.induced import (
 from ttforge.suspension import (
     CoverPoint, MappingTorus, TorusPoint, breakpoint_samples, edge_point,
     FlowHomotopyPair, flow, h_maps, make_cover_descriptor,
-    project_point, seam_crossings, section_first_return, vertex_point,
+    project_point, seam_crossings, vertex_point,
 )
 from ttforge.traintrack import (
     TurnSystem, find_invariant_subgraph, has_positive_power, is_expanding,
@@ -402,11 +402,11 @@ def test_cover_descriptors_flow_correctly(announce, fib):
     rng = random.Random("descriptors")
     for label, desc in (("trivial", trivial), ("index2", index2)):
         for v in desc.cover.graph.vertices:
-            rho, hit = section_first_return(desc, vertex_point(v))
+            hit = flow(desc, desc.point(vertex_point(v)), desc.unit)
             expected = CoverPoint(vertex_point(desc.lift.vertex_map[v]), 0)
-            if rho != desc.exponent or hit != expected:
+            if desc.unit != desc.exponent or hit != expected:
                 failures.append("%s: first return at %s gives (%s, %r)"
-                                % (label, v, rho, hit))
+                                % (label, v, desc.unit, hit))
         base = CoverPoint(vertex_point(desc.cover.graph.vertices[0]), 0)
         if seam_crossings(desc, base, desc.exponent) != desc.dual_index:
             failures.append("%s: seam crossings over one period off" % label)

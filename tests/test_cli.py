@@ -316,18 +316,32 @@ class TestProptest:
         (["-m", "ttforge.cli", "proptest", "--budget", "0"], "build_budget"),
         (["-m", "ttforge.cli", "proptest", "--budget", "1"], "build_budget"),
         (["-m", "ttforge.cli", "proptest", "--max-edges", "0"], "max_edges"),
+        (["-m", "ttforge.cli", "proptest", "--count", "0", "--budget", "0"],
+         "build_budget"),
         ([str(ROOT / "scripts" / "corpus_stats.py"), "--max-image-len", "1"],
          "max_image_len"),
         ([str(ROOT / "scripts" / "corpus_stats.py"), "--max-edges", "0"],
          "max_edges"),
-    ], ids=["len0", "len1", "budget0", "budget1", "edges0",
-            "stats-len1", "stats-edges0"])
+        ([str(ROOT / "scripts" / "corpus_stats.py"), "--count", "0",
+          "--max-edges", "0"], "max_edges"),
+    ], ids=["len0", "len1", "budget0", "budget1", "edges0", "count0-budget0",
+            "stats-len1", "stats-edges0", "stats-count0-edges0"])
     def test_unmeetable_bounds_exit_one(self, argv, bound):
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         proc = subprocess.run([sys.executable] + argv, env=env, timeout=20,
                               capture_output=True, text=True)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: %s must be at least" % bound)
+
+    def test_corpus_stats_of_no_maps_is_an_empty_summary(self):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "corpus_stats.py"),
+             "--count", "0"],
+            env=env, timeout=20, capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.endswith(
+            "promotion over 0 maps (0 failed verification):\n")
 
 
 class TestExportDot:

@@ -14,16 +14,16 @@ from hypothesis import assume, given, settings, strategies as st
 from ttforge import graphs, induced
 from ttforge.covers import NotLiftableError, lift_by_tracing
 from ttforge.graphs import (
-    GraphMap, SerreGraph, compose, inv, rose, validate,
+    GraphMap, SerreGraph, compose, inv, reduce_darts, rose, validate,
 )
 from ttforge.traintrack import (
     has_positive_power, pf_eigenvalue, transition_matrix,
 )
-from ttforge.freegroup import image_chain
+from ttforge.freegroup import image_chain, whole_group_graph
 from ttforge.randmaps import random_candidate
 from ttforge.induced import (
     SizeBudgetExceeded, _transfer_size, basepoint_orbit, build_induced,
-    conjugacy_check, find_periodic_vertex, injectivity_exponent,
+    find_periodic_vertex, injectivity_exponent,
     projection_map, smallest_multiple_reaching, verify_package,
 )
 
@@ -601,23 +601,23 @@ def test_no_tampered_package_passes(lifting_packages):
     assert {"cyc2", "pre1_r2", "pre1_r3"} <= set(invalid_induced)
 
 
-class TestConjugacy:
-    def test_fixture_witnesses(self, packages):
-        for name in ("sigma", "fib", "cyc2"):
-            result = conjugacy_check(packages[name])
-            assert result.matched, name
-            assert result.conjugator == ()
-            assert result.subgroup_conjugate
-            assert result.candidates_tried >= 1
+def test_induced_action_is_the_lifted_return_map(lifting_packages):
+    """f̄^(qr) acts on loops at z exactly as the lift of f^(qr).
 
-    def test_all_fixtures_match(self, packages):
-        for name, pkg in packages.items():
-            result = conjugacy_check(pkg)
-            assert result.matched, name
-            assert result.subgroup_conjugate, name
-
-    def test_search_bound_is_respected(self, packages):
-        result = conjugacy_check(packages["sigma"], max_length=0,
-                                 max_candidates=1)
-        # identity works for this fixture even with the tightest bounds
-        assert result.matched and result.candidates_tried == 1
+    No conjugator: for every basis loop γ at the transfer basepoint z, the
+    reduced image of γ under f̄^(qr) is the lift at z of the reduced image
+    of p(γ) under f^(qr), the exact form of "f̄ represents the injective
+    endomorphism of the stable quotient".
+    """
+    for name, pkg in lifting_packages.items():
+        core, z = pkg.core, pkg.transfer_basepoint
+        power = pkg.orbit_period * pkg.period
+        up = pkg.induced.power(power)
+        down = pkg.source.power(power)
+        assert up.vertex_map[z] == z, name
+        for _gen, loop, _word in whole_group_graph(core.graph, z).basis():
+            returned = reduce_darts(
+                down.apply_to_darts(core.project_darts(loop)))
+            end, lifted, consumed = core.trace(z, returned)
+            assert (end, consumed) == (z, len(returned)), name
+            assert reduce_darts(up.apply_to_darts(loop)) == lifted, name

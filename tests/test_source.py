@@ -7,7 +7,8 @@ names.  A relative import is deferred into a function only to break an
 import cycle.  The benchmark's tracer wraps package functions by name and reads
 the check names out of ``verify_package``, so those names are pinned too.
 The dense view of a transition matrix is read only where it is printed.
-Admission, the lift search and the stable quotient each have one home.
+Admission, the lift search, the stable quotient and the package layout
+each have one home.
 Darts and words have one spelling, with no converter between spellings.
 No test runs the scripts under ``scripts/``, so every name they import from
 the package is checked to exist.  The README's Python quick start and its
@@ -31,6 +32,7 @@ import pytest
 import ttforge
 from ttforge import induced
 from ttforge.cli import main
+from ttforge.io import PACKAGE_FILES
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "ttforge"
@@ -419,6 +421,15 @@ def test_one_admission_chain():
 def test_one_stable_quotient_entry_point():
     assert [module for module, source in PACKAGE_SOURCES.items()
             if "chain_quotient" in source] == []
+
+
+def test_package_layout_is_known_to_io_only():
+    """Only ``io`` names the files of a package directory."""
+    names = {module for module, source in PACKAGE_SOURCES.items()
+             if node_sites(source, lambda node: (
+                 isinstance(node, ast.Constant)
+                 and node.value in PACKAGE_FILES))}
+    assert names == {"io"}
 
 
 def tilde_sites(source):

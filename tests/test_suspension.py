@@ -20,8 +20,8 @@ from ttforge.suspension import (
     CoverDescriptor, CoverPoint, FlowHomotopyPair, MappingTorus, TorusPoint,
     _component_containing, breakpoint_samples, edge_point, flow, h_maps,
     iterate_breakpoints,
-    make_cover_descriptor, map_point, project_point, return_time,
-    seam_crossings, section_first_return, vertex_point,
+    make_cover_descriptor, map_point, project_point, seam_crossings,
+    vertex_point,
 )
 
 ROSE2 = rose(["a", "b"])
@@ -139,18 +139,17 @@ class TestFlow:
     def test_return_time(self, sigma):
         torus = MappingTorus(sigma)
         x = TorusPoint(vertex_point("v"), Fraction(1, 4))
-        assert return_time(torus, x) == Fraction(3, 4)
-        assert return_time(torus, torus.point("v")) == 1
-        assert flow(torus, x, return_time(torus, x)).height == 0
+        assert flow(torus, x, Fraction(3, 4)).height == 0
+        assert flow(torus, torus.point("v"), 1).height == 0
 
     def test_section_first_return_is_the_map(self, fib):
         torus = MappingTorus(fib)
-        rho, hit = section_first_return(torus, vertex_point("v"))
-        assert rho == 1
+        assert torus.unit == 1
+        hit = flow(torus, torus.point(vertex_point("v")), torus.unit)
         assert hit == TorusPoint(vertex_point("v"), Fraction(0))
         pt = edge_point(ROSE2, "b", Fraction(1, 4))
-        rho, hit = section_first_return(torus, pt)
-        assert (rho, hit) == (1, TorusPoint(map_point(fib, pt), Fraction(0)))
+        hit = flow(torus, torus.point(pt), torus.unit)
+        assert hit == TorusPoint(map_point(fib, pt), Fraction(0))
 
 
 class TestComparisonMaps:
@@ -435,8 +434,8 @@ class TestSectionDuality:
     def test_first_return_is_the_lift(self, index2_descriptor):
         desc = index2_descriptor
         for v in desc.cover.graph.vertices:
-            rho, hit = section_first_return(desc, vertex_point(v))
-            assert rho == desc.exponent
+            hit = flow(desc, desc.point(vertex_point(v)), desc.unit)
+            assert desc.unit == desc.exponent
             assert hit == CoverPoint(vertex_point(desc.lift.vertex_map[v]), 0)
 
     def test_flow_around_loop_crosses_once_per_unit(self, trivial_descriptor,

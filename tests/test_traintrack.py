@@ -548,3 +548,21 @@ class TestCertificationFailure:
     def test_fixtures_that_promote_pass(self, sigma, fib, cyc2, pre1_r2):
         for f in (sigma, fib, cyc2, pre1_r2):
             assert certification_failure(f) is None
+
+    def test_one_condensation_pass(self, fib, monkeypatch):
+        """Irreducibility and expansion read one condensation of the matrix.
+
+        Each pass walks ``adjacency`` from one read of it, so the reads
+        count the passes.
+        """
+        slot = TransitionMatrix.adjacency
+        passes = []
+
+        def read(matrix):
+            passes.append(matrix)
+            return slot.__get__(matrix)
+
+        monkeypatch.setattr(TransitionMatrix, "adjacency",
+                            property(read, slot.__set__))
+        assert certification_failure(fib) is None
+        assert len(passes) == 1
