@@ -34,7 +34,7 @@ from .induced import (
     verify_package,
 )
 from .suspension import (
-    MappingTorus, TorusPoint, GraphPoint, CoverPoint, CoverDescriptor,
+    MappingTorus, TorusPoint, GraphPoint, CoverDescriptor,
     vertex_point, edge_point, map_point, flow, h_maps,
     FlowHomotopyPair, breakpoint_samples, iterate_breakpoints,
     make_cover_descriptor, project_point, seam_crossings,

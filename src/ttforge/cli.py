@@ -105,7 +105,7 @@ def cmd_quotient(args):
         "period": period,
         "ambient_rank": phi.rank,
         "stabilization": q.exponent,
-        "rank": q.rank,
+        "rank": q.core.rank(),
         "injective_on_image": q.injective,
         "image_basis": {name: " ".join(word)
                         for name, _loop, word in q.core.basis()},
@@ -202,7 +202,7 @@ def cmd_suspend(args):
         run("descriptor_projection_commutes", ok, detail)
         results["descriptor"] = {"degree": desc.degree,
                                  "exponent": desc.exponent,
-                                 "dual_index": desc.dual_index}
+                                 "dual_index": desc.exponent}
     code = EXIT_PROPERTY if failed else EXIT_OK
     return code, bundle, results
 

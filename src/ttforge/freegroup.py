@@ -188,9 +188,6 @@ class SubgroupGraph(LabeledGraph):
         """
         return self._tree_basis[0]
 
-    def generator_words(self):
-        return [word for (_, _, word) in self.basis()]
-
     def contains(self, ambient_darts):
         """Membership of a loop at the basepoint, by deterministic tracing."""
         word = reduce_darts(tuple(ambient_darts))
@@ -593,12 +590,8 @@ class StableQuotientReport:
 
     exponent: int
     core: SubgroupGraph
-    rank: int
     restriction: dict
     injective: bool
-
-    def restriction_word(self, name):
-        return self.restriction[name]
 
 
 def stable_quotient(phi):
@@ -612,7 +605,6 @@ def stable_quotient(phi):
     return StableQuotientReport(
         exponent=K,
         core=core,
-        rank=core.rank(),
         restriction=restriction,
         # the chain stops at the first step that keeps the rank
         injective=True,

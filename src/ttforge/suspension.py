@@ -1,11 +1,13 @@
 """Mapping torus of a graph self-map, its semiflow, and finite covers.
 
-Points of the torus are pairs (point of the graph, height in [0,1)), with
-the gluing (x, 1) ~ (map(x), 0).  Flowing for rational time is exact: whole
-units apply the map pointwise, the fractional remainder adjusts the height.
-Everything downstream (the flow-homotopy pair algebra and descriptor covers
-with their longer time unit) reduces to this arithmetic, so all identities
-can be sampled and compared bit for bit as Fractions.
+Points of the torus are pairs (point of the graph, height in [0, unit)),
+with the gluing (x, unit) ~ (map(x), 0).  Flowing for rational time is
+exact: whole units apply the map pointwise, the fractional remainder
+adjusts the height.  A finite cover where the j-th power of the map lifts
+is itself a mapping torus, of the lift with time unit j, so the
+flow-homotopy pair algebra and the cover projection reduce to this one
+arithmetic, and all identities can be sampled and compared bit for bit as
+Fractions.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .freegroup import SubgroupGraph, hall_completion, induces_pi1_isomorphism
 from .graphs import (
     GraphMap, SerreGraph, compose, edge_of, is_positive, validate,
 )
+from .induced import projection_map
 
 
 @dataclass(frozen=True)
@@ -77,20 +80,22 @@ def map_point(f, pt):
 
 @dataclass(frozen=True)
 class TorusPoint:
+    """A graph point at a height; the space bounds the height by its unit."""
+
     point: GraphPoint
     height: Fraction
 
     def __post_init__(self):
         object.__setattr__(self, "height", Fraction(self.height))
-        if not 0 <= self.height < 1:
-            raise ValueError("height %s is outside [0,1)" % self.height)
+        if self.height < 0:
+            raise ValueError("negative height")
 
 
 class MappingTorus:
     """The mapping torus of a graph self-map with its suspension semiflow.
 
-    A space for :func:`flow`, like :class:`CoverDescriptor`: time ``unit``
-    1, and the self-map as the ``first_return`` of the section.
+    The space :func:`flow` runs on: heights in [0, ``unit``), and the
+    self-map as the ``first_return`` of the section.
     """
 
     unit = 1
@@ -107,7 +112,11 @@ class MappingTorus:
     def point(self, pt, height=0):
         if isinstance(pt, str):
             pt = vertex_point(pt)
-        return TorusPoint(pt, Fraction(height))
+        tp = TorusPoint(pt, height)
+        if tp.height >= self.unit:
+            raise ValueError("height %s is outside the period %d"
+                             % (tp.height, self.unit))
+        return tp
 
     def first_return(self, pt):
         return map_point(self.map, pt)
@@ -116,25 +125,16 @@ class MappingTorus:
         return "MappingTorus(%d edges)" % len(self.graph.edge_ids)
 
 
-def _check_period(space, tp):
-    """Reject a point whose height is past the space's time unit."""
-    if tp.height >= space.unit:
-        raise ValueError("height %s is outside the period %d"
-                         % (tp.height, space.unit))
-    return tp
-
-
 def flow(space, tp, s):
     """Semiflow for nonnegative rational time, exactly.
 
-    ``space`` is a mapping torus or a cover descriptor.  Heights run through
-    [0, unit); each whole unit of time applies the section's first return.
+    Heights run through [0, unit); each whole unit of time applies the
+    section's first return.
     """
     s = Fraction(s)
     if s < 0:
         raise ValueError("the semiflow only runs forward")
-    _check_period(space, tp)
-    total = tp.height + s
+    total = space.point(tp.point, tp.height).height + s
     whole = total // space.unit
     pt = tp.point
     for _ in range(whole):
@@ -195,31 +195,20 @@ class FlowHomotopyPair:
             raise ValueError("beta after alpha is not the stated power")
         if compose(self.alpha, self.beta) != fy.power(self.power):
             raise ValueError("alpha after beta is not the stated power")
-        self._alpha_point = _exact_realization(
-            self.alpha, self.beta, fx, self.power)
-        self._beta_point = _exact_realization(
-            self.beta, self.alpha, fy, self.power)
-
-    def alpha_hat(self, tp):
-        stepped = map_point(self.torus_x.map, tp.point)
-        return TorusPoint(self._alpha_point(stepped), tp.height)
-
-    def beta_hat(self, tp):
-        stepped = map_point(self.torus_y.map, tp.point)
-        return TorusPoint(self._beta_point(stepped), tp.height)
+        self.alpha_hat = _torus_map(
+            fx, _exact_realization(self.alpha, self.beta, fx, self.power))
+        self.beta_hat = _torus_map(
+            fy, _exact_realization(self.beta, self.alpha, fy, self.power))
 
     def check_composite(self, samples_x, samples_y):
         """Both composites against the time-(power+2) flows, exactly."""
-        for tp in samples_x:
-            if self.beta_hat(self.alpha_hat(tp)) != flow(
-                    self.torus_x, tp, self.power + 2):
-                return False, ("round trip through the pair misses the flow "
-                               "at %r" % (tp,))
-        for tp in samples_y:
-            if self.alpha_hat(self.beta_hat(tp)) != flow(
-                    self.torus_y, tp, self.power + 2):
-                return False, ("round trip through the pair misses the flow "
-                               "at %r" % (tp,))
+        for torus, there, back, samples in (
+                (self.torus_x, self.alpha_hat, self.beta_hat, samples_x),
+                (self.torus_y, self.beta_hat, self.alpha_hat, samples_y)):
+            for tp in samples:
+                if back(there(tp)) != flow(torus, tp, self.power + 2):
+                    return False, ("round trip through the pair misses the "
+                                   "flow at %r" % (tp,))
         return True, ""
 
     def check_equivariance(self, samples_x, times):
@@ -253,6 +242,11 @@ def _exact_realization(forward, back, downstairs, power):
     return lambda pt: map_point(forward, pt)
 
 
+def _torus_map(f, realize):
+    """(theta, t) to (realize(f(theta)), t): a graph map's torus action."""
+    return lambda tp: TorusPoint(realize(map_point(f, tp.point)), tp.height)
+
+
 def _tracked(lift, label, downstairs, power):
     """A lift of the ``power``-th iterate downstairs, realized pointwise.
 
@@ -270,7 +264,7 @@ def _tracked(lift, label, downstairs, power):
     return point
 
 
-def iterate_breakpoints(f, dart, power, _cache=None):
+def iterate_breakpoints(f, dart, power):
     """Positions where the ``power``-fold iterate bends on one dart.
 
     Flowing iterates the time-one map, so the bends of the composite are
@@ -279,22 +273,13 @@ def iterate_breakpoints(f, dart, power, _cache=None):
     only when all image lengths are equal).  Positions are in traversal
     coordinates of ``dart`` and always include both endpoints.
     """
-    if _cache is None:
-        _cache = {}
-    key = (dart, power)
-    if key in _cache:
-        return _cache[key]
     if power == 0:
-        pts = frozenset((Fraction(0), Fraction(1)))
-    else:
-        path = f.dart_image(dart)
-        length = len(path)
-        pts = frozenset(
-            Fraction(i + q, length)
-            for i, d in enumerate(path)
-            for q in iterate_breakpoints(f, d, power - 1, _cache))
-    _cache[key] = pts
-    return pts
+        return frozenset((Fraction(0), Fraction(1)))
+    path = f.dart_image(dart)
+    return frozenset(
+        Fraction(i + q, len(path))
+        for i, d in enumerate(path)
+        for q in iterate_breakpoints(f, d, power - 1))
 
 
 def breakpoint_samples(torus, power, heights=(Fraction(0), Fraction(1, 2))):
@@ -307,7 +292,6 @@ def breakpoint_samples(torus, power, heights=(Fraction(0), Fraction(1, 2))):
     """
     f = torus.map
     big = f.power(power)
-    cache = {}
     out = []
     for v in torus.graph.vertices:
         for h in heights:
@@ -316,7 +300,7 @@ def breakpoint_samples(torus, power, heights=(Fraction(0), Fraction(1, 2))):
         length = max(1, len(big.dart_image(e)))
         denom = 2 * length
         positions = set(Fraction(i, denom) for i in range(1, denom))
-        positions.update(iterate_breakpoints(f, e, power, cache))
+        positions.update(iterate_breakpoints(f, e, power))
         for u in sorted(positions):
             pt = edge_point(torus.graph, e, u)
             if pt.is_vertex:
@@ -329,28 +313,17 @@ def breakpoint_samples(torus, power, heights=(Fraction(0), Fraction(1, 2))):
 # -- finite covers with a longer time unit ------------------------------------
 
 
-@dataclass(frozen=True)
-class CoverPoint:
-    point: GraphPoint
-    height: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "height", Fraction(self.height))
-        if self.height < 0:
-            raise ValueError("negative height")
-
-
-class CoverDescriptor:
-    """A finite cover of the graph carrying a lift of a power of the map.
+class CoverDescriptor(MappingTorus):
+    """The mapping torus of a lift of a power of the map to a finite cover.
 
     The data is a covering (as a labeled graph), a self-map of the cover,
     and the exponent j with projection after the lift equal to the j-th
-    power after projection, dart for dart.  The suspension upstairs uses a
-    time unit of length j, so projecting commutes with flowing on the nose;
-    j is also the winding number of the upstairs period around the
-    downstairs section (the dual pairing of the section class).  Its
-    ``unit`` is j and its ``first_return`` is the lift, which is what
-    :func:`flow` needs.
+    power after projection, dart for dart.  The torus upstairs has the
+    lift as its ``map`` and a time unit of length j, so projecting commutes
+    with flowing on the nose; j is also the winding number of the upstairs
+    period around the downstairs section (the dual pairing of the section
+    class).  The lift of a power may backtrack, so it is not validated as
+    a graph map.
     """
 
     def __init__(self, cover, lift, exponent, base_map):
@@ -358,35 +331,21 @@ class CoverDescriptor:
             raise ValueError("descriptor needs a genuine covering")
         if exponent < 1:
             raise ValueError("exponent must be positive")
+        p = projection_map(cover)
+        if compose(p, lift) != compose(base_map.power(exponent), p):
+            raise ValueError("lift does not cover the power %d" % exponent)
         self.cover = cover
-        self.lift = lift
-        self.exponent = exponent
+        self.projection = p
+        self.map = lift
+        self.graph = cover.graph
+        self.unit = self.exponent = exponent
         self.base = MappingTorus(base_map)
-        big = base_map.power(exponent)
-        for v in cover.graph.vertices:
-            if cover.vertex_image[lift.vertex_map[v]] != \
-                    big.vertex_map[cover.vertex_image[v]]:
-                raise ValueError("lift does not cover the power on %r" % v)
-        for e in cover.graph.edge_ids:
-            if cover.project_darts(lift.dart_image(e)) != \
-                    big.dart_image(cover.edge_label[e]):
-                raise ValueError("lift does not cover the power on %r" % e)
-        self.unit = exponent
         self.first_return = _tracked(lift, cover.dart_label, base_map,
                                      exponent)
-
-    def point(self, pt, height=0):
-        return _check_period(self, CoverPoint(pt, height))
 
     @property
     def degree(self):
         return self.cover.degree()
-
-    @property
-    def dual_index(self):
-        """Crossings of the downstairs section during one upstairs period."""
-        start = self.point(vertex_point(self.cover.graph.vertices[0]))
-        return seam_crossings(self, start, self.exponent)
 
     def __repr__(self):
         return "CoverDescriptor(degree %d, exponent %d)" % (
@@ -417,14 +376,8 @@ def make_cover_descriptor(f, sub, max_exponent=12):
     """
     if not induces_pi1_isomorphism(f):
         raise ValueError("descriptors need a homotopy equivalence downstairs")
-    if sub.is_covering():
-        cover = sub
-    else:
-        cover = hall_completion(sub)
-    base = getattr(sub, "basepoint", None)
-    if base is None or base not in cover.graph.vertices:
-        base = cover.graph.vertices[0]
-    cover = _component_containing(cover, base)
+    cover = sub if sub.is_covering() else hall_completion(sub)
+    cover = _component_containing(cover, sub.basepoint)
     for j in range(1, max_exponent + 1):
         try:
             lift = lift_graph_map(f.power(j), cover)
@@ -454,27 +407,23 @@ def _image_coordinate(f, path, coord):
     return f.apply_to_darts(path), prefix + u * len(f.dart_image(path[i]))
 
 
-def project_point(desc, cp):
+def project_point(desc, tp):
     """Projection to the base mapping torus, commuting with the flows.
 
     Heights upstairs run through [0, exponent); the projected point flows
     from height 0 downstairs for that long.
     """
-    pt = _check_period(desc, cp).point
-    if pt.is_vertex:
-        down = vertex_point(desc.cover.vertex_image[pt.vertex])
-    else:
-        down = GraphPoint(edge=desc.cover.edge_label[pt.edge],
-                          position=pt.position)
-    return flow(desc.base, desc.base.point(down), cp.height)
+    tp = desc.point(tp.point, tp.height)
+    down = map_point(desc.projection, tp.point)
+    return flow(desc.base, desc.base.point(down), tp.height)
 
 
-def seam_crossings(desc, cp, duration):
+def seam_crossings(desc, tp, duration):
     """How often the projected orbit crosses the downstairs section.
 
     The base flow meets its section once per unit of time, so over a
     nonnegative duration that is the floor of frac(height) + duration: the
     pairing of the orbit segment with the section's dual class.
     """
-    total = _check_period(desc, cp).height % 1 + Fraction(duration)
+    total = desc.point(tp.point, tp.height).height % 1 + Fraction(duration)
     return max(0, total.numerator // total.denominator)

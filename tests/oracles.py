@@ -274,7 +274,7 @@ def image_chain_oracle(phi):
     """``(links, K)``: H_0 .. H_max(K,1), K the first k with rank kept."""
     links = [whole_group_graph(phi.ambient, phi.base)]
     while True:
-        words = [phi.apply_word(w) for w in links[-1].generator_words()]
+        words = [phi.apply_word(w) for _, _, w in links[-1].basis()]
         K = len(links) - 1
         kept = (subgroup_rank(phi.ambient, phi.base, words)
                 == links[-1].rank())
@@ -307,7 +307,7 @@ def orbit_exponents_oracle(f, orbit):
         found = None
         for n in range(1, max(K, 1) + 1):
             sub = links[n]
-            words = [f.apply_to_darts(w) for w in sub.generator_words()]
+            words = [f.apply_to_darts(w) for _, _, w in sub.basis()]
             if subgroup_rank(f.domain, f.vertex_map[phi.base],
                              words) == sub.rank():
                 found = n

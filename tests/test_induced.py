@@ -6,6 +6,7 @@ tampering with packages and watching the right check fail.
 """
 
 import dataclasses
+import json
 import random
 
 import pytest
@@ -19,13 +20,14 @@ from ttforge.graphs import (
 from ttforge.traintrack import (
     has_positive_power, pf_eigenvalue, transition_matrix,
 )
-from ttforge.freegroup import image_chain, whole_group_graph
+from ttforge.freegroup import SubgroupGraph, image_chain, whole_group_graph
 from ttforge.randmaps import random_candidate
 from ttforge.induced import (
     SizeBudgetExceeded, _transfer_size, basepoint_orbit, build_induced,
     find_periodic_vertex, injectivity_exponent,
     projection_map, smallest_multiple_reaching, verify_package,
 )
+from ttforge.io import load_package, write_package
 
 from oracles import (
     orbit_chains_oracle, orbit_exponents_oracle,
@@ -425,6 +427,33 @@ class TestVerifyPackage:
                              {e: loop for e in core.edge_ids})
         report = verify_package(dataclasses.replace(pkg, induced=collapsed))
         assert report.checks["induced_pi1_injective"][0] is False
+
+    # Swapping the labels a and b of sigma's core keeps its graph, rank and
+    # projection but folds <b a> instead of the stable image <a b>.
+    SWAP = {"a": "b", "b": "a"}
+
+    def test_relabeled_core_is_caught(self, packages):
+        pkg = packages["sigma"]
+        core = pkg.core
+        swapped = SubgroupGraph(
+            core.graph, core.ambient,
+            {e: self.SWAP[label] for e, label in core.edge_label.items()},
+            core.vertex_image, core.basepoint)
+        assert swapped.rank() == core.rank() and swapped != core
+        report = verify_package(dataclasses.replace(pkg, core=swapped))
+        assert report.failures() == ["rank_matches_quotient"]
+        assert report.checks["rank_matches_quotient"] == (False, "rank 1")
+
+    def test_relabeled_core_file_is_caught(self, packages, tmp_path):
+        pkg = packages["sigma"]
+        write_package(tmp_path, pkg, verify_package(pkg))
+        path = tmp_path / "core.json"
+        obj = json.loads(path.read_text())
+        obj["labels"] = {e: self.SWAP[label]
+                         for e, label in obj["labels"].items()}
+        path.write_text(json.dumps(obj))
+        report = verify_package(load_package(tmp_path))
+        assert report.failures() == ["rank_matches_quotient"]
 
     def test_report_records_named_checks(self, packages):
         report = verify_package(packages["fib"])

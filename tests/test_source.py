@@ -10,6 +10,7 @@ The dense view of a transition matrix is read only where it is printed.
 Admission, the lift search, the stable quotient and the package layout
 each have one home.
 Darts and words have one spelling, with no converter between spellings.
+The suspension module has one point type and one height check.
 No test runs the scripts under ``scripts/``, so every name they import from
 the package is checked to exist.  The README's Python quick start and its
 sample ``ttforge quotient`` report are run and compared with the output the
@@ -30,7 +31,7 @@ from pathlib import Path
 import pytest
 
 import ttforge
-from ttforge import induced
+from ttforge import induced, suspension
 from ttforge.cli import main
 from ttforge.io import PACKAGE_FILES
 
@@ -466,6 +467,37 @@ def test_one_dart_spelling():
     sites = {(module, name) for module, source in PACKAGE_SOURCES.items()
              for name in tilde_sites(source)}
     assert sites == {("graphs", "_check_id")}
+
+
+def defined_names(source):
+    """Names a module defines (classes, functions, methods) or imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+    return names
+
+
+def test_detects_defined_names():
+    source = ("from m import a, b as c\n"
+              "def f():\n    return a\n"
+              "class C:\n    @property\n    def p(self):\n        return c\n")
+    assert defined_names(source) == {"a", "c", "f", "C", "p"}
+
+
+def test_one_suspension_space():
+    """A cover descriptor is the mapping torus of its lift.
+
+    One point type, one height check, and no property restating the
+    exponent.
+    """
+    retired = {"CoverPoint", "_check_period", "dual_index"}
+    assert {(module, name) for module, source in PACKAGE_SOURCES.items()
+            for name in defined_names(source) & retired} == set()
+    assert issubclass(suspension.CoverDescriptor, suspension.MappingTorus)
 
 
 VERIFY_CHECKS = {

@@ -14,10 +14,10 @@ from ttforge.covers import NotLiftableError
 from ttforge.freegroup import (
     LabeledGraph, SubgroupGraph, fold, whole_group_graph,
 )
-from ttforge.graphs import GraphMap, SerreGraph, rose
+from ttforge.graphs import GraphMap, SerreGraph, rose, validate
 from ttforge.induced import build_induced
 from ttforge.suspension import (
-    CoverDescriptor, CoverPoint, FlowHomotopyPair, MappingTorus, TorusPoint,
+    CoverDescriptor, FlowHomotopyPair, MappingTorus, TorusPoint,
     _component_containing, breakpoint_samples, edge_point, flow, h_maps,
     iterate_breakpoints,
     make_cover_descriptor, map_point, project_point, seam_crossings,
@@ -309,22 +309,20 @@ class TestCoverDescriptor:
         desc = trivial_descriptor
         assert desc.exponent == 1
         assert desc.degree == 1
-        assert desc.dual_index == 1
         for e in desc.cover.graph.edge_ids:
-            assert desc.cover.project_darts(desc.lift.dart_image(e)) \
+            assert desc.cover.project_darts(desc.map.dart_image(e)) \
                 == fib.dart_image(desc.cover.edge_label[e])
 
     def test_index_two_cover_needs_the_cube(self, index2_descriptor, fib):
         desc = index2_descriptor
         assert desc.degree == 2
         assert desc.exponent == 3
-        assert desc.dual_index == 3
         cube = fib.power(3)
         for e in desc.cover.graph.edge_ids:
-            assert desc.cover.project_darts(desc.lift.dart_image(e)) \
+            assert desc.cover.project_darts(desc.map.dart_image(e)) \
                 == cube.dart_image(desc.cover.edge_label[e])
         for v in desc.cover.graph.vertices:
-            assert desc.cover.vertex_image[desc.lift.vertex_map[v]] \
+            assert desc.cover.vertex_image[desc.map.vertex_map[v]] \
                 == cube.vertex_map[desc.cover.vertex_image[v]]
 
     def test_needs_homotopy_equivalence(self, sigma):
@@ -339,10 +337,10 @@ class TestCoverDescriptor:
     def test_rejects_mismatched_lift(self, trivial_descriptor, fib):
         with pytest.raises(ValueError, match="cover the power"):
             CoverDescriptor(trivial_descriptor.cover,
-                            trivial_descriptor.lift, 2, fib)
+                            trivial_descriptor.map, 2, fib)
         with pytest.raises(ValueError, match="positive"):
             CoverDescriptor(trivial_descriptor.cover,
-                            trivial_descriptor.lift, 0, fib)
+                            trivial_descriptor.map, 0, fib)
 
     def test_rejects_non_coverings(self, fib):
         core = fold(ROSE2, "v", ["a b"])
@@ -376,20 +374,20 @@ class TestLiftedFlow:
             else:
                 gp = edge_point(graph, rng.choice(graph.edge_ids),
                                 Fraction(rng.randrange(1, den), den))
-            pts.append(CoverPoint(gp, h))
+            pts.append(TorusPoint(gp, h))
         return pts
 
     def test_time_zero_is_identity(self, index2_descriptor):
         desc = index2_descriptor
-        cp = CoverPoint(vertex_point(desc.cover.graph.vertices[0]), 0)
+        cp = TorusPoint(vertex_point(desc.cover.graph.vertices[0]), 0)
         assert flow(desc, cp, 0) == cp
 
     def test_bounds(self, index2_descriptor):
         desc = index2_descriptor
-        cp = CoverPoint(vertex_point(desc.cover.graph.vertices[0]), 0)
+        cp = TorusPoint(vertex_point(desc.cover.graph.vertices[0]), 0)
         with pytest.raises(ValueError):
             flow(desc, cp, -1)
-        tall = CoverPoint(cp.point, Fraction(7, 2))
+        tall = TorusPoint(cp.point, Fraction(7, 2))
         with pytest.raises(ValueError, match="period"):
             flow(desc, tall, 1)
         with pytest.raises(ValueError, match="period"):
@@ -401,7 +399,7 @@ class TestLiftedFlow:
         with pytest.raises(ValueError, match="period"):
             desc.point(cp.point, desc.unit)
         with pytest.raises(ValueError):
-            CoverPoint(cp.point, -1)
+            TorusPoint(cp.point, -1)
         # heights below the period of 3 keep working
         below = desc.point(cp.point, Fraction(5, 2))
         assert project_point(desc, below).height == Fraction(1, 2)
@@ -419,10 +417,25 @@ class TestLiftedFlow:
                 downstairs = flow(torus, project_point(desc, cp), s)
                 assert upstairs == downstairs
 
+    def test_backtracking_lift(self):
+        # f^2(a) = a b -b: the lift of the square backtracks, and the
+        # descriptor must flow along it all the same
+        f = GraphMap(ROSE2, ROSE2, {"v": "v"}, {"a": "a b", "b": "-b"})
+        desc = make_cover_descriptor(
+            f, fold(ROSE2, "v", ["a", "b b", "b a -b"]))
+        assert (desc.exponent, desc.degree) == (2, 2)
+        assert validate(desc.map) == "not immersed: image of 'e0' backtracks"
+        torus = MappingTorus(f)
+        rng = random.Random(5)
+        for cp in self.random_cover_points(desc, rng, 120):
+            s = Fraction(rng.randrange(0, 96), 12)
+            assert project_point(desc, flow(desc, cp, s)) \
+                == flow(torus, project_point(desc, cp), s)
+
     def test_project_point_wraps_heights(self, index2_descriptor, fib):
         desc = index2_descriptor
         v = desc.cover.graph.vertices[0]
-        cp = CoverPoint(vertex_point(v), Fraction(5, 2))
+        cp = TorusPoint(vertex_point(v), Fraction(5, 2))
         down = project_point(desc, cp)
         assert down.height == Fraction(1, 2)
         image = desc.cover.vertex_image[v]
@@ -436,12 +449,12 @@ class TestSectionDuality:
         for v in desc.cover.graph.vertices:
             hit = flow(desc, desc.point(vertex_point(v)), desc.unit)
             assert desc.unit == desc.exponent
-            assert hit == CoverPoint(vertex_point(desc.lift.vertex_map[v]), 0)
+            assert hit == TorusPoint(vertex_point(desc.map.vertex_map[v]), 0)
 
     def test_flow_around_loop_crosses_once_per_unit(self, trivial_descriptor,
                                                     index2_descriptor):
         for desc in (trivial_descriptor, index2_descriptor):
-            start = CoverPoint(vertex_point(desc.cover.graph.vertices[0]), 0)
+            start = TorusPoint(vertex_point(desc.cover.graph.vertices[0]), 0)
             assert seam_crossings(desc, start, desc.exponent) == desc.exponent
             assert seam_crossings(desc, start, 0) == 0
             assert seam_crossings(
@@ -461,7 +474,7 @@ class TestSectionDuality:
                                                        + 9)]
             for pt in points:
                 for h in heights:
-                    cp = CoverPoint(pt, h)
+                    cp = TorusPoint(pt, h)
                     for d in durations:
                         assert seam_crossings(desc, cp, d) \
                             == seam_crossings_oracle(desc, cp, d), (cp, d)
