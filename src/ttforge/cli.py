@@ -20,8 +20,8 @@ from fractions import Fraction
 
 from . import io as io_mod
 from .freegroup import (
-    induces_pi1_isomorphism, pi1_endomorphism, stable_quotient,
-    whole_group_graph,
+    induces_pi1_isomorphism, is_injective_on, pi1_endomorphism,
+    stable_quotient, whole_group_graph,
 )
 from .graphs import GraphMap, rose, validate
 from .induced import build_induced, find_periodic_vertex, verify_package
@@ -66,13 +66,13 @@ def _load_self_map(path):
 def cmd_analyze(args):
     bundle, f = _load_self_map(args.file)
     matrix = transition_matrix(f)
-    cert = is_train_track(f)
+    verdict = is_train_track(f)
     irreducible = is_irreducible(matrix)
     expansion = is_expanding(matrix)
     prim = has_positive_power(matrix)
     results = {
-        "train_track": cert.is_train_track,
-        "train_track_reason": cert.reason,
+        "train_track": verdict.is_train_track,
+        "train_track_reason": verdict.reason,
         "irreducible": irreducible,
         "expanding": expansion.expanding,
         "expansion_witness": expansion.witness_edge,
@@ -87,10 +87,10 @@ def cmd_analyze(args):
         results["growth_error_bound"] = lam.error_bound
     witness = find_invariant_subgraph(matrix)
     results["invariant_subgraph"] = (
-        sorted(witness.edges) if witness is not None else None)
-    if cert.is_train_track and irreducible and expansion.expanding:
+        sorted(witness) if witness is not None else None)
+    if verdict.is_train_track and irreducible and expansion.expanding:
         results["legal_loops"] = {
-            e: " ".join(legal_loop_through(f, e).cycle.darts)
+            e: " ".join(legal_loop_through(f, e).darts)
             for e in f.domain.edge_ids}
     return EXIT_OK, bundle, results
 
@@ -106,7 +106,7 @@ def cmd_quotient(args):
         "ambient_rank": phi.rank,
         "stabilization": q.exponent,
         "rank": q.core.rank(),
-        "injective_on_image": q.injective,
+        "injective_on_image": is_injective_on(phi.map, q.core),
         "image_basis": {name: " ".join(word)
                         for name, _loop, word in q.core.basis()},
         "restriction": dict(q.restriction),

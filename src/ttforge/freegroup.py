@@ -591,7 +591,6 @@ class StableQuotientReport:
     exponent: int
     core: SubgroupGraph
     restriction: dict
-    injective: bool
 
 
 def stable_quotient(phi):
@@ -606,8 +605,6 @@ def stable_quotient(phi):
         exponent=K,
         core=core,
         restriction=restriction,
-        # the chain stops at the first step that keeps the rank
-        injective=True,
     )
 
 

@@ -291,8 +291,8 @@ def _is_path_map(m, domain, codomain):
 def _transfer_after_projection(pkg, premises_held):
     """Whether P after p equals fbar^K: transfer, projection, induced map.
 
-    Decided by unique path lifting when these premises hold: p is the
-    core's labeling and the core is immersed; ``premises_held``, that is
+    Decided by unique path lifting when these premises hold: the core is
+    immersed; ``premises_held``, that is p is the core's labeling,
     f p = p fbar, p P = f^K and fbar is a graph map (``graphs.validate``);
     and fbar, a self-map of the core graph, and P send every edge to a
     nonempty core path from the image of its origin to the image of its
@@ -306,8 +306,7 @@ def _transfer_after_projection(pkg, premises_held):
     fails, both maps are built and compared.
     """
     core, p, P, fbar = pkg.core, pkg.projection, pkg.transfer, pkg.induced
-    if not (premises_held and p == projection_map(core)
-            and core.is_immersion()
+    if not (premises_held and core.is_immersion()
             and fbar.domain == core.graph == fbar.codomain
             and _is_path_map(P, core.ambient, core.graph)):
         return compose(P, p) == fbar.power(pkg.constant)
@@ -321,7 +320,8 @@ def verify_package(pkg):
     """Re-derive every property the promotion claims.
 
     Three semi-conjugacy identities are compared as graph maps with
-    unreduced substitution, so equality is bit-exact.  The fourth, transfer
+    unreduced substitution, so equality is bit-exact; the first also asks
+    that p be the core's labeling.  The fourth, transfer
     after projection against the induced map's K-th power, follows from two
     of them up to the vertex maps by unique path lifting, so it compares
     vertex maps whenever its premises hold (see
@@ -338,7 +338,8 @@ def verify_package(pkg):
     P = pkg.transfer
     K = pkg.constant
 
-    commutes = compose(f, p) == compose(p, fbar)
+    commutes = (p == projection_map(pkg.core)
+                and compose(f, p) == compose(p, fbar))
     report.record(
         "projection_commutes", commutes,
         "f after p versus p after induced")
@@ -379,9 +380,9 @@ def verify_package(pkg):
         "n=%d stabilization=%d" % (n, stabilization))
 
     if invalid is None:
-        cert = is_train_track(fbar)
-        report.record("induced_train_track", cert.is_train_track,
-                      cert.reason or "")
+        verdict = is_train_track(fbar)
+        report.record("induced_train_track", verdict.is_train_track,
+                      verdict.reason or "")
     else:
         report.record("induced_train_track", False,
                       "invalid graph map: %s" % invalid)

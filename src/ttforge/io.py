@@ -99,13 +99,10 @@ def map_from_obj(obj, domain, codomain=None):
 
 
 def labeled_to_obj(lab):
-    obj = {"graph": graph_to_obj(lab.graph),
-           "labels": dict(lab.edge_label),
-           "vertex_images": dict(lab.vertex_image)}
-    base = getattr(lab, "basepoint", None)
-    if base is not None:
-        obj["basepoint"] = base
-    return obj
+    return {"graph": graph_to_obj(lab.graph),
+            "labels": dict(lab.edge_label),
+            "vertex_images": dict(lab.vertex_image),
+            "basepoint": lab.basepoint}
 
 
 def labeled_from_obj(obj, ambient):

@@ -6,14 +6,15 @@ rows, so that primitivity, Perron-Frobenius values by exact power iteration
 integer identity instead) and one condensation of the positivity digraph
 each cost O(nnz) per pass rather than O(dim^2); that condensation answers
 irreducibility, the expansion dichotomy and invariant subgraph detection.
-Then turn calculus with legality certificates, the admission chain of the
-promotion and the generator, and legal loops through a prescribed edge.
+Then turn calculus, the admission chain of the promotion and the generator,
+and legal loops through a prescribed edge.
 
 A self-map f is a train track map when it is surjective (every edge occurs in
 some image) and every iterate restricted to every edge is an immersion.  The
 iterate condition is equivalent to: no turn taken by an image path has a
 derivative orbit that reaches a degenerate turn.  That closure argument is
-what :func:`is_train_track` certifies.
+what :func:`is_train_track` decides.  Every routine returns a plain answer;
+`induced.verify_package` is the runtime re-check of a built package.
 """
 
 from __future__ import annotations
@@ -278,7 +279,7 @@ def pf_eigenvalue(matrix, tol=Fraction(1, 10**9)):
 
 
 def _turn_key(t):
-    """Turns in `dart_key` order, the order certificates walk them in."""
+    """Turns in `dart_key` order, the order the walks below take them in."""
     return dart_key(t[0]), dart_key(t[1])
 
 
@@ -290,10 +291,9 @@ class TurnSystem:
     turn means its derivative orbit never reaches a degenerate pair.
     """
 
-    __slots__ = ("map", "df", "taken")
+    __slots__ = ("df", "taken")
 
     def __init__(self, f):
-        self.map = f
         df = {}
         for d in f.domain.darts:
             df[d] = f.dart_image(d)[0]
@@ -321,58 +321,20 @@ class TurnSystem:
             cur = self.apply(cur)
         return seen
 
-    def is_legal(self, t):
-        orbit = self.orbit(t)
-        return orbit[-1][0] != orbit[-1][1]
-
-    def closure_of_taken(self):
-        """All turns reachable from taken turns under the derivative."""
-        frontier = set(self.taken)
-        seen = set()
-        while frontier:
-            t = frontier.pop()
-            if t in seen:
-                continue
-            seen.add(t)
-            if t[0] == t[1]:
-                continue
-            frontier.add(self.apply(t))
-        return frozenset(seen)
-
 
 @dataclass(frozen=True)
-class TrainTrackCertificate:
+class TrainTrackVerdict:
     is_train_track: bool
     reason: str | None
-    # closure of taken turns under the derivative when legal; otherwise the
-    # orbit that degenerates, starting from a taken turn
-    legal_closure: frozenset | None
-    degenerate_orbit: tuple | None
-
-    def check(self, f):
-        ts = TurnSystem(f)
-        if self.is_train_track:
-            return (self.legal_closure == ts.closure_of_taken()
-                    and all(t[0] != t[1] for t in self.legal_closure))
-        if self.degenerate_orbit:
-            o = self.degenerate_orbit
-            if o[0] not in ts.taken:
-                return False
-            for a, b in zip(o, o[1:]):
-                if ts.apply(a) != b:
-                    return False
-            return o[-1][0] == o[-1][1]
-        return True
 
 
 def is_train_track(f):
-    """Certify the train track condition for a valid self-map.
+    """Decide the train track condition for a valid self-map.
 
     Surjectivity on edges plus: the derivative closure of the taken turns
     contains no degenerate turn, which is the union of the taken turns'
-    orbits, each walked once.  The certificate stores the closed legal set
-    or the degenerating orbit, and `TrainTrackCertificate.check` rechecks
-    it independently.
+    orbits, each walked once.  A failure names the first uncrossed edge or
+    the first taken turn, in `dart_key` order, whose orbit degenerates.
     """
     covered = set()
     for e in f.domain.edge_ids:
@@ -380,9 +342,8 @@ def is_train_track(f):
             covered.add(edge_of(d))
     missing = sorted(set(f.domain.edge_ids) - covered)
     if missing:
-        return TrainTrackCertificate(
-            False, "not surjective: edge %r is never crossed" % missing[0],
-            None, None)
+        return TrainTrackVerdict(
+            False, "not surjective: edge %r is never crossed" % missing[0])
     ts = TurnSystem(f)
     closure = set()
     for t in sorted(ts.taken, key=_turn_key):
@@ -391,10 +352,10 @@ def is_train_track(f):
             continue
         orbit = ts.orbit(t)
         if orbit[-1][0] == orbit[-1][1]:
-            return TrainTrackCertificate(
-                False, "taken turn %r degenerates" % (t,), None, tuple(orbit))
+            return TrainTrackVerdict(
+                False, "taken turn %r degenerates" % (t,))
         closure.update(orbit)
-    return TrainTrackCertificate(True, None, frozenset(closure), None)
+    return TrainTrackVerdict(True, None)
 
 
 def certification_failure(f):
@@ -410,9 +371,9 @@ def certification_failure(f):
         return "invalid", "invalid graph map: %s" % problem
     if not f.is_self_map:
         return "invalid", "need a self map"
-    cert = is_train_track(f)
-    if not cert.is_train_track:
-        return "not_train_track", "not a train track map: %s" % cert.reason
+    verdict = is_train_track(f)
+    if not verdict.is_train_track:
+        return "not_train_track", "not a train track map: %s" % verdict.reason
     matrix = transition_matrix(f)
     if not is_irreducible(matrix):
         return "reducible", "transition matrix is not irreducible"
@@ -426,32 +387,6 @@ def certification_failure(f):
 # -- legal loops --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LegalLoop:
-    """Immersed cyclic path all of whose turns are legal, with certificate.
-
-    ``orbits`` maps each turn of the cycle to its full derivative orbit; the
-    recheck walks every orbit and confirms none degenerates, in at most
-    (number of turns)^2 derivative steps.
-    """
-
-    cycle: CyclicPath
-    orbits: tuple  # ((turn, orbit tuple), ...)
-
-    def check(self, f):
-        ts = TurnSystem(f)
-        turns = set(self.cycle.turns())
-        recorded = dict(self.orbits)
-        if turns - set(recorded):
-            return False
-        for t, orbit in self.orbits:
-            if tuple(ts.orbit(t)) != tuple(orbit):
-                return False
-            if orbit[-1][0] == orbit[-1][1]:
-                return False
-        return self.cycle.is_immersed()
-
-
 def legal_loop_through(f, edge):
     """Legal loop crossing the given edge, for expanding irreducible f.
 
@@ -459,7 +394,8 @@ def legal_loop_through(f, edge):
     direction, cut the cyclic subword between the two crossings (its turns are
     all taken, hence legal), then push the loop forward until it crosses the
     requested edge.  Pushing a legal loop forward keeps it immersed, so the
-    result is returned without free reduction.
+    `CyclicPath` is returned without free reduction, after the orbit of each
+    of its turns is walked: an illegal turn raises ValueError.
     """
     graph = f.domain
     if edge not in graph.edge_ids:
@@ -489,30 +425,14 @@ def legal_loop_through(f, edge):
         raise ValueError(
             "loop never crosses %r; map does not look irreducible" % edge)
     ts = TurnSystem(f)
-    orbits = []
     for t in sorted(set(cycle.turns()), key=_turn_key):
         orbit = ts.orbit(t)
         if orbit[-1][0] == orbit[-1][1]:
             raise ValueError("turn %r of the loop is illegal" % (t,))
-        orbits.append((t, tuple(orbit)))
-    return LegalLoop(cycle, tuple(orbits))
+    return cycle
 
 
 # -- invariant subgraphs -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class InvariantSubgraphWitness:
-    edges: frozenset
-
-    def check(self, f):
-        if not self.edges or self.edges == frozenset(f.domain.edge_ids):
-            return False
-        for e in self.edges:
-            for d in f.dart_image(e):
-                if edge_of(d) not in self.edges:
-                    return False
-        return True
 
 
 def find_invariant_subgraph(matrix):
@@ -520,8 +440,9 @@ def find_invariant_subgraph(matrix):
 
     An edge's image closure is every edge its component reaches, its own
     component included; the first edge in id order with a proper closure
-    gives the witness.  Every minimal invariant set arises this way, and a
-    matrix without zero rows is irreducible exactly when there is none.
+    gives the answer, a frozenset of edge ids.  Every minimal invariant set
+    arises this way, and a matrix without zero rows is irreducible exactly
+    when there is none.
     """
     comp, succ = _condensation(matrix)
     reach = [set() for _ in succ]
@@ -532,5 +453,5 @@ def find_invariant_subgraph(matrix):
             reach[c] |= reach[d]
     for c in comp:
         if len(reach[c]) < matrix.dim:
-            return InvariantSubgraphWitness(frozenset(reach[c]))
+            return frozenset(reach[c])
     return None

@@ -428,8 +428,9 @@ class TestVerifyPackage:
         report = verify_package(dataclasses.replace(pkg, induced=collapsed))
         assert report.checks["induced_pi1_injective"][0] is False
 
-    # Swapping the labels a and b of sigma's core keeps its graph, rank and
-    # projection but folds <b a> instead of the stable image <a b>.
+    # Swapping the labels a and b of sigma's core keeps its graph and rank
+    # but folds <b a> instead of the stable image <a b>; the package's
+    # projection is then no longer the core's labeling.
     SWAP = {"a": "b", "b": "a"}
 
     def test_relabeled_core_is_caught(self, packages):
@@ -441,7 +442,8 @@ class TestVerifyPackage:
             core.vertex_image, core.basepoint)
         assert swapped.rank() == core.rank() and swapped != core
         report = verify_package(dataclasses.replace(pkg, core=swapped))
-        assert report.failures() == ["rank_matches_quotient"]
+        assert report.failures() == ["projection_commutes",
+                                     "rank_matches_quotient"]
         assert report.checks["rank_matches_quotient"] == (False, "rank 1")
 
     def test_relabeled_core_file_is_caught(self, packages, tmp_path):
@@ -453,7 +455,34 @@ class TestVerifyPackage:
                          for e, label in obj["labels"].items()}
         path.write_text(json.dumps(obj))
         report = verify_package(load_package(tmp_path))
-        assert report.failures() == ["rank_matches_quotient"]
+        assert report.failures() == ["projection_commutes",
+                                     "rank_matches_quotient"]
+
+    # 15 of the 54 single-vertex edits of pre1_r2's projection, moving w1
+    # to v2 among them, used to pass all 15 checks, though the edited p is
+    # not even a graph map.
+    def test_moved_projection_vertex_is_caught(self, packages):
+        pkg = packages["pre1_r2"]
+        p = pkg.projection
+        edits = [(v, w) for v in p.domain.vertices
+                 for w in p.codomain.vertices if w != p.vertex_map[v]]
+        for v, w in edits:
+            bad = dataclasses.replace(
+                pkg, projection=_edited(p, vertex=(v, w)))
+            report = verify_package(bad)
+            assert "projection_commutes" in report.failures(), (v, w)
+
+    def test_moved_projection_vertex_file_is_caught(self, packages,
+                                                    tmp_path):
+        pkg = packages["pre1_r2"]
+        write_package(tmp_path, pkg, verify_package(pkg))
+        path = tmp_path / "projection.json"
+        obj = json.loads(path.read_text())
+        assert obj["vertices"]["w1"] != "v2"
+        obj["vertices"]["w1"] = "v2"
+        path.write_text(json.dumps(obj))
+        report = verify_package(load_package(tmp_path))
+        assert "projection_commutes" in report.failures()
 
     def test_report_records_named_checks(self, packages):
         report = verify_package(packages["fib"])

@@ -11,6 +11,8 @@ Admission, the lift search, the stable quotient and the package layout
 each have one home.
 Darts and words have one spelling, with no converter between spellings.
 The suspension module has one point type and one height check.
+The train track routines return plain answers, not self-checking
+certificates.
 No test runs the scripts under ``scripts/``, so every name they import from
 the package is checked to exist.  The README's Python quick start and its
 sample ``ttforge quotient`` report are run and compared with the output the
@@ -31,7 +33,7 @@ from pathlib import Path
 import pytest
 
 import ttforge
-from ttforge import induced, suspension
+from ttforge import induced, suspension, traintrack
 from ttforge.cli import main
 from ttforge.io import PACKAGE_FILES
 
@@ -498,6 +500,17 @@ def test_one_suspension_space():
     assert {(module, name) for module, source in PACKAGE_SOURCES.items()
             for name in defined_names(source) & retired} == set()
     assert issubclass(suspension.CoverDescriptor, suspension.MappingTorus)
+
+
+def test_train_track_answers_carry_no_check():
+    """Train track routines return answers; `verify_package` re-checks."""
+    retired = {"closure_of_taken", "is_legal", "LegalLoop",
+               "InvariantSubgraphWitness"}
+    assert {(module, name) for module, source in PACKAGE_SOURCES.items()
+            for name in defined_names(source) & retired} == set()
+    g = ttforge.rose(["a", "b"])
+    f = ttforge.GraphMap(g, g, {"v": "v"}, {"a": "a b", "b": "a"})
+    assert not hasattr(traintrack.is_train_track(f), "check")
 
 
 VERIFY_CHECKS = {
