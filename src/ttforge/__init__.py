@@ -37,6 +37,6 @@ from .suspension import (
     MappingTorus, TorusPoint, GraphPoint, CoverDescriptor,
     vertex_point, edge_point, map_point, flow, h_maps,
     FlowHomotopyPair, breakpoint_samples, iterate_breakpoints,
-    make_cover_descriptor, project_point, seam_crossings,
+    make_cover_descriptor, project_point,
 )
 from .randmaps import GenerationStats, corpus, random_train_track_map

@@ -172,12 +172,9 @@ def cmd_suspend(args):
                  and h0(h1(tp)) == flow(torus, tp, 1) for tp in samples)
         run("h_maps_compose_to_time_one", ok)
     if wanted in ("pair", "all"):
-        pkg = build_induced(f)
-        up = MappingTorus(pkg.induced)
-        pair = FlowHomotopyPair(torus, up, pkg.transfer, pkg.projection,
-                                pkg.constant)
-        up_samples = breakpoint_samples(up, 1)
-        up_samples += _random_torus_points(up, rng, args.count)
+        pair = FlowHomotopyPair(build_induced(f))
+        up_samples = breakpoint_samples(pair.torus_y, 1)
+        up_samples += _random_torus_points(pair.torus_y, rng, args.count)
         ok, detail = pair.check_composite(samples, up_samples)
         run("pair_composite_is_flow", ok, detail)
         ok, detail = pair.check_equivariance(samples, times)

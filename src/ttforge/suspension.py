@@ -4,10 +4,12 @@ Points of the torus are pairs (point of the graph, height in [0, unit)),
 with the gluing (x, unit) ~ (map(x), 0).  Flowing for rational time is
 exact: whole units apply the map pointwise, the fractional remainder
 adjusts the height.  A finite cover where the j-th power of the map lifts
-is itself a mapping torus, of the lift with time unit j, so the
-flow-homotopy pair algebra and the cover projection reduce to this one
-arithmetic, and all identities can be sampled and compared bit for bit as
-Fractions.
+is itself a mapping torus, of the lift with time unit j.  A lift of an
+iterate (the cover's return map, a package's transfer) is realized by
+following a point one application at a time, dart by dart, through a
+table of iterated image lengths, so that projecting commutes with flowing
+and all identities can be sampled and compared bit for bit as Fractions.
+The flow-homotopy pair is built from a verified promotion package.
 """
 
 from __future__ import annotations
@@ -17,10 +19,8 @@ from fractions import Fraction
 
 from .covers import NotLiftableError, lift_graph_map
 from .freegroup import SubgroupGraph, hall_completion, induces_pi1_isomorphism
-from .graphs import (
-    GraphMap, SerreGraph, compose, edge_of, is_positive, validate,
-)
-from .induced import projection_map
+from .graphs import SerreGraph, compose, edge_of, is_positive, validate
+from .induced import projection_map, verify_package
 
 
 @dataclass(frozen=True)
@@ -159,46 +159,37 @@ def h_maps(torus):
     return h0, h1
 
 
-@dataclass
 class FlowHomotopyPair:
-    """Flow-equivariant maps between two mapping tori, inverse up to flowing.
+    """Flow-equivariant maps between the tori of a package, inverse up to flow.
 
-    ``alpha`` and ``beta`` are graph maps whose composites are the
-    ``power``-th powers of the respective return maps.  The induced torus
-    maps send (theta, t) to (alpha(F(theta)), t); composing the two induced
-    maps equals flowing for time power + 2, which is checked pointwise.
+    The package is verified first, and a failed check is a ValueError.
+    ``torus_x`` is the mapping torus of the source f, ``torus_y`` that of
+    the induced map fbar, and ``power`` the promotion constant K.  The torus
+    maps send (theta, t) to (alpha(F(theta)), t): ``alpha_hat`` through the
+    transfer P, ``beta_hat`` through the projection p.  Verification
+    certifies that both are flow-equivariant and compose to the K-th powers
+    of the return maps, so composing the two torus maps equals flowing for
+    time K + 2, which `check_composite` samples pointwise.
 
-    The pointwise realization matters here: flowing iterates the time-one
-    map, so a point crosses an iterated image path dart by dart, not at
-    constant speed.  When one of the two maps never stretches edges (every
-    image a single dart, as a covering projection does), the other lifts
-    the ``power``-th iterate through it and is therefore realized by
-    tracking the iterated coordinates downstairs; that makes the composite
-    identity exact.  Otherwise both maps cross their image paths at
-    constant speed, which agrees with iteration only on length-homogeneous
-    data, and the sampled checks report any mismatch.
+    Flowing iterates the time-one map, so a point crosses an iterated image
+    path dart by dart, not at constant speed.  P lifts f^K through p, whose
+    images are single darts, so P is realized by tracking the point through
+    the K applications of f downstairs, and p by `map_point`; both are
+    exact.
     """
 
-    torus_x: MappingTorus
-    torus_y: MappingTorus
-    alpha: GraphMap
-    beta: GraphMap
-    power: int
-
-    def __post_init__(self):
-        fx, fy = self.torus_x.map, self.torus_y.map
-        if compose(self.alpha, fx) != compose(fy, self.alpha):
-            raise ValueError("alpha is not flow-equivariant")
-        if compose(self.beta, fy) != compose(fx, self.beta):
-            raise ValueError("beta is not flow-equivariant")
-        if compose(self.beta, self.alpha) != fx.power(self.power):
-            raise ValueError("beta after alpha is not the stated power")
-        if compose(self.alpha, self.beta) != fy.power(self.power):
-            raise ValueError("alpha after beta is not the stated power")
-        self.alpha_hat = _torus_map(
-            fx, _exact_realization(self.alpha, self.beta, fx, self.power))
+    def __init__(self, pkg):
+        report = verify_package(pkg)
+        if not report.ok:
+            raise ValueError("package fails verification: %s"
+                             % ", ".join(report.failures()))
+        self.torus_x = MappingTorus(pkg.source)
+        self.torus_y = MappingTorus(pkg.induced)
+        self.power = pkg.constant
+        self.alpha_hat = _torus_map(pkg.source, _tracked(
+            pkg.transfer, lambda d: d, pkg.source, self.power))
         self.beta_hat = _torus_map(
-            fy, _exact_realization(self.beta, self.alpha, fy, self.power))
+            pkg.induced, lambda pt: map_point(pkg.projection, pt))
 
     def check_composite(self, samples_x, samples_y):
         """Both composites against the time-(power+2) flows, exactly."""
@@ -229,38 +220,46 @@ def _point_on_path(graph, path, coord):
     return edge_point(graph, path[i], coord - i)
 
 
-def _exact_realization(forward, back, downstairs, power):
-    """Pointwise action of one half of a flow-homotopy pair.
-
-    When the returning map sends every edge to a single dart, the forward
-    map's image paths are its lifts of the ``power``-th iterate downstairs,
-    and the exact realization follows the iterated coordinates along them.
-    Otherwise fall back to constant speed across the image path.
-    """
-    if all(len(back.dart_image(e)) == 1 for e in back.domain.edge_ids):
-        return _tracked(forward, lambda d: d, downstairs, power)
-    return lambda pt: map_point(forward, pt)
-
-
 def _torus_map(f, realize):
     """(theta, t) to (realize(f(theta)), t): a graph map's torus action."""
     return lambda tp: TorusPoint(realize(map_point(f, tp.point)), tp.height)
 
 
+def _iterate_lengths(f, count):
+    """``lengths[j][e]``, the length of f^j(e) unreduced, for j < count."""
+    lengths = [dict.fromkeys(f.domain.edge_ids, 1)]
+    while len(lengths) < count:
+        last = lengths[-1]
+        lengths.append({e: sum(last[edge_of(d)] for d in f.dart_image(e))
+                        for e in f.domain.edge_ids})
+    return lengths[:count]
+
+
 def _tracked(lift, label, downstairs, power):
     """A lift of the ``power``-th iterate downstairs, realized pointwise.
 
-    ``label`` sends a dart upstairs to the dart it lies over.  The lift's
-    image path is crossed following the iterated downstairs steps, not at
-    constant speed, so that projecting commutes with flowing bit for bit.
+    ``label`` sends a dart upstairs to the dart it lies over.  A point at
+    offset u of a dart d lands u of the way along f(d), at dart i of it
+    with offset u * len f(d) - i; its coordinate on f^power(d) gains the
+    lengths of the iterates of the darts before i.  One application at a
+    time, this crosses the lift's image path following the iterated
+    downstairs steps, not at constant speed, so that projecting commutes
+    with flowing bit for bit.
     """
+    lengths = _iterate_lengths(downstairs, power)
+
     def point(pt):
         if pt.is_vertex:
             return vertex_point(lift.vertex_map[pt.vertex])
-        path, coord = (label(pt.edge),), pt.position
-        for _ in range(power):
-            path, coord = _image_coordinate(downstairs, path, coord)
-        return _point_on_path(lift.codomain, lift.dart_image(pt.edge), coord)
+        dart, offset, coord = label(pt.edge), pt.position, 0
+        for level in reversed(lengths):
+            path = downstairs.dart_image(dart)
+            offset *= len(path)
+            i = offset.numerator // offset.denominator
+            coord += sum(level[edge_of(d)] for d in path[:i])
+            dart, offset = path[i], offset - i
+        return _point_on_path(lift.codomain, lift.dart_image(pt.edge),
+                              coord + offset)
     return point
 
 
@@ -291,14 +290,13 @@ def breakpoint_samples(torus, power, heights=(Fraction(0), Fraction(1, 2))):
     included at every height.
     """
     f = torus.map
-    big = f.power(power)
+    lengths = _iterate_lengths(f, power + 1)[power]
     out = []
     for v in torus.graph.vertices:
         for h in heights:
             out.append(TorusPoint(vertex_point(v), Fraction(h)))
     for e in torus.graph.edge_ids:
-        length = max(1, len(big.dart_image(e)))
-        denom = 2 * length
+        denom = 2 * lengths[e]
         positions = set(Fraction(i, denom) for i in range(1, denom))
         positions.update(iterate_breakpoints(f, e, power))
         for u in sorted(positions):
@@ -388,25 +386,6 @@ def make_cover_descriptor(f, sub, max_exponent=12):
         "no power up to %d lifts to the cover" % max_exponent)
 
 
-def _image_coordinate(f, path, coord):
-    """Push an arc-length coordinate on a path through one application.
-
-    A point at coordinate i + u (dart index i, offset u) lands at the image
-    of that dart's interval: all of f(path[:i]) plus u of the way along
-    f(path[i]).  This is the time-one map in path coordinates; iterating it
-    is how the semiflow actually moves points, dart by dart, as opposed to
-    crossing the whole composite image at constant speed.
-    """
-    i = coord.numerator // coord.denominator
-    if i >= len(path):
-        i = len(path) - 1
-    u = coord - i
-    prefix = 0
-    for d in path[:i]:
-        prefix += len(f.dart_image(d))
-    return f.apply_to_darts(path), prefix + u * len(f.dart_image(path[i]))
-
-
 def project_point(desc, tp):
     """Projection to the base mapping torus, commuting with the flows.
 
@@ -416,14 +395,3 @@ def project_point(desc, tp):
     tp = desc.point(tp.point, tp.height)
     down = map_point(desc.projection, tp.point)
     return flow(desc.base, desc.base.point(down), tp.height)
-
-
-def seam_crossings(desc, tp, duration):
-    """How often the projected orbit crosses the downstairs section.
-
-    The base flow meets its section once per unit of time, so over a
-    nonnegative duration that is the floor of frac(height) + duration: the
-    pairing of the orbit segment with the section's dual class.
-    """
-    total = desc.point(tp.point, tp.height).height % 1 + Fraction(duration)
-    return max(0, total.numerator // total.denominator)

@@ -171,16 +171,29 @@ def is_irreducible(matrix):
 def has_positive_power(matrix):
     """Smallest t with every entry of A^t positive, or None.
 
-    The rows of A^t are int bitsets: row i of A^(t+1) = A A^t is the OR of
-    the rows k of A^t over the support of row i of A, O(nnz(A)) big-int ORs
-    per step.  A primitive matrix turns positive by Wielandt's bound
-    (n-1)^2 + 1, so a matrix not positive by then never is.
+    Only a primitive matrix has one: irreducible, with period 1.  The
+    period is the gcd of level(u) + 1 - level(v) over the arcs u -> v,
+    with levels from one breadth-first search (Denardo 1977), so any other
+    matrix is answered in O(nnz).  On a primitive one the rows of A^t are
+    int bitsets: row i of A^(t+1) = A A^t is the OR of the rows k of A^t
+    over the support of row i of A, O(nnz(A)) big-int ORs per step, until
+    every row is full, by Wielandt's bound (n-1)^2 + 1 at the latest.
     """
     n = matrix.dim
-    if n == 0:
+    if n == 0 or not is_irreducible(matrix):
+        return None
+    adj = matrix.adjacency
+    level = {0: 0}
+    frontier = [0]
+    for u in frontier:
+        for v in adj[u]:
+            if v not in level:
+                level[v] = level[u] + 1
+                frontier.append(v)
+    if reduce(gcd, (level[u] + 1 - level[v]
+                    for u in frontier for v in adj[u]), 0) != 1:
         return None
     full = (1 << n) - 1
-    adj = matrix.adjacency
     rows = [sum(1 << j for j in out) for out in adj]
     for t in range(1, (n - 1) ** 2 + 2):
         if all(row == full for row in rows):

@@ -5,14 +5,16 @@ of dart arithmetic, exhaustive search instead of certificates, LAPACK
 eigenvalues instead of exact power iteration.
 """
 
+import functools
 import itertools
+import operator
 
 import numpy
 
 from ttforge.freegroup import (
     SubgroupGraph, fold, pi1_endomorphism, subgroup_rank, whole_group_graph,
 )
-from ttforge.suspension import TorusPoint, map_point, project_point
+from ttforge.suspension import edge_point, vertex_point
 from ttforge.graphs import (
     SerreGraph, compose, edge_of, inv, is_positive, reduce_darts,
 )
@@ -466,6 +468,26 @@ def primitivity_exponent_oracle(rows):
     return None
 
 
+def positive_power_oracle(matrix):
+    """Least t with every entry of A^t positive, or None, by stepping.
+
+    Bitset rows of A^t, one O(nnz) step at a time up to Wielandt's bound
+    (n-1)^2 + 1, whatever the matrix: no primitivity gate.
+    """
+    n = matrix.dim
+    if n == 0:
+        return None
+    full = (1 << n) - 1
+    adj = matrix.adjacency
+    rows = [sum(1 << j for j in out) for out in adj]
+    for t in range(1, (n - 1) ** 2 + 2):
+        if all(row == full for row in rows):
+            return t
+        rows = [functools.reduce(operator.or_, (rows[k] for k in out), 0)
+                for out in adj]
+    return None
+
+
 # -- direct iterate checks -----------------------------------------------------
 
 
@@ -575,21 +597,37 @@ def transfer_after_projection_oracle(pkg):
         == pkg.induced.power(pkg.constant)
 
 
-# -- seam crossings ------------------------------------------------------------
+# -- points tracked through an iterate ----------------------------------------
 
 
-def seam_crossings_oracle(desc, cp, duration):
-    """Crossings of the downstairs section, by stepping the projected orbit.
+def _image_coordinate(f, path, coord):
+    """Push an arc-length coordinate on a path through one application.
 
-    Walks from return time to return time, applying the base map at each
-    crossing, until the remaining duration falls short of the next return.
+    A point at coordinate i + u (dart index i, offset u) lands at the image
+    of that dart's interval: all of f(path[:i]) plus u of the way along
+    f(path[i]).  The whole image path is rebuilt at every step.
     """
-    crossings = 0
-    remaining = duration
-    down = project_point(desc, cp)
-    while remaining >= 1 - down.height and remaining > 0:
-        step = 1 - down.height
-        down = TorusPoint(map_point(desc.base.map, down.point), 0)
-        remaining -= step
-        crossings += 1
-    return crossings
+    i = coord.numerator // coord.denominator
+    if i >= len(path):
+        i = len(path) - 1
+    u = coord - i
+    prefix = 0
+    for d in path[:i]:
+        prefix += len(f.dart_image(d))
+    return f.apply_to_darts(path), prefix + u * len(f.dart_image(path[i]))
+
+
+def tracked_point_oracle(lift, label, downstairs, power, pt):
+    """Where a lift of the ``power``-th iterate sends a point.
+
+    The coordinate is pushed along the iterated image path of the dart
+    below, one application at a time, then read off the lift's image.
+    """
+    if pt.is_vertex:
+        return vertex_point(lift.vertex_map[pt.vertex])
+    path, coord = (label(pt.edge),), pt.position
+    for _ in range(power):
+        path, coord = _image_coordinate(downstairs, path, coord)
+    image = lift.dart_image(pt.edge)
+    i = min(coord.numerator // coord.denominator, len(image) - 1)
+    return edge_point(lift.codomain, image[i], coord - i)

@@ -24,7 +24,7 @@ from ttforge.induced import (
 from ttforge.suspension import (
     MappingTorus, TorusPoint, breakpoint_samples, edge_point,
     FlowHomotopyPair, flow, h_maps, make_cover_descriptor,
-    project_point, seam_crossings, vertex_point,
+    project_point, vertex_point,
 )
 from ttforge.traintrack import (
     TurnSystem, find_invariant_subgraph, has_positive_power, is_expanding,
@@ -368,11 +368,9 @@ def test_flow_algebra_identities(announce, promotion):
             if h1(h0(x)) != once or h0(h1(x)) != once:
                 failures.append("%s: comparison maps fail at %r" % (name, x))
                 break
-        torus_bar = MappingTorus(pkg.induced)
-        pair = FlowHomotopyPair(torus, torus_bar, pkg.transfer,
-                                pkg.projection, pkg.constant)
-        ys = breakpoint_samples(torus_bar, extra)
-        ys += random_torus_points(torus_bar, rng, max(0, 1000 - len(ys)))
+        pair = FlowHomotopyPair(pkg)
+        ys = breakpoint_samples(pair.torus_y, extra)
+        ys += random_torus_points(pair.torus_y, rng, max(0, 1000 - len(ys)))
         ok, detail = pair.check_composite(xs, ys)
         if not ok:
             failures.append("%s: %s" % (name, detail))
@@ -405,9 +403,6 @@ def test_cover_descriptors_flow_correctly(announce, fib):
             if desc.unit != desc.exponent or hit != expected:
                 failures.append("%s: first return at %s gives (%s, %r)"
                                 % (label, v, desc.unit, hit))
-        base = TorusPoint(vertex_point(desc.cover.graph.vertices[0]), 0)
-        if seam_crossings(desc, base, desc.exponent) != desc.exponent:
-            failures.append("%s: seam crossings over one period off" % label)
         for cp in random_cover_points(desc, rng, 100):
             s = Fraction(rng.randrange(0, 96), 12)
             upstairs = project_point(desc, flow(desc, cp, s))

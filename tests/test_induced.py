@@ -7,7 +7,11 @@ tampering with packages and watching the right check fail.
 
 import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -18,7 +22,8 @@ from ttforge.graphs import (
     GraphMap, SerreGraph, compose, inv, reduce_darts, rose, validate,
 )
 from ttforge.traintrack import (
-    has_positive_power, pf_eigenvalue, transition_matrix,
+    certification_failure, has_positive_power, pf_eigenvalue,
+    transition_matrix,
 )
 from ttforge.freegroup import SubgroupGraph, image_chain, whole_group_graph
 from ttforge.randmaps import random_candidate
@@ -34,6 +39,7 @@ from oracles import (
     transfer_after_projection_oracle,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
 ROSE2 = rose(["a", "b"])
 
 
@@ -306,6 +312,22 @@ def _ring(n):
     return GraphMap(g, g, {u[i]: u[(i + 1) % n] for i in range(n)}, images)
 
 
+def _doubled_rose_ladder(s):
+    """The rose ladder a_i -> a_i+1, b_i -> b_i+1, a_s-1, b_s-1 -> a_0 ..
+    a_s-1 b_0, with each edge x split into xP and xQ, and every image
+    letter y of xP written yQ (and of xQ written yP).
+
+    Its transition digraph is bipartite, so both matrices have period 2.
+    """
+    images = {x + str(i): (x + str(i + 1),)
+              for i in range(s - 1) for x in "ab"}
+    images["a%d" % (s - 1)] = images["b%d" % (s - 1)] = \
+        tuple("a%d" % i for i in range(s)) + ("b0",)
+    return rose_map({x + mine: tuple(y + other for y in img)
+                     for x, img in images.items()
+                     for mine, other in ("PQ", "QP")})
+
+
 class TestVerifyPackage:
     def test_fixture_packages_all_green(self, packages):
         for name, pkg in packages.items():
@@ -399,6 +421,27 @@ class TestVerifyPackage:
         assert report.ok, report.failures()
         assert report.checks["positive_power_transfer"] == (
             True, "down %d up %d" % (down(n), up))
+
+    @pytest.mark.parametrize("s", [2, 3, 4])
+    def test_doubled_ladder_is_imprimitive(self, s):
+        f = _doubled_rose_ladder(s)
+        assert certification_failure(f) is None
+        report = verify_package(build_induced(f))
+        assert report.ok, report.failures()
+        assert report.checks["positive_power_transfer"] == (
+            True, "down None up None")
+
+    def test_doubled_ladder_verifies_fast(self):
+        # the primitivity check stops at the period, not at Wielandt's
+        # bound over a 320-edge core
+        code = ("from test_induced import _doubled_rose_ladder as ladder\n"
+                "from ttforge.induced import build_induced, verify_package\n"
+                "assert verify_package(build_induced(ladder(5))).ok\n")
+        path = os.pathsep.join(str(ROOT / d) for d in ("src", "tests"))
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=path),
+                              timeout=10, capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_three_strand_family_closed_forms(self, n):

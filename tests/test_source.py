@@ -23,6 +23,7 @@ import ast
 import contextlib
 import importlib
 import importlib.util
+import inspect
 import io
 import os
 import re
@@ -500,6 +501,18 @@ def test_one_suspension_space():
     assert {(module, name) for module, source in PACKAGE_SOURCES.items()
             for name in defined_names(source) & retired} == set()
     assert issubclass(suspension.CoverDescriptor, suspension.MappingTorus)
+
+
+def test_pair_reads_a_verified_package():
+    """The flow-homotopy pair re-checks nothing verify certifies.
+
+    It builds no composite or power of a map, and a point is tracked dart
+    by dart rather than through a rebuilt iterated path.
+    """
+    retired = {"_image_coordinate", "_exact_realization", "seam_crossings"}
+    assert defined_names(PACKAGE_SOURCES["suspension"]) & retired == set()
+    source = inspect.getsource(suspension.FlowHomotopyPair)
+    assert "compose(" not in source and ".power(" not in source
 
 
 def test_train_track_answers_carry_no_check():

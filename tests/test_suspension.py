@@ -15,21 +15,21 @@ from ttforge.freegroup import (
     LabeledGraph, SubgroupGraph, fold, whole_group_graph,
 )
 from ttforge.graphs import GraphMap, SerreGraph, rose, validate
-from ttforge.induced import build_induced
+from ttforge.induced import build_induced, verify_package
 from ttforge.suspension import (
     CoverDescriptor, FlowHomotopyPair, MappingTorus, TorusPoint,
     _component_containing, breakpoint_samples, edge_point, flow, h_maps,
-    iterate_breakpoints,
-    make_cover_descriptor, map_point, project_point, seam_crossings,
+    iterate_breakpoints, make_cover_descriptor, map_point, project_point,
     vertex_point,
 )
 
+from oracles import tracked_point_oracle
+# lifting_packages, and the packages it reads, are fixtures used by name
+from test_induced import (
+    _three_strand_ring, lifting_packages, packages, tampered_packages,
+)
+
 ROSE2 = rose(["a", "b"])
-
-
-def identity_map(graph):
-    return GraphMap(graph, graph, {v: v for v in graph.vertices},
-                    {e: (e,) for e in graph.edge_ids})
 
 
 def _iterate_point(f, pt, power):
@@ -182,10 +182,7 @@ class TestFlowHomotopyPair:
         return xs, ys
 
     def test_promoted_package_pair(self, sigma):
-        pkg = build_induced(sigma)
-        pair = FlowHomotopyPair(
-            MappingTorus(pkg.source), MappingTorus(pkg.induced),
-            pkg.transfer, pkg.projection, pkg.constant)
+        pair = FlowHomotopyPair(build_induced(sigma))
         xs, ys = self.sample_sets(pair, random.Random(3))
         ok, detail = pair.check_composite(xs, ys)
         assert ok, detail
@@ -194,19 +191,13 @@ class TestFlowHomotopyPair:
         assert ok, detail
 
     def test_fib_package_pair(self, fib):
-        pkg = build_induced(fib)
-        pair = FlowHomotopyPair(
-            MappingTorus(pkg.source), MappingTorus(pkg.induced),
-            pkg.transfer, pkg.projection, pkg.constant)
+        pair = FlowHomotopyPair(build_induced(fib))
         xs, ys = self.sample_sets(pair, random.Random(5))
         ok, detail = pair.check_composite(xs, ys)
         assert ok, detail
 
     def test_multi_vertex_package_pair(self, cyc2):
-        pkg = build_induced(cyc2)
-        pair = FlowHomotopyPair(
-            MappingTorus(pkg.source), MappingTorus(pkg.induced),
-            pkg.transfer, pkg.projection, pkg.constant)
+        pair = FlowHomotopyPair(build_induced(cyc2))
         xs, ys = self.sample_sets(pair, random.Random(7))
         ok, detail = pair.check_composite(xs, ys)
         assert ok, detail
@@ -214,34 +205,48 @@ class TestFlowHomotopyPair:
             xs[:30], [Fraction(1, 3), 2])
         assert ok, detail
 
-    def test_identity_pair_gives_double_flow(self, fib):
-        torus = MappingTorus(fib)
-        ident = identity_map(ROSE2)
-        pair = FlowHomotopyPair(torus, torus, ident, ident, 0)
-        xs, ys = self.sample_sets(pair, random.Random(9))
-        ok, detail = pair.check_composite(xs, ys)
-        assert ok, detail
-        x = TorusPoint(edge_point(ROSE2, "a", Fraction(1, 5)), Fraction(1, 3))
-        assert pair.alpha_hat(x) == TorusPoint(map_point(fib, x.point),
-                                               x.height)
+    def test_rejects_what_verify_rejects(self, lifting_packages):
+        rejected = 0
+        for pkg in lifting_packages.values():
+            for bad in tampered_packages(pkg)[1:]:
+                if verify_package(bad).ok:
+                    continue
+                rejected += 1
+                with pytest.raises(ValueError, match="fails verification"):
+                    FlowHomotopyPair(bad)
+        assert rejected > 0
 
-    def test_map_and_identity_pair(self, sigma):
-        torus = MappingTorus(sigma)
-        pair = FlowHomotopyPair(torus, torus, sigma, identity_map(ROSE2), 1)
-        xs, ys = self.sample_sets(pair, random.Random(13))
-        ok, detail = pair.check_composite(xs, ys)
-        assert ok, detail
+    def test_alpha_hat_matches_the_rebuilt_iterate(self, lifting_packages):
+        # the oracle rebuilds the whole iterated path at every step
+        rng = random.Random(19)
+        for name, pkg in lifting_packages.items():
+            pair = FlowHomotopyPair(pkg)
+            f, K = pkg.source, pkg.constant
+            xs = breakpoint_samples(pair.torus_x, 3) \
+                + random_torus_points(pair.torus_x, rng, 60)
+            for tp in xs:
+                expected = tracked_point_oracle(
+                    pkg.transfer, lambda d: d, f, K, map_point(f, tp.point))
+                assert pair.alpha_hat(tp) \
+                    == TorusPoint(expected, tp.height), (name, tp)
 
-    def test_rejects_wrong_power(self, sigma):
-        torus = MappingTorus(sigma)
-        with pytest.raises(ValueError, match="power"):
-            FlowHomotopyPair(torus, torus, sigma, sigma, 1)
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_alpha_hat_reads_one_image_per_level(self, n, monkeypatch):
+        pkg = build_induced(_three_strand_ring(n))
+        pair = FlowHomotopyPair(pkg)
+        reads = []
+        real = GraphMap.dart_image
 
-    def test_rejects_non_equivariant_maps(self, sigma):
-        torus = MappingTorus(sigma)
-        crush = GraphMap(ROSE2, ROSE2, {"v": "v"}, {"a": "a", "b": "a"})
-        with pytest.raises(ValueError, match="equivariant"):
-            FlowHomotopyPair(torus, torus, crush, identity_map(ROSE2), 1)
+        def counting(self, d):
+            reads.append(d)
+            return real(self, d)
+
+        monkeypatch.setattr(GraphMap, "dart_image", counting)
+        for e in pkg.source.domain.edge_ids:
+            reads.clear()
+            pair.alpha_hat(TorusPoint(
+                edge_point(pkg.source.domain, e, Fraction(2, 7)), 0))
+            assert 0 < len(reads) <= pkg.constant + 3, (e, len(reads))
 
 
 class TestBreakpointSamples:
@@ -395,15 +400,12 @@ class TestLiftedFlow:
         with pytest.raises(ValueError, match="period"):
             project_point(desc, tall)
         with pytest.raises(ValueError, match="period"):
-            seam_crossings(desc, tall, 1)
-        with pytest.raises(ValueError, match="period"):
             desc.point(cp.point, desc.unit)
         with pytest.raises(ValueError):
             TorusPoint(cp.point, -1)
         # heights below the period of 3 keep working
         below = desc.point(cp.point, Fraction(5, 2))
         assert project_point(desc, below).height == Fraction(1, 2)
-        assert seam_crossings(desc, below, 1) == 1
         assert flow(desc, below, 1).height == Fraction(1, 2)
 
     def test_projection_commutes_with_flow(self, trivial_descriptor,
@@ -453,28 +455,19 @@ class TestSectionDuality:
 
     def test_flow_around_loop_crosses_once_per_unit(self, trivial_descriptor,
                                                     index2_descriptor):
+        # the projected orbit is on the downstairs section at whole times
         for desc in (trivial_descriptor, index2_descriptor):
             start = TorusPoint(vertex_point(desc.cover.graph.vertices[0]), 0)
-            assert seam_crossings(desc, start, desc.exponent) == desc.exponent
-            assert seam_crossings(desc, start, 0) == 0
-            assert seam_crossings(
-                desc, start, Fraction(2 * desc.exponent - 1, 2)) \
-                == desc.exponent - 1
+            for k in range(4 * desc.exponent + 1):
+                down = project_point(desc, flow(desc, start, Fraction(k, 2)))
+                assert down.height == Fraction(k % 2, 2)
 
-    def test_seam_crossings_match_stepping_oracle(self, trivial_descriptor,
-                                                  index2_descriptor):
-        from oracles import seam_crossings_oracle
+    def test_first_return_matches_the_rebuilt_iterate(self, trivial_descriptor,
+                                                      index2_descriptor, fib):
+        rng = random.Random(23)
         for desc in (trivial_descriptor, index2_descriptor):
-            graph = desc.cover.graph
-            points = [vertex_point(v) for v in graph.vertices]
-            points += [edge_point(graph, e, Fraction(1, 3))
-                       for e in graph.edge_ids]
-            heights = [Fraction(k, 6) for k in range(6 * desc.exponent)]
-            durations = [Fraction(k, 4) for k in range(-8, 4 * desc.exponent
-                                                       + 9)]
-            for pt in points:
-                for h in heights:
-                    cp = TorusPoint(pt, h)
-                    for d in durations:
-                        assert seam_crossings(desc, cp, d) \
-                            == seam_crossings_oracle(desc, cp, d), (cp, d)
+            pts = [tp.point for tp in breakpoint_samples(desc, 1)]
+            pts += [tp.point for tp in random_torus_points(desc, rng, 100)]
+            for pt in pts:
+                assert desc.first_return(pt) == tracked_point_oracle(
+                    desc.map, desc.cover.dart_label, fib, desc.exponent, pt)

@@ -28,8 +28,8 @@ from oracles import (
     dense_transition_rows, expansion_matrix_oracle, expansion_oracle,
     growth_rate_mismatch_oracle, invariant_subgraph_oracle,
     invariant_subgraph_search, irreducible_oracle, iterate_darts,
-    darts_reduced, primitivity_exponent_oracle, spectral_radius,
-    train_track_oracle, transfer_size_oracle,
+    darts_reduced, positive_power_oracle, primitivity_exponent_oracle,
+    spectral_radius, train_track_oracle, transfer_size_oracle,
 )
 
 GOLDEN = (1 + 5 ** 0.5) / 2
@@ -250,6 +250,26 @@ class TestPositivePower:
             rows[rng.randrange(dim)] = [0] * dim
         expected = primitivity_exponent_oracle(rows)
         assert has_positive_power(square_matrix(rows)) == expected
+
+    def test_period_gate_matches_the_stepping_loop(self):
+        # supports with arcs only from class c to class c + 1 mod p: for
+        # p > 1 every irreducible one is imprimitive; p = 1 is unrestricted
+        # and gives the reducible and primitive cases
+        rng = random.Random(1977)
+        seen = set()
+        for _ in range(3000):
+            dim = rng.randint(0, 9)
+            period = rng.randint(1, 3)
+            group = [rng.randrange(period) for _ in range(dim)]
+            density = rng.choice((0.2, 0.5, 0.8, 1.0))
+            rows = [[rng.randint(1, 2) if rng.random() < density
+                     and (group[j] - group[i] - 1) % period == 0 else 0
+                     for j in range(dim)] for i in range(dim)]
+            m = square_matrix(rows)
+            expected = positive_power_oracle(m)
+            assert has_positive_power(m) == expected, rows
+            seen.add((is_irreducible(m), expected is not None))
+        assert seen == {(False, False), (True, False), (True, True)}
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_wielandt_matrix_reaches_the_bound(self, n):
