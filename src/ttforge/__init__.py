@@ -22,7 +22,7 @@ from .traintrack import (
     certification_failure, legal_loop_through, find_invariant_subgraph,
 )
 from .freegroup import (
-    SubgroupGraph, LabeledGraph, fold, whole_group_graph, Pi1Endomorphism,
+    SubgroupGraph, fold, whole_group_graph, Pi1Endomorphism,
     pi1_endomorphism, image_chain, image_subgroup, is_injective_on,
     kernel_stabilization, stable_quotient, map_subgroup, subgroup_rank,
     hall_completion,

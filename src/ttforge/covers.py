@@ -27,7 +27,7 @@ def lift_by_tracing(graph, base, image, word_of, trace):
 
     ``image`` is the chosen image of ``base``, ``word_of(d)`` the downstairs
     word the lift must follow over the dart ``d``, and ``trace`` follows a
-    word upstairs from a vertex the way LabeledGraph.trace does.  Each edge
+    word upstairs from a vertex the way SubgroupGraph.trace does.  Each edge
     image is forced by tracing from its already placed origin, so the lift
     exists exactly when every trace runs to the end and lands on the image
     already given to the far endpoint.  Returns ``(vertex map, edge

@@ -2,10 +2,12 @@
 
 The fundamental group of a finite graph is free; a finitely generated
 subgroup is stored as its pointed Stallings core: a folded graph immersed
-over the ambient graph by a labeling of edges.  Folding loops and graph
-maps into cores, membership by path tracing, rank counting, images of
-subgroups under graph maps, kernel stabilization, the stable quotient
-data, and Hall completion of a core to a finite cover all live here.
+over the ambient graph by a labeling of edges, a `SubgroupGraph`.  A
+finite cover is the same object, the core of a finite-index subgroup.
+Folding loops and graph maps into cores, membership by path tracing, rank
+counting, images of subgroups under graph maps, kernel stabilization, the
+stable quotient data, and Hall completion of a core to a pointed finite
+cover all live here.
 
 One folding table serves everything (Kapovich-Myasnikov): paths are read
 in between seeded vertices, with at most one dart per signed ambient label
@@ -46,15 +48,17 @@ from .graphs import (
 )
 
 
-class LabeledGraph:
-    """Graph immersed over an ambient graph via an edge labeling.
+class SubgroupGraph:
+    """Pointed graph labeled over an ambient graph: a subgroup or a cover.
 
     ``edge_label`` maps each edge id to an ambient edge id (positive darts to
     positive darts); ``vertex_image`` maps vertices to ambient vertices.  The
-    labeling must respect incidence.
+    labeling must respect incidence.  A folded core represents the
+    finitely generated subgroup of loops at ``basepoint``; a finite cover is
+    the core of a finite-index subgroup (see `hall_completion`).
     """
 
-    def __init__(self, graph, ambient, edge_label, vertex_image):
+    def __init__(self, graph, ambient, edge_label, vertex_image, basepoint):
         self.graph = graph
         self.ambient = ambient
         self.edge_label = dict(edge_label)
@@ -76,6 +80,9 @@ class LabeledGraph:
             steps[key] = d
         self._steps = steps
         self._immersed = immersed
+        if basepoint not in graph._out:
+            raise ValueError("basepoint %r is not a vertex" % basepoint)
+        self.basepoint = basepoint
 
     def dart_label(self, d):
         if is_positive(d):
@@ -128,16 +135,6 @@ class LabeledGraph:
         if len(set(sizes.values())) != 1:
             raise ValueError("fibers have unequal sizes; not a covering")
         return next(iter(sizes.values()))
-
-
-class SubgroupGraph(LabeledGraph):
-    """Pointed folded core representing a finitely generated subgroup."""
-
-    def __init__(self, graph, ambient, edge_label, vertex_image, basepoint):
-        super().__init__(graph, ambient, edge_label, vertex_image)
-        if basepoint not in graph._out:
-            raise ValueError("basepoint %r is not a vertex" % basepoint)
-        self.basepoint = basepoint
 
     def rank(self):
         return len(self.graph.edge_ids) - len(self.graph.vertices) + 1
@@ -449,18 +446,11 @@ class Pi1Endomorphism:
     def rank(self):
         return len(self.basis)
 
-    def basis_names(self):
-        return tuple(sorted(self.basis))
-
     def apply_word(self, darts, times=1):
         word = tuple(darts)
         for _ in range(times):
             word = reduce_darts(self.map.apply_to_darts(word))
         return word
-
-    def basis_images(self):
-        return {name: self.apply_word(loop)
-                for name, loop in self.basis.items()}
 
     def __repr__(self):
         return "Pi1Endomorphism(rank %d at %r)" % (self.rank, self.base)
@@ -638,41 +628,41 @@ def _fresh_names(prefix, taken, count):
 
 
 def hall_completion(sub):
-    """Embed a folded core into a finite cover of the ambient graph.
+    """The finite cover in which a subgroup graph embeds, pointed like it.
 
     Fibers are padded to a common size with fresh vertices, then for every
-    ambient edge the partially defined source-to-target matching given by the
-    core is completed to a bijection, pairing unmatched sources with
-    unmatched targets in vertex-id order.  The core keeps its ids, so the
-    embedding is the identity on it; the degree never exceeds the number of
-    core vertices (plus padding needed to even out the fibers).
+    ambient edge the partially defined source-to-target matching given by
+    ``sub`` is completed to a bijection, pairing unmatched sources with
+    unmatched targets in vertex-id order (Stallings 1983).  The component
+    through ``sub.basepoint`` is returned, based there: the core of a
+    finite-index subgroup containing ``sub``'s.  The vertices and edges of
+    ``sub`` there keep their ids and labels, so a connected ``sub`` embeds
+    by the identity and a connected covering comes back unchanged.  The
+    degree never exceeds the number of vertices of ``sub`` (plus padding
+    needed to even out the fibers).
     """
     ambient = sub.ambient
     graph = sub.graph
     fibers = {u: list(sub.fiber(u)) for u in ambient.vertices}
     degree = max(1, max(len(f) for f in fibers.values()))
-    taken = set(graph.vertices)
-    pad_needed = sum(degree - len(f) for f in fibers.values())
-    pads = _fresh_names("h", taken, pad_needed)
-    pi = 0
+    pads = iter(_fresh_names("h", set(graph.vertices), sum(
+        degree - len(f) for f in fibers.values())))
     vertex_image = dict(sub.vertex_image)
     for u in sorted(fibers):
         while len(fibers[u]) < degree:
-            name = pads[pi]
-            pi += 1
+            name = next(pads)
             fibers[u].append(name)
             vertex_image[name] = u
     edges = list(graph.edge_data)
     edge_label = dict(sub.edge_label)
-    new_edge_names = _fresh_names(
-        "q", set(graph.edge_ids), degree * len(ambient.edge_ids))
-    ni = 0
+    new_edge_names = iter(_fresh_names(
+        "q", set(graph.edge_ids), degree * len(ambient.edge_ids)))
     for a in sorted(ambient.edge_ids):
         u, w = ambient.origin(a), ambient.terminus(a)
         matched_src = set()
         matched_dst = set()
         for x in fibers[u]:
-            d = sub.step(x, a) if x in graph._out else None
+            d = sub.step(x, a)
             if d is not None:
                 matched_src.add(x)
                 matched_dst.add(graph.terminus(d))
@@ -682,13 +672,16 @@ def hall_completion(sub):
         if len(free_src) != len(free_dst):
             raise AssertionError("unbalanced partial matching for %r" % a)
         for x, y in zip(free_src, free_dst):
-            name = new_edge_names[ni]
-            ni += 1
+            name = next(new_edge_names)
             edges.append((name, x, y))
             edge_label[name] = a
     all_vertices = [v for f in fibers.values() for v in f]
-    cover_graph = SerreGraph(all_vertices, edges)
-    cover = LabeledGraph(cover_graph, ambient, edge_label, vertex_image)
+    keep = SubgroupGraph(SerreGraph(all_vertices, edges), ambient, edge_label,
+                         vertex_image, sub.basepoint).spanning_tree()[1]
+    edges = [(e, o, t) for e, o, t in edges if o in keep]
+    cover = SubgroupGraph(SerreGraph(keep, edges), ambient,
+                          {e: edge_label[e] for e, _, _ in edges},
+                          {v: vertex_image[v] for v in keep}, sub.basepoint)
     if not cover.is_covering():
         raise AssertionError("completion failed to produce a covering")
     return cover

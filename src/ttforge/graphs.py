@@ -379,6 +379,22 @@ def compose(g, h):
     return GraphMap(h.domain, g.codomain, vertex_map, images)
 
 
+def iterate_lengths(f, count):
+    """``lengths[j][e]``, the length of f^j(e) unreduced, for j < count.
+
+    Level j + 1 substitutes level j into f's edge images, so no iterate is
+    built; the total of level j is the symbol count of f^j.
+    """
+    crossed = {e: tuple(map(edge_of, f.dart_image(e)))
+               for e in f.domain.edge_ids}
+    lengths = [dict.fromkeys(crossed, 1)]
+    while len(lengths) < count:
+        last = lengths[-1]
+        lengths.append({e: sum(map(last.__getitem__, edges))
+                        for e, edges in crossed.items()})
+    return lengths[:count]
+
+
 def validate(m):
     """First violated graph-map invariant as a string, or None if valid.
 

@@ -26,7 +26,7 @@ from itertools import chain
 
 from .covers import based_lift_power, lift_graph_map
 from .freegroup import image_chain, is_injective_on, whole_group_graph
-from .graphs import GraphMap, compose, edge_of, validate
+from .graphs import GraphMap, compose, edge_of, iterate_lengths, validate
 from .traintrack import (
     certification_failure, has_positive_power, is_expanding, is_irreducible,
     is_train_track, transition_matrix,
@@ -155,15 +155,6 @@ def projection_map(core):
                     {e: (core.edge_label[e],) for e in core.graph.edge_ids})
 
 
-def _transfer_size(matrix, power):
-    """Total image length of the power-th iterate: 1^T A^power 1."""
-    lengths = [1] * matrix.dim
-    for _ in range(power):
-        lengths = [sum(a * lengths[j] for j, a in row)
-                   for row in matrix.entries]
-    return sum(lengths)
-
-
 def build_induced(f, size_budget=None):
     """Run the whole promotion and return the package.
 
@@ -191,7 +182,7 @@ def build_induced(f, size_budget=None):
     K = 2 * k * n * r
 
     if size_budget is not None:
-        if _transfer_size(transition_matrix(f), K) > size_budget:
+        if sum(iterate_lengths(f, K + 1)[K].values()) > size_budget:
             raise SizeBudgetExceeded(
                 "transfer map needs more than %d symbols" % size_budget)
 
@@ -232,15 +223,6 @@ class VerificationReport:
 
     def failures(self):
         return [name for name, (ok, _) in self.checks.items() if not ok]
-
-    def summary(self):
-        lines = []
-        for name in sorted(self.checks):
-            ok, detail = self.checks[name]
-            mark = "ok" if ok else "FAIL"
-            lines.append("%-28s %s%s" % (name, mark,
-                                         " (%s)" % detail if detail else ""))
-        return "\n".join(lines)
 
 
 def _growth_rate_mismatch(core, a_down, a_up, up_irreducible):
@@ -406,9 +388,13 @@ def verify_package(pkg):
     report.record("growth_rate", growth is None,
                   growth or "difference 0.000e+00")
 
-    # kernel stabilization 0: injective on the whole group
-    report.record("induced_pi1_injective", is_injective_on(
-        fbar, whole_group_graph(fbar.domain, fbar.domain.vertices[0])))
+    # kernel stabilization 0: injective on the whole group, which only a
+    # graph map can be folded over
+    report.record(
+        "induced_pi1_injective",
+        invalid is None and is_injective_on(
+            fbar, whole_group_graph(fbar.domain, fbar.domain.vertices[0])),
+        "" if invalid is None else "invalid graph map: %s" % invalid)
 
     labels = set(core.edge_label.values())
     vertex_images = set(core.vertex_image.values())

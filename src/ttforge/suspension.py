@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .covers import NotLiftableError, lift_graph_map
-from .freegroup import SubgroupGraph, hall_completion, induces_pi1_isomorphism
-from .graphs import SerreGraph, compose, edge_of, is_positive, validate
+from .freegroup import hall_completion, induces_pi1_isomorphism
+from .graphs import compose, edge_of, is_positive, iterate_lengths, validate
 from .induced import projection_map, verify_package
 
 
@@ -225,16 +225,6 @@ def _torus_map(f, realize):
     return lambda tp: TorusPoint(realize(map_point(f, tp.point)), tp.height)
 
 
-def _iterate_lengths(f, count):
-    """``lengths[j][e]``, the length of f^j(e) unreduced, for j < count."""
-    lengths = [dict.fromkeys(f.domain.edge_ids, 1)]
-    while len(lengths) < count:
-        last = lengths[-1]
-        lengths.append({e: sum(last[edge_of(d)] for d in f.dart_image(e))
-                        for e in f.domain.edge_ids})
-    return lengths[:count]
-
-
 def _tracked(lift, label, downstairs, power):
     """A lift of the ``power``-th iterate downstairs, realized pointwise.
 
@@ -246,7 +236,7 @@ def _tracked(lift, label, downstairs, power):
     downstairs steps, not at constant speed, so that projecting commutes
     with flowing bit for bit.
     """
-    lengths = _iterate_lengths(downstairs, power)
+    lengths = iterate_lengths(downstairs, power)
 
     def point(pt):
         if pt.is_vertex:
@@ -290,7 +280,7 @@ def breakpoint_samples(torus, power, heights=(Fraction(0), Fraction(1, 2))):
     included at every height.
     """
     f = torus.map
-    lengths = _iterate_lengths(f, power + 1)[power]
+    lengths = iterate_lengths(f, power + 1)[power]
     out = []
     for v in torus.graph.vertices:
         for h in heights:
@@ -314,7 +304,7 @@ def breakpoint_samples(torus, power, heights=(Fraction(0), Fraction(1, 2))):
 class CoverDescriptor(MappingTorus):
     """The mapping torus of a lift of a power of the map to a finite cover.
 
-    The data is a covering (as a labeled graph), a self-map of the cover,
+    The data is a covering (a `SubgroupGraph`), a self-map of the cover,
     and the exponent j with projection after the lift equal to the j-th
     power after projection, dart for dart.  The torus upstairs has the
     lift as its ``map`` and a time unit of length j, so projecting commutes
@@ -350,32 +340,20 @@ class CoverDescriptor(MappingTorus):
             self.degree, self.exponent)
 
 
-def _component_containing(cover, base):
-    """The connected component of a covering through ``base``, based there."""
-    keep = SubgroupGraph(cover.graph, cover.ambient, cover.edge_label,
-                         cover.vertex_image, base).spanning_tree()[1]
-    edges = [(e, o, t) for e, o, t in cover.graph.edge_data if o in keep]
-    return SubgroupGraph(
-        SerreGraph(keep, edges), cover.ambient,
-        {e: cover.edge_label[e] for e, _, _ in edges},
-        {v: cover.vertex_image[v] for v in keep}, base)
-
-
 def make_cover_descriptor(f, sub, max_exponent=12):
     """Build the descriptor for a finite cover: lift the smallest power.
 
-    The self-map must be a homotopy equivalence (checked); the subgroup's
-    core is completed to a covering if it is not one already, keeping the
-    component through the basepoint.  Exponents are tried in increasing
-    order, each lifted by `lift_graph_map` (every basepoint fiber vertex a
-    candidate image, the first consistent lift winning); that exponent is
-    also how far the cover winds around the section direction per upstairs
-    period.
+    The self-map must be a homotopy equivalence (checked); the cover is the
+    Hall completion of the subgroup graph, pointed at its basepoint, which
+    is the subgroup graph itself when that is a connected covering.
+    Exponents are tried in increasing order, each lifted by
+    `lift_graph_map` (every basepoint fiber vertex a candidate image, the
+    first consistent lift winning); that exponent is also how far the cover
+    winds around the section direction per upstairs period.
     """
     if not induces_pi1_isomorphism(f):
         raise ValueError("descriptors need a homotopy equivalence downstairs")
-    cover = sub if sub.is_covering() else hall_completion(sub)
-    cover = _component_containing(cover, sub.basepoint)
+    cover = hall_completion(sub)
     for j in range(1, max_exponent + 1):
         try:
             lift = lift_graph_map(f.power(j), cover)

@@ -15,7 +15,7 @@ from ttforge.graphs import (
     GraphMap, SerreGraph, inv, rose,
 )
 from ttforge.freegroup import (
-    LabeledGraph, SubgroupGraph, endomorphism_on_rose, fold, hall_completion,
+    SubgroupGraph, endomorphism_on_rose, fold, hall_completion,
     image_chain, image_subgroup, induces_pi1_isomorphism, is_injective_on,
     kernel_stabilization, map_subgroup, pi1_endomorphism, stable_quotient,
     subgroup_rank, whole_group_graph,
@@ -302,8 +302,8 @@ class TestLabeledGraphPredicates:
     def test_unfolded_graph_is_not_immersion(self):
         graph = SerreGraph(["w0", "w1", "w2"],
                            [("p0", "w0", "w1"), ("p1", "w0", "w2")])
-        lab = LabeledGraph(graph, ROSE2, {"p0": "a", "p1": "a"},
-                           {"w0": "v", "w1": "v", "w2": "v"})
+        lab = SubgroupGraph(graph, ROSE2, {"p0": "a", "p1": "a"},
+                            {"w0": "v", "w1": "v", "w2": "v"}, "w0")
         assert not lab.is_immersion()
 
     def test_whole_group_graph_is_degree_one_cover(self):
@@ -320,18 +320,20 @@ class TestLabeledGraphPredicates:
 class TestInducedEndomorphism:
     def test_sigma_basis_images(self, sigma):
         phi = pi1_endomorphism(sigma)
-        assert phi.basis_names() == ("x0", "x1")
         assert phi.basis == {"x0": ("a",), "x1": ("b",)}
-        assert phi.basis_images() == {"x0": w("a b"), "x1": w("a b")}
+        assert phi.apply_word(("a",)) == phi.apply_word(("b",)) == w("a b")
 
     def test_fib_basis_images(self, fib):
         phi = pi1_endomorphism(fib)
-        assert phi.basis_images() == {"x0": ("b",), "x1": w("a b")}
+        assert phi.basis == {"x0": ("a",), "x1": ("b",)}
+        assert phi.apply_word(("a",)) == ("b",)
+        assert phi.apply_word(("b",)) == w("a b")
 
     def test_identity_endomorphism(self):
         ident = GraphMap(ROSE2, ROSE2, {"v": "v"}, {"a": "a", "b": "b"})
         phi = pi1_endomorphism(ident)
-        assert phi.basis_images() == phi.basis
+        for loop in phi.basis.values():
+            assert phi.apply_word(loop) == loop
 
     def test_apply_word_iterates(self, sigma):
         phi = pi1_endomorphism(sigma)
@@ -352,7 +354,9 @@ class TestInducedEndomorphism:
     def test_rose_realization_matches_graph_map(self, sigma):
         phi = endomorphism_on_rose(["a", "b"], {"a": "a b", "b": "a b"})
         direct = pi1_endomorphism(sigma)
-        assert phi.basis_images() == direct.basis_images()
+        assert phi.basis == direct.basis
+        for loop in phi.basis.values():
+            assert phi.apply_word(loop) == direct.apply_word(loop)
 
 
 class TestImageChain:
@@ -534,7 +538,7 @@ class TestHallCompletion:
         sub = SubgroupGraph(graph, ROSE2, {"p0": "a", "p1": "a"},
                             {"w0": "v", "w1": "v", "w2": "v"}, "w0")
         cover = hall_completion(sub)
-        assert cover.is_covering()
+        assert cover.is_covering() and cover.basepoint == "w0"
         assert cover.degree() == 3
         # original edges kept verbatim
         for e in graph.edge_ids:
@@ -547,6 +551,7 @@ class TestHallCompletion:
         cover = hall_completion(full)
         assert cover.degree() == 1
         assert cover.graph.edge_data == ROSE2.edge_data
+        assert cover == full
 
     @given(seed=st.integers(0, 10 ** 9))
     @settings(max_examples=50, deadline=None)
@@ -560,7 +565,8 @@ class TestHallCompletion:
                  for _ in range(rng.randint(1, 3))]
         sub = fold(ambient, "v", words)
         cover = hall_completion(sub)
-        assert cover.is_covering()
+        assert cover.is_covering() and cover.graph.is_connected()
+        assert cover.basepoint == sub.basepoint
         assert cover.degree() >= 1
         for e in sub.graph.edge_ids:
             assert cover.edge_label[e] == sub.edge_label[e]

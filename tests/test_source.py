@@ -12,7 +12,7 @@ each have one home.
 Darts and words have one spelling, with no converter between spellings.
 The suspension module has one point type and one height check.
 The train track routines return plain answers, not self-checking
-certificates.
+certificates.  Subgroups and finite covers share one graph type.
 No test runs the scripts under ``scripts/``, so every name they import from
 the package is checked to exist.  The README's Python quick start and its
 sample ``ttforge quotient`` report are run and compared with the output the
@@ -524,6 +524,21 @@ def test_train_track_answers_carry_no_check():
     g = ttforge.rose(["a", "b"])
     f = ttforge.GraphMap(g, g, {"v": "v"}, {"a": "a b", "b": "a"})
     assert not hasattr(traintrack.is_train_track(f), "check")
+
+
+def test_one_subgroup_graph_type():
+    """A finite cover is the pointed `SubgroupGraph` Hall completion returns.
+
+    No second labeled-graph type and no component helper; one table of
+    iterated image lengths; no helper that only the tests read.
+    """
+    retired = {"LabeledGraph", "_component_containing", "_transfer_size",
+               "basis_names", "basis_images", "summary"}
+    assert {(module, name) for module, source in PACKAGE_SOURCES.items()
+            for name in defined_names(source) & retired} == set()
+    assert not hasattr(ttforge, "LabeledGraph")
+    source = inspect.getsource(suspension.make_cover_descriptor)
+    assert "is_covering(" not in source
 
 
 VERIFY_CHECKS = {

@@ -12,13 +12,13 @@ import pytest
 
 from ttforge.covers import NotLiftableError
 from ttforge.freegroup import (
-    LabeledGraph, SubgroupGraph, fold, whole_group_graph,
+    SubgroupGraph, fold, hall_completion, whole_group_graph,
 )
 from ttforge.graphs import GraphMap, SerreGraph, rose, validate
 from ttforge.induced import build_induced, verify_package
 from ttforge.suspension import (
     CoverDescriptor, FlowHomotopyPair, MappingTorus, TorusPoint,
-    _component_containing, breakpoint_samples, edge_point, flow, h_maps,
+    breakpoint_samples, edge_point, flow, h_maps,
     iterate_breakpoints, make_cover_descriptor, map_point, project_point,
     vertex_point,
 )
@@ -352,20 +352,23 @@ class TestCoverDescriptor:
         with pytest.raises(ValueError, match="covering"):
             CoverDescriptor(core, fib, 1, fib)
 
-    def test_component_is_based_at_the_chosen_vertex(self):
+    def test_component_is_based_at_the_chosen_vertex(self, fib):
         # two disjoint copies of the rose: a degree-two, disconnected cover
         graph = SerreGraph(["p", "q"], [("ap", "p", "p"), ("bp", "p", "p"),
                                         ("aq", "q", "q"), ("bq", "q", "q")])
-        cover = LabeledGraph(graph, ROSE2,
-                             {"ap": "a", "bp": "b", "aq": "a", "bq": "b"},
-                             {"p": "v", "q": "v"})
-        part = _component_containing(cover, "q")
+        cover = SubgroupGraph(graph, ROSE2,
+                              {"ap": "a", "bp": "b", "aq": "a", "bq": "b"},
+                              {"p": "v", "q": "v"}, "q")
+        assert cover.is_covering() and cover.degree() == 2
+        part = hall_completion(cover)
         assert isinstance(part, SubgroupGraph) and part.basepoint == "q"
         assert part.graph.vertices == ("q",)
         assert part.graph.edge_ids == ("aq", "bq")
+        assert part.edge_label == {"aq": "a", "bq": "b"}
         assert part.is_covering() and part.degree() == 1
-        whole = _component_containing(whole_group_graph(ROSE2, "v"), "v")
+        whole = hall_completion(whole_group_graph(ROSE2, "v"))
         assert whole == whole_group_graph(ROSE2, "v")
+        assert make_cover_descriptor(fib, cover).cover == part
 
 
 class TestLiftedFlow:

@@ -11,16 +11,16 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ttforge.graphs import GraphMap, inv, rose, turn, validate
+from ttforge.graphs import (
+    GraphMap, SerreGraph, inv, iterate_lengths, rose, turn, validate,
+)
 from ttforge.traintrack import (
     ExpansionReport, TransitionMatrix, TurnSystem, certification_failure,
     find_invariant_subgraph, has_positive_power, is_expanding,
     is_irreducible, is_train_track, legal_loop_through, pf_eigenvalue,
     transition_matrix,
 )
-from ttforge.induced import (
-    _growth_rate_mismatch, _transfer_size, build_induced,
-)
+from ttforge.induced import _growth_rate_mismatch, build_induced
 from ttforge.io import load_input_file
 from ttforge.randmaps import GenerationStats, random_candidate
 
@@ -140,6 +140,16 @@ def square_matrix(rows):
     return TransitionMatrix(["e%d" % i for i in range(len(rows))], rows)
 
 
+def rows_map(rows):
+    """A rose self-map with these transition rows; images may be empty."""
+    names = ["e%d" % i for i in range(len(rows))]
+    g = SerreGraph(["v"], [(e, "v", "v") for e in names],
+                   allow_isolated=True)
+    return GraphMap(g, g, {"v": "v"}, {
+        e: tuple(x for x, a in zip(names, row) for _ in range(a))
+        for e, row in zip(names, rows)})
+
+
 def arcs_matrix(n, arcs):
     rows = [[0] * n for _ in range(n)]
     for i, j in arcs:
@@ -190,9 +200,10 @@ class TestSparseRows:
             else frozenset(m.labels[i] for i in closure))
         if all(any(row) for row in rows):
             assert (witness is None) == is_irreducible(m)
-        for power in range(4):
-            assert _transfer_size(m, power) == transfer_size_oracle(
-                rows, power)
+        f = rows_map(rows)
+        assert transition_matrix(f) == m
+        for power, lengths in enumerate(iterate_lengths(f, 4)):
+            assert sum(lengths.values()) == transfer_size_oracle(rows, power)
 
     @given(down=dense_rows(max_dim=4, irreducible=True), data=st.data())
     @settings(max_examples=200, deadline=None)
