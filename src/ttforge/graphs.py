@@ -24,7 +24,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, islice
 
 INV_PREFIX = "-"
 
@@ -379,20 +379,24 @@ def compose(g, h):
     return GraphMap(h.domain, g.codomain, vertex_map, images)
 
 
-def iterate_lengths(f, count):
-    """``lengths[j][e]``, the length of f^j(e) unreduced, for j < count.
+def iterated_lengths(f):
+    """Levels ``lengths[e]``, the length of f^j(e) unreduced, for j = 0, 1, ...
 
     Level j + 1 substitutes level j into f's edge images, so no iterate is
     built; the total of level j is the symbol count of f^j.
     """
     crossed = {e: tuple(map(edge_of, f.dart_image(e)))
                for e in f.domain.edge_ids}
-    lengths = [dict.fromkeys(crossed, 1)]
-    while len(lengths) < count:
-        last = lengths[-1]
-        lengths.append({e: sum(map(last.__getitem__, edges))
-                        for e, edges in crossed.items()})
-    return lengths[:count]
+    level = dict.fromkeys(crossed, 1)
+    while True:
+        yield level
+        level = {e: sum(map(level.__getitem__, edges))
+                 for e, edges in crossed.items()}
+
+
+def iterate_lengths(f, count):
+    """The first ``count`` levels of `iterated_lengths`, as a list."""
+    return list(islice(iterated_lengths(f), count))
 
 
 def validate(m):

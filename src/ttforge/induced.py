@@ -4,29 +4,33 @@ A train track self-map need not be injective on the fundamental group.  Its
 stable image subgroup (where the kernels of the iterates have settled) is
 carried by a folded core, and the map lifts to an expanding irreducible
 train track self-map of that core.  This module builds the whole package:
-the core, the induced map, the transfer map from the ambient graph into the
-core, and the exponent tying their powers together, then re-verifies every
-claimed identity bit for bit.  That the promoted map represents the stable
-endomorphism needs no check of its own: with the projection commuting and
-the transfer basepoint on the induced map's cycle, the induced action on
-loops there is the lift of the source's, by unique path lifting.
+the core, the induced map, the half of the transfer map from the ambient
+graph into the core, and the exponent tying their powers together, then
+re-verifies every claimed identity bit for bit.  That the promoted map
+represents the stable endomorphism needs no check of its own: with the
+projection commuting and the transfer basepoint on the induced map's
+cycle, the induced action on loops there is the lift of the source's, by
+unique path lifting.
 
 Conventions: v is the chosen periodic vertex, r its period, n the smallest
 power such that the map is injective on the image subgroup of its (nr)-th
 power at v, read off the one image chain of single steps of the map, and
 the transfer map is a lift of the (2knr)-th power of the input, with k
-chosen so the basepoint orbit upstairs has settled into its cycle.
+chosen so the basepoint orbit upstairs has settled into its cycle.  It is
+the induced map's (knr)-th power after the half, the based lift of the
+(knr)-th power, which is what a package stores.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from functools import cached_property
+from itertools import chain, islice
 
 from .covers import based_lift_power, lift_graph_map
 from .freegroup import image_chain, is_injective_on, whole_group_graph
-from .graphs import GraphMap, compose, edge_of, iterate_lengths, validate
+from .graphs import GraphMap, compose, edge_of, iterated_lengths, validate
 from .traintrack import (
     certification_failure, has_positive_power, is_expanding, is_irreducible,
     is_train_track, transition_matrix,
@@ -77,8 +81,10 @@ class InducedPackage:
 
     ``core`` is the folded graph of the stable image subgroup; ``induced``
     the promoted train track map on it; ``projection`` the labeling as a
-    graph map; ``transfer`` the semi-conjugating map from the ambient graph
-    into the core, a lift of the ``constant``-th power of the source.
+    graph map; ``half`` the based lift H of the source's m-th power into
+    the core, m = ``constant`` // 2.  ``transfer``, built on first read,
+    is induced^m after H: the semi-conjugating map into the core lifting
+    the ``constant``-th power.
     ``chain`` is the `image_chain` ``(links, K)`` of the source at the
     periodic vertex with its period: ``links[K]`` is the stable image
     subgroup and K the kernel stabilization constant of the return map.
@@ -88,7 +94,7 @@ class InducedPackage:
     core: object
     induced: GraphMap
     projection: GraphMap
-    transfer: GraphMap
+    half: GraphMap
     periodic_vertex: str
     period: int
     exponent: int
@@ -113,6 +119,10 @@ class InducedPackage:
             "core_edges": len(self.core.graph.edge_ids),
             "stabilization": self.chain[1],
         }
+
+    @cached_property
+    def transfer(self):
+        return compose(self.induced.power(self.constant // 2), self.half)
 
 
 def basepoint_orbit(fbar, base, r):
@@ -155,6 +165,16 @@ def projection_map(core):
                     {e: (core.edge_label[e],) for e in core.graph.edge_ids})
 
 
+def _level(f, j, bound):
+    """Level j of f's iterated lengths, None if j < 0 or a level up to j
+    totals over ``bound``: levels never shrink, so the walk stops there."""
+    level = None
+    for level in islice(iterated_lengths(f), max(j + 1, 0)):
+        if sum(level.values()) > bound:
+            return None
+    return level
+
+
 def build_induced(f, size_budget=None):
     """Run the whole promotion and return the package.
 
@@ -181,20 +201,16 @@ def build_induced(f, size_budget=None):
     k = smallest_multiple_reaching(orbit_period, max(preperiod, 1))
     K = 2 * k * n * r
 
-    if size_budget is not None:
-        if sum(iterate_lengths(f, K + 1)[K].values()) > size_budget:
-            raise SizeBudgetExceeded(
-                "transfer map needs more than %d symbols" % size_budget)
-
-    half = based_lift_power(core, f, k * n * r)
-    transfer = compose(fbar.power(k * n * r), half)
+    if size_budget is not None and _level(f, K, size_budget) is None:
+        raise SizeBudgetExceeded(
+            "transfer map needs more than %d symbols" % size_budget)
 
     return InducedPackage(
         source=f,
         core=core,
         induced=fbar,
         projection=projection_map(core),
-        transfer=transfer,
+        half=based_lift_power(core, f, k * n * r),
         periodic_vertex=v,
         period=r,
         exponent=n,
@@ -256,103 +272,95 @@ def _is_path_map(m, domain, codomain):
     from the image of its origin to the image of its terminus."""
     if m.domain != domain or m.codomain != codomain:
         return False
-    origin = {d: codomain.origin(d) for d in codomain.darts}
-    terminus = {d: codomain.terminus(d) for d in codomain.darts}
+    origin, terminus = codomain.origin, codomain.terminus
     vm = m.vertex_map
     try:
         for e, o, t in domain.edge_data:
             img = m.dart_image(e)
-            if not img or ([vm[o]] + [terminus[d] for d in img]
-                           != [origin[d] for d in img] + [vm[t]]):
+            if not img or ([vm[o]] + list(map(terminus, img))
+                           != list(map(origin, img)) + [vm[t]]):
                 return False
     except KeyError:
         return False
     return True
 
 
-def _transfer_after_projection(pkg, premises_held):
-    """Whether P after p equals fbar^K: transfer, projection, induced map.
-
-    Decided by unique path lifting when these premises hold: the core is
-    immersed; ``premises_held``, that is p is the core's labeling,
-    f p = p fbar, p P = f^K and fbar is a graph map (``graphs.validate``);
-    and fbar, a self-map of the core graph, and P send every edge to a
-    nonempty core path from the image of its origin to the image of its
-    terminus.  Unreduced substitution is associative, so p fbar^K = f^K p
-    and p (P p) = (p P) p = f^K p.  For a core edge e, fbar^K(e) and
-    P(p(e)) are then core paths with one label sequence, f^K(p(e)): lifts
-    of one ambient path, starting at fbar^K(o(e)) and at P(p(o(e))).  In an
-    immersion a path is determined by its start and its labels, so the two
-    maps are equal exactly when P(p(v)) = fbar^K(v) at every core vertex v,
-    which costs O(K V) instead of the size of fbar^K.  When a premise
-    fails, both maps are built and compared.
-    """
-    core, p, P, fbar = pkg.core, pkg.projection, pkg.transfer, pkg.induced
-    if not (premises_held and core.is_immersion()
-            and fbar.domain == core.graph == fbar.codomain
-            and _is_path_map(P, core.ambient, core.graph)):
-        return compose(P, p) == fbar.power(pkg.constant)
-    power = {v: v for v in core.graph.vertices}
-    for _ in range(pkg.constant):
-        power = {v: fbar.vertex_map[w] for v, w in power.items()}
-    return all(P.vertex_map[p.vertex_map[v]] == w for v, w in power.items())
-
-
 def verify_package(pkg):
     """Re-derive every property the promotion claims.
 
-    Three semi-conjugacy identities are compared as graph maps with
-    unreduced substitution, so equality is bit-exact; the first also asks
-    that p be the core's labeling.  The fourth, transfer
-    after projection against the induced map's K-th power, follows from two
-    of them up to the vertex maps by unique path lifting, so it compares
-    vertex maps whenever its premises hold (see
-    `_transfer_after_projection`); otherwise it too compares the maps.
-    No check builds a map much larger than the transfer.  Growth rates are
-    compared exactly, without eigenvalues: both transition matrices must be
-    irreducible and satisfy the integer identity A_up Pi = Pi A_down, where
-    Pi sends each core edge to its label.
+    Maps are compared with unreduced substitution, so bit for bit, and
+    composed only once they are paths between the right graphs.  The
+    transfer P = fbar^m H, m = K // 2, is certified without building it,
+    from these premises: f and fbar are valid graph maps, fbar and H path
+    maps into the immersed core, p the core's labeling with f p = p fbar,
+    and p H = f^m, built only once H's image lengths are f^m's.  Then
+    p P = f^m p H = f^K by associativity, and P p against fbar^K, like P f
+    against fbar P, are lifts of one ambient map through the immersion,
+    equal exactly when their vertex maps agree (Stallings 1983).  A check
+    whose premise fails fails.  Growth rates are compared exactly: both
+    transition matrices are irreducible and A_up Pi = Pi A_down, where Pi
+    sends each core edge to its label.
     """
     report = VerificationReport()
-    f = pkg.source
-    fbar = pkg.induced
-    p = pkg.projection
-    P = pkg.transfer
-    K = pkg.constant
+    f, fbar, p, H = pkg.source, pkg.induced, pkg.projection, pkg.half
+    K, core = pkg.constant, pkg.core
+    m, graph, ambient = K // 2, core.graph, core.ambient
 
-    commutes = (p == projection_map(pkg.core)
+    invalid = validate(fbar)
+    # f and fbar valid self-maps of the ambient graph and of the core
+    maps_ok = (invalid is None and fbar.domain == graph == fbar.codomain
+               and f.domain == f.codomain == ambient and validate(f) is None)
+    commutes = (maps_ok and p == projection_map(core)
                 and compose(f, p) == compose(p, fbar))
     report.record(
         "projection_commutes", commutes,
         "f after p versus p after induced")
-    covers = compose(p, P) == f.power(K)
+    # f^m is built only once H's lengths are f^m's; no level over |H| is read
+    lengths = {e: len(H.dart_image(e)) for e in H.domain.edge_ids}
+    fits = (maps_ok and core.is_immersion()
+            and _is_path_map(H, ambient, graph)
+            and _level(f, m, sum(lengths.values())) == lengths)
+    # P's vertex map and crossed edges: m pushes of H's through fbar
+    power, transfer_vertex, crossed = {v: v for v in graph.vertices}, {}, set()
+    if fits:
+        hit = {e: set(map(edge_of, fbar.dart_image(e)))
+               for e in graph.edge_ids}
+        crossed = set(map(edge_of, chain.from_iterable(
+            map(H.dart_image, ambient.edge_ids))))
+        for _ in range(m):
+            power = {v: fbar.vertex_map[w] for v, w in power.items()}
+            crossed = set().union(*map(hit.__getitem__, crossed))
+        transfer_vertex = {x: power[H.vertex_map[x]]
+                           for x in ambient.vertices}
+    lifts = fits and commutes and compose(p, H) == f.power(m)
     report.record(
-        "transfer_covers_power", covers,
+        "transfer_covers_power", lifts and K % 2 == 0,
         "p after transfer versus f^%d" % K)
-    invalid = validate(fbar)
     report.record(
         "transfer_after_projection",
-        _transfer_after_projection(pkg, commutes and covers
-                                   and invalid is None),
+        lifts and K % 2 == 0
+        and all(transfer_vertex[p.vertex_map[v]] == power[power[v]]
+                for v in graph.vertices),
         "transfer after p versus induced^%d" % K)
     report.record(
         "equivariance",
-        compose(P, f) == compose(fbar, P),
+        lifts and all(transfer_vertex[f.vertex_map[x]]
+                      == fbar.vertex_map[transfer_vertex[x]]
+                      for x in ambient.vertices),
         "transfer after f versus induced after transfer")
 
     k, n, r = pkg.multiplier, pkg.exponent, pkg.period
     links, stabilization = pkg.chain
-    core = pkg.core
     # the orbit constants are re-derived, the orbit only on a valid lift
     periodic = find_periodic_vertex(f)
-    orbit = (invalid is None and fbar.domain == core.graph == fbar.codomain
-             and basepoint_orbit(fbar, core.basepoint, periodic[1]))
+    orbit = maps_ok and basepoint_orbit(fbar, core.basepoint, periodic[1])
     report.record(
         "constant_consistent",
         orbit == (pkg.preperiod, pkg.orbit_period, pkg.transfer_basepoint)
         and periodic == (pkg.periodic_vertex, r)
         and pkg.basepoint == core.basepoint
-        and P.vertex_map.get(pkg.periodic_vertex) == pkg.transfer_basepoint
+        and transfer_vertex.get(pkg.periodic_vertex)
+        == pkg.transfer_basepoint
         and K == 2 * k * n * r and k % pkg.orbit_period == 0
         and k >= max(pkg.preperiod, 1) and n >= 1,
         "K=%d k=%d n=%d r=%d" % (K, k, n, r))
@@ -383,7 +391,9 @@ def verify_package(pkg):
         down_pos is None or up_pos is not None,
         "down %r up %r" % (down_pos, up_pos))
 
-    growth = _growth_rate_mismatch(pkg.core, a_down, a_up, up_irreducible)
+    growth = (_growth_rate_mismatch(core, a_down, a_up, up_irreducible)
+              if fbar.domain == graph and f.domain == ambient
+              else "induced map and core are over different graphs")
     # equal growth rates: the detail keeps the difference format
     report.record("growth_rate", growth is None,
                   growth or "difference 0.000e+00")
@@ -401,20 +411,18 @@ def verify_package(pkg):
     report.record(
         "core_shape",
         core.is_immersion() and not core.core_violations()
-        and labels == set(core.ambient.edge_ids)
-        and vertex_images == set(core.ambient.vertices),
+        and labels == set(ambient.edge_ids)
+        and vertex_images == set(ambient.vertices),
         "folded core projecting onto the whole graph")
     report.record(
         "rank_matches_quotient",
         core == links[max(stabilization, 1)],
         "rank %d" % core.rank())
 
-    darts = set(chain.from_iterable(map(P.dart_image, f.domain.edge_ids)))
-    crossed = set(map(edge_of, darts))
     report.record(
         "transfer_onto_core",
-        crossed == set(core.graph.edge_ids),
-        "%d of %d edges hit" % (len(crossed), len(core.graph.edge_ids)))
+        crossed == set(graph.edge_ids),
+        "%d of %d edges hit" % (len(crossed), len(graph.edge_ids)))
 
     return report
 

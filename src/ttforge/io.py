@@ -33,7 +33,7 @@ from .induced import InducedPackage
 SCHEMA = 1
 
 PACKAGE_FILES = ("source.json", "core.json", "induced.json",
-                 "projection.json", "transfer.json", "constants.json",
+                 "projection.json", "half_transfer.json", "constants.json",
                  "report.json")
 
 
@@ -167,7 +167,7 @@ def write_package(outdir, pkg, report):
     _write(os.path.join(outdir, "induced.json"), map_to_obj(pkg.induced))
     _write(os.path.join(outdir, "projection.json"),
            map_to_obj(pkg.projection))
-    _write(os.path.join(outdir, "transfer.json"), map_to_obj(pkg.transfer))
+    _write(os.path.join(outdir, "half_transfer.json"), map_to_obj(pkg.half))
     constants = dict(pkg.constants())
     constants.update({
         "schema": SCHEMA,
@@ -194,12 +194,12 @@ def load_package(outdir):
                            core.graph)
     projection = map_from_obj(_read(os.path.join(outdir, "projection.json")),
                               core.graph, f.domain)
-    transfer = map_from_obj(_read(os.path.join(outdir, "transfer.json")),
-                            f.domain, core.graph)
+    half = map_from_obj(_read(os.path.join(outdir, "half_transfer.json")),
+                        f.domain, core.graph)
     c = _read(os.path.join(outdir, "constants.json"))
     return InducedPackage(
         source=f, core=core, induced=induced, projection=projection,
-        transfer=transfer, periodic_vertex=c["periodic_vertex"],
+        half=half, periodic_vertex=c["periodic_vertex"],
         period=c["period"], exponent=c["exponent"],
         preperiod=c["preperiod"], orbit_period=c["orbit_period"],
         multiplier=c["multiplier"], constant=c["constant"],

@@ -16,8 +16,9 @@ from ttforge.freegroup import (
 )
 from ttforge.suspension import edge_point, vertex_point
 from ttforge.graphs import (
-    SerreGraph, compose, edge_of, inv, is_positive, reduce_darts,
+    SerreGraph, compose, edge_of, inv, is_positive, reduce_darts, validate,
 )
+from ttforge.induced import projection_map
 
 
 # -- free words over string generators ----------------------------------------
@@ -595,6 +596,24 @@ def transfer_after_projection_oracle(pkg):
     """P after p against fbar^K, both built in full and compared."""
     return compose(pkg.transfer, pkg.projection) \
         == pkg.induced.power(pkg.constant)
+
+
+def lifting_premises_oracle(pkg):
+    """Whether the premises of the vertex-map decision hold, read on maps
+    built in full: f, fbar and H valid graph maps between the right graphs,
+    the core immersed, p its labeling with f p = p fbar, p H = f^m, K = 2m.
+    """
+    f, fbar, p, half, core = (pkg.source, pkg.induced, pkg.projection,
+                              pkg.half, pkg.core)
+    graph, ambient = core.graph, core.ambient
+    return (f.domain == f.codomain == ambient == half.domain
+            and fbar.domain == fbar.codomain == graph == half.codomain
+            and validate(f) is None and validate(fbar) is None
+            and validate(half) is None and core.is_immersion()
+            and p == projection_map(core)
+            and compose(f, p) == compose(p, fbar)
+            and compose(p, half) == f.power(pkg.constant // 2)
+            and pkg.constant % 2 == 0)
 
 
 # -- points tracked through an iterate ----------------------------------------

@@ -12,7 +12,8 @@ each have one home.
 Darts and words have one spelling, with no converter between spellings.
 The suspension module has one point type and one height check.
 The train track routines return plain answers, not self-checking
-certificates.  Subgroups and finite covers share one graph type.
+certificates.  Subgroups and finite covers share one graph type.  A
+package stores the half lift and derives the transfer only when read.
 No test runs the scripts under ``scripts/``, so every name they import from
 the package is checked to exist.  The README's Python quick start and its
 sample ``ttforge quotient`` report are run and compared with the output the
@@ -29,6 +30,7 @@ import os
 import re
 import subprocess
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -539,6 +541,22 @@ def test_one_subgroup_graph_type():
     assert not hasattr(ttforge, "LabeledGraph")
     source = inspect.getsource(suspension.make_cover_descriptor)
     assert "is_covering(" not in source
+
+
+def test_transfer_is_derived_on_demand():
+    """Build, verify and write read the half lift, never the transfer.
+
+    The transfer P, of size about the growth rate to the power K, is the
+    package's cached property; no code in `induced` or `io` reads it.
+    """
+    reads = [(module, node.lineno) for module in ("induced", "io")
+             for node in ast.walk(ast.parse(PACKAGE_SOURCES[module]))
+             if isinstance(node, ast.Attribute) and node.attr == "transfer"]
+    assert reads == []
+    assert isinstance(inspect.getattr_static(induced.InducedPackage,
+                                             "transfer"), cached_property)
+    assert "half_transfer.json" in PACKAGE_FILES
+    assert "transfer.json" not in PACKAGE_FILES
 
 
 VERIFY_CHECKS = {
