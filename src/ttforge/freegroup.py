@@ -17,18 +17,19 @@ valence-one vertex except possibly the basepoint.  A breadth-first renaming
 turns the table into a canonical graph; `subgroup_rank` stops before it and
 reads the rank E - V + 1 off the table.
 
-Images come from folding a graph map f over a subgroup graph H, without
+Images come from folding a graph map f over a labeled graph H, without
 basis loops: each vertex u of H is seeded over f of the vertex below it,
 and each edge is read in as the f-image of its label.  Trimming the
 valence-one vertices other than the basepoint leaves the pointed core of
-f_*(H) (Stallings 1983); that is `map_subgroup`.  `image_chain` takes such
-single steps of f from the whole group until the first step that keeps the
-rank, which it only rank-tests, so its words are edge images of f even when
-the return map is a power of f.  Stabilization, the stable quotient and the
-injectivity exponent read that chain; `stable_quotient`, which writes the
-restriction to the stable image in the core's basis, serves `ttforge
-quotient`, and the promotion needs only the chain.  Injectivity on a
-subgroup, by Hopficity, is a rank query on one map fold.
+f_*(H) (Stallings 1983); renamed, that is `map_subgroup`.  `image_chain`
+takes such single steps of f from the whole group until it has every link
+it returns, so its words are edge images of f even when the return map is
+a power of f.  An image that is no link stays a trimmed table, from which
+the next step is folded as it stands.  Stabilization, the stable quotient
+and the injectivity exponent read that chain; `stable_quotient`, which
+writes the restriction to the stable image in the core's basis, serves
+`ttforge quotient`, and the promotion needs only the chain.  Injectivity
+on a subgroup, by Hopficity, is a rank query on one map fold.
 
 A labeling sends positive darts to positive ambient darts; the label of a
 reversed dart is the reversed label.  Folded means no vertex carries two
@@ -267,8 +268,11 @@ class _Folding:
 
     Seed i lies over the ambient vertex ``over[i]``, seed 0 being the
     basepoint; each path ``(i, darts, j)`` is read in from seed i to seed j.
-    ``table`` is the Kapovich-Myasnikov pass, run at most once; `core` trims
-    and renames it into a graph and `rank` reads it without one.
+    ``table`` is the Kapovich-Myasnikov pass, run at most once, and `rank`
+    reads it without a graph.  `trimmed` cuts it down to the core in place;
+    `core` renames that into a `SubgroupGraph`, and `labeled_edges` hands
+    it to the next map fold as it is, which is how `image_chain` steps
+    between the links it keeps.
     """
 
     def __init__(self, ambient, over, paths):
@@ -331,15 +335,14 @@ class _Folding:
         live = [darts for darts in self.table[2] if darts is not None]
         return sum(map(len, live)) // 2 - len(live) + 1
 
-    def core(self):
-        """The pointed core of the table as a `SubgroupGraph`.
+    @cached_property
+    def trimmed(self):
+        """The base's table id, once the table is trimmed to the core.
 
         Valence-one vertices other than the base are trimmed off the table
-        in place, which leaves its rank alone, and what is left is renamed
-        by BFS from the base.  Darts at a vertex go in the `dart_key` order
-        of their signed ambient label, which is unique there.
+        in place, once, which leaves its rank alone (Stallings 1983).
         """
-        parent, over, out = self.table
+        parent, _over, out = self.table
         base = _find(parent, 0)
         hanging = [v for v, darts in enumerate(out)
                    if darts is not None and len(darts) == 1 and v != base]
@@ -351,6 +354,31 @@ class _Folding:
             del out[w][inv(label)]
             if len(out[w]) == 1 and w != base:
                 hanging.append(w)
+        return base
+
+    def labeled_edges(self):
+        """The trimmed table as a fold input, nothing renamed.
+
+        ``(base, vertex images, edges)`` with table ids for vertices and
+        ``(origin, ambient label, terminus)`` edges, one per positive dart
+        left in the table; see `_map_folding`.
+        """
+        base = self.trimmed
+        parent, over, out = self.table
+        live = [v for v, darts in enumerate(out) if darts is not None]
+        edges = [(v, label, _find(parent, w)) for v in live
+                 for label, w in out[v].items() if is_positive(label)]
+        return base, {v: over[v] for v in live}, edges
+
+    def core(self):
+        """The pointed core of the table as a `SubgroupGraph`.
+
+        The `trimmed` table is renamed by BFS from the base.  Darts at a
+        vertex go in the `dart_key` order of their signed ambient label,
+        which is unique there.
+        """
+        base = self.trimmed
+        parent, over, out = self.table
         order = {base: "w0"}
         seq = [base]
         new_edges = []
@@ -377,22 +405,32 @@ class _Folding:
         return SubgroupGraph(graph, self.ambient, elab, vimg, "w0")
 
 
-def _map_folding(f, sub):
-    """f after the immersion of a subgroup graph, ready to fold.
+def _map_folding(f, base, vertex_image, edges):
+    """f after a labeled graph immersed in f's domain, ready to fold.
 
-    Each vertex u of ``sub`` is a seed over f of the ambient vertex below u,
-    its basepoint first, and each edge e is the path f(label(e)) between
-    its endpoints' seeds.  The fold's fundamental group at the first seed
-    is the image of ``sub``'s under f_* (Stallings 1983).
+    The graph is a labeled edge list: ``vertex_image`` maps its vertices to
+    the ambient vertices below, and ``edges`` holds ``(origin, ambient
+    label, terminus)`` triples.  Each vertex u is a seed over f of the
+    ambient vertex below it, ``base`` first, and each edge is the path
+    f(label) between its endpoints' seeds.  The fold's fundamental group
+    at the first seed is the image of the graph's at ``base`` under f_*
+    (Stallings 1983).  A `SubgroupGraph` supplies the list through
+    `_subgroup_folding`, and a trimmed `_Folding` through `labeled_edges`.
     """
+    order = [base] + [u for u in vertex_image if u != base]
+    seed = {u: i for i, u in enumerate(order)}
+    over = [f.vertex_map[vertex_image[u]] for u in order]
+    paths = [(seed[o], f.dart_image(a), seed[t]) for o, a, t in edges]
+    return _Folding(f.codomain, over, paths)
+
+
+def _subgroup_folding(f, sub):
+    """f after the immersion of a subgroup graph (see `_map_folding`)."""
     if f.domain != sub.ambient:
         raise ValueError("map does not start on the subgroup's ambient graph")
-    order = sorted(sub.graph.vertices, key=lambda u: u != sub.basepoint)
-    seed = {u: i for i, u in enumerate(order)}
-    over = [f.vertex_map[sub.vertex_image[u]] for u in order]
-    paths = [(seed[o], f.dart_image(sub.edge_label[e]), seed[t])
-             for e, o, t in sub.graph.edge_data]
-    return _Folding(f.codomain, over, paths)
+    label = sub.edge_label
+    return _map_folding(f, sub.basepoint, sub.vertex_image,
+                        [(o, label[e], t) for e, o, t in sub.graph.edge_data])
 
 
 def fold(ambient, basepoint, loops):
@@ -499,43 +537,50 @@ def map_subgroup(f, sub):
     One fold of f after the immersion of ``sub`` (see `_map_folding`), based
     over the image of ``sub``'s basepoint.
     """
-    return _map_folding(f, sub).core()
+    return _subgroup_folding(f, sub).core()
 
 
 def image_chain(f, base, period=1):
     """Images of the fundamental group under f's powers, up to stabilization.
 
     G_0 is the whole group at ``base``, which f returns to after ``period``
-    steps, and G_{j+1} is one map fold of f over G_j (`map_subgroup`).
-    Ranks never increase; at the first step j* that keeps the rank, f is
-    injective on G_{j*}, and every later step keeps it too (free groups are
-    Hopfian).  Ranks do not depend on the basepoint, so one chain serves
-    the whole orbit.  Returns ``(links, K)``: K = ceil(j* / period) is the
-    kernel stabilization constant of the return map f^period, and ``links``
-    holds G_0, G_period, ..., G_{period max(K, 1)}, its image subgroups at
-    ``base``.  A step that only finds j* is a rank query.
+    steps, and G_{j+1} is one map fold of f over G_j.  Ranks never
+    increase; at the first step j* that keeps the rank, f is injective on
+    G_{j*}, and every later step keeps it too (free groups are Hopfian).
+    Ranks do not depend on the basepoint, so one chain serves the whole
+    orbit.  Returns ``(links, K)``: K = ceil(j* / period) is the kernel
+    stabilization constant of the return map f^period, and ``links`` holds
+    G_0, G_period, ..., G_{period max(K, 1)}, its image subgroups at
+    ``base``.  Only those links become `SubgroupGraph`s; any other image
+    stays a trimmed fold table, and the next step is folded from it as it
+    stands.  Ranks are read off the tables only until j* is found, and the
+    chain returns once its last link exists, without folding further.
     """
     if period < 1:
         raise ValueError("period %r is not positive" % (period,))
+    if not f.is_self_map:
+        raise ValueError("need a self map")
     cur = base
     for _ in range(period):
         cur = f.vertex_map.get(cur)
     if cur != base:
         raise ValueError("%r is not a vertex of period %d" % (base, period))
     sub = whole_group_graph(f.domain, base)
-    links = [sub]
-    plateau = None
+    links, rank, K = [sub], sub.rank(), None
+    image = _subgroup_folding(f, sub)
     for j in itertools.count():
-        image = _map_folding(f, sub)
-        if plateau is None and image.rank() == sub.rank():
-            plateau = j
-        if plateau is not None:
-            K = -(-plateau // period)
-            if j == period * max(K, 1):
-                return links, K
-        sub = image.core()
-        if (j + 1) % period == 0:
-            links.append(sub)
+        if K is None:
+            image_rank = image.rank()
+            if image_rank == rank:
+                K = -(-j // period)
+            rank = image_rank
+        if K is not None and len(links) > max(K, 1):
+            return links, K
+        if (j + 1) % period:
+            image = _map_folding(f, *image.labeled_edges())
+        else:
+            links.append(image.core())
+            image = _subgroup_folding(f, links[-1])
 
 
 def image_subgroup(phi, k):
@@ -553,9 +598,24 @@ def is_injective_on(f, sub):
 
     Finitely generated free groups are Hopfian, so injectivity on a rank-n
     subgroup is equivalent to its image having rank n.  That rank is read
-    off one map fold's table (see `subgroup_rank`), with no graph built.
+    off one map fold's table (see `subgroup_rank`), with no graph built;
+    `image_chain` reads its ranks the same way.
     """
-    return _map_folding(f, sub).rank() == sub.rank()
+    return _subgroup_folding(f, sub).rank() == sub.rank()
+
+
+def is_pi1_injective(f):
+    """Whether a graph map is injective on its domain's fundamental group.
+
+    `is_injective_on` the whole group, read off one map fold of f over the
+    domain's own edges, each labeled by itself, so that not even the
+    whole group's `SubgroupGraph` is built.
+    """
+    graph = f.domain
+    folding = _map_folding(f, graph.vertices[0],
+                           {v: v for v in graph.vertices},
+                           [(o, e, t) for e, o, t in graph.edge_data])
+    return folding.rank() == len(graph.edge_ids) - len(graph.vertices) + 1
 
 
 def kernel_stabilization(phi):

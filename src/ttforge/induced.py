@@ -29,12 +29,22 @@ from functools import cached_property
 from itertools import chain, islice
 
 from .covers import based_lift_power, lift_graph_map
-from .freegroup import image_chain, is_injective_on, whole_group_graph
+from .freegroup import image_chain, is_pi1_injective
 from .graphs import GraphMap, compose, edge_of, iterated_lengths, validate
 from .traintrack import (
     certification_failure, has_positive_power, is_expanding, is_irreducible,
     is_train_track, transition_matrix,
 )
+
+
+# the package constants that verify reads as integers
+INTEGER_CONSTANTS = ("period", "exponent", "preperiod", "orbit_period",
+                     "multiplier", "constant")
+
+
+def is_integer(x):
+    """Whether x is an int and not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 class SizeBudgetExceeded(ValueError):
@@ -297,14 +307,18 @@ def verify_package(pkg):
     p P = f^m p H = f^K by associativity, and P p against fbar^K, like P f
     against fbar P, are lifts of one ambient map through the immersion,
     equal exactly when their vertex maps agree (Stallings 1983).  A check
-    whose premise fails fails.  Growth rates are compared exactly: both
-    transition matrices are irreducible and A_up Pi = Pi A_down, where Pi
-    sends each core edge to its label.
+    whose premise fails fails, and so do the premises that need m when
+    the `INTEGER_CONSTANTS` are not all integers.  Growth rates are
+    compared exactly: both transition matrices are irreducible and
+    A_up Pi = Pi A_down, where Pi sends each core edge to its label.
     """
     report = VerificationReport()
     f, fbar, p, H = pkg.source, pkg.induced, pkg.projection, pkg.half
     K, core = pkg.constant, pkg.core
-    m, graph, ambient = K // 2, core.graph, core.ambient
+    integral = all(is_integer(getattr(pkg, name))
+                   for name in INTEGER_CONSTANTS)
+    m = K // 2 if integral else None
+    graph, ambient = core.graph, core.ambient
 
     invalid = validate(fbar)
     # f and fbar valid self-maps of the ambient graph and of the core
@@ -317,7 +331,7 @@ def verify_package(pkg):
         "f after p versus p after induced")
     # f^m is built only once H's lengths are f^m's; no level over |H| is read
     lengths = {e: len(H.dart_image(e)) for e in H.domain.edge_ids}
-    fits = (maps_ok and core.is_immersion()
+    fits = (integral and maps_ok and core.is_immersion()
             and _is_path_map(H, ambient, graph)
             and _level(f, m, sum(lengths.values())) == lengths)
     # P's vertex map and crossed edges: m pushes of H's through fbar
@@ -335,13 +349,13 @@ def verify_package(pkg):
     lifts = fits and commutes and compose(p, H) == f.power(m)
     report.record(
         "transfer_covers_power", lifts and K % 2 == 0,
-        "p after transfer versus f^%d" % K)
+        "p after transfer versus f^%s" % (K,))
     report.record(
         "transfer_after_projection",
         lifts and K % 2 == 0
         and all(transfer_vertex[p.vertex_map[v]] == power[power[v]]
                 for v in graph.vertices),
-        "transfer after p versus induced^%d" % K)
+        "transfer after p versus induced^%s" % (K,))
     report.record(
         "equivariance",
         lifts and all(transfer_vertex[f.vertex_map[x]]
@@ -356,18 +370,19 @@ def verify_package(pkg):
     orbit = maps_ok and basepoint_orbit(fbar, core.basepoint, periodic[1])
     report.record(
         "constant_consistent",
-        orbit == (pkg.preperiod, pkg.orbit_period, pkg.transfer_basepoint)
+        integral
+        and orbit == (pkg.preperiod, pkg.orbit_period, pkg.transfer_basepoint)
         and periodic == (pkg.periodic_vertex, r)
         and pkg.basepoint == core.basepoint
         and transfer_vertex.get(pkg.periodic_vertex)
         == pkg.transfer_basepoint
         and K == 2 * k * n * r and k % pkg.orbit_period == 0
         and k >= max(pkg.preperiod, 1) and n >= 1,
-        "K=%d k=%d n=%d r=%d" % (K, k, n, r))
+        "K=%s k=%s n=%s r=%s" % (K, k, n, r))
     report.record(
         "exponent_matches_stabilization",
         n == max(stabilization, 1),
-        "n=%d stabilization=%d" % (n, stabilization))
+        "n=%s stabilization=%d" % (n, stabilization))
 
     if invalid is None:
         verdict = is_train_track(fbar)
@@ -402,8 +417,7 @@ def verify_package(pkg):
     # graph map can be folded over
     report.record(
         "induced_pi1_injective",
-        invalid is None and is_injective_on(
-            fbar, whole_group_graph(fbar.domain, fbar.domain.vertices[0])),
+        invalid is None and is_pi1_injective(fbar),
         "" if invalid is None else "invalid graph map: %s" % invalid)
 
     labels = set(core.edge_label.values())

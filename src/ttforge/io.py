@@ -28,7 +28,7 @@ except ImportError:  # Python 3.11 and older name the module apart
 from . import __version__
 from .freegroup import SubgroupGraph, endomorphism_on_rose, image_chain
 from .graphs import GraphMap, SerreGraph
-from .induced import InducedPackage
+from .induced import INTEGER_CONSTANTS, InducedPackage, is_integer
 
 SCHEMA = 1
 
@@ -188,7 +188,11 @@ def load_core(outdir):
 
 
 def load_package(outdir):
-    """Rebuild a package from its directory; derived pieces are recomputed."""
+    """Rebuild a package from its directory; derived pieces are recomputed.
+
+    ValueError names the first of `induced.INTEGER_CONSTANTS` in
+    ``constants.json`` that is not an integer, before any is used.
+    """
     f, core = load_core(outdir)
     induced = map_from_obj(_read(os.path.join(outdir, "induced.json")),
                            core.graph)
@@ -197,6 +201,10 @@ def load_package(outdir):
     half = map_from_obj(_read(os.path.join(outdir, "half_transfer.json")),
                         f.domain, core.graph)
     c = _read(os.path.join(outdir, "constants.json"))
+    for name in INTEGER_CONSTANTS:
+        if not is_integer(c[name]):
+            raise ValueError("constants.json: %s %r is not an integer"
+                             % (name, c[name]))
     return InducedPackage(
         source=f, core=core, induced=induced, projection=projection,
         half=half, periodic_vertex=c["periodic_vertex"],

@@ -159,6 +159,33 @@ class TestImageChainOracle:
         assert_chain_matches_oracle(_two_strand_ring(n))
         assert_chain_matches_oracle(_three_strand_ring(n))
 
+    def test_non_link_fold_trims_a_hanging_tree(self, monkeypatch):
+        # period 2, so G_1 is no link and G_2 is folded from G_1's trimmed
+        # table: there e2 -> e0 e2 -e0 runs from the seed over v0 out to
+        # the base and back, which leaves that seed hanging by e0
+        from ttforge import freegroup
+        g = SerreGraph(["v0", "v1"], [("e0", "v0", "v1"),
+                                      ("e1", "v0", "v0"),
+                                      ("e2", "v1", "v1")])
+        f = GraphMap(g, g, {"v0": "v1", "v1": "v0"},
+                     {"e0": "-e0", "e1": "-e2", "e2": "e0 e2 -e0"})
+        trimmed = []
+        real_edges = freegroup._Folding.labeled_edges
+
+        def counting_edges(self):
+            live = sum(darts is not None for darts in self.table[2])
+            out = real_edges(self)
+            trimmed.append(live - len(out[1]))
+            return out
+
+        monkeypatch.setattr(freegroup._Folding, "labeled_edges",
+                            counting_edges)
+        assert find_periodic_vertex(f) == ("v0", 2)
+        links, K = image_chain(f, "v0", 2)
+        assert (trimmed, K, [link.rank() for link in links]) \
+            == ([1], 1, [2, 1])
+        assert_chain_matches_oracle(f)
+
 
 class TestMultiplierArithmetic:
     def test_examples(self):
@@ -286,6 +313,35 @@ class TestBuildInduced:
                 core_edges = pkg.constants()["core_edges"]
                 assert 0 < sum(symbols) < 5 * core_edges, (
                     family.__name__, n, sum(symbols), core_edges)
+
+    def test_only_links_become_graphs(self, monkeypatch):
+        # build renames a fold table into a graph only for the chain's
+        # links past G_0, and verify builds no subgroup graph at all
+        from ttforge import freegroup
+        cores, graphs_built = [], []
+        real_core = freegroup._Folding.core
+        real_init = freegroup.SubgroupGraph.__init__
+
+        def counting_core(self):
+            cores.append(self)
+            return real_core(self)
+
+        def counting_init(self, *args, **kwargs):
+            graphs_built.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(freegroup._Folding, "core", counting_core)
+        monkeypatch.setattr(freegroup.SubgroupGraph, "__init__",
+                            counting_init)
+        for family in (_two_strand_ring, _three_strand_ring):
+            for n in range(2, 6):
+                cores.clear()
+                pkg = build_induced(family(n))
+                links = pkg.chain[0]
+                assert len(cores) == len(links) - 1, (family.__name__, n)
+                graphs_built.clear()
+                assert verify_package(pkg).ok
+                assert graphs_built == [], (family.__name__, n)
 
 
 def _two_strand_ring(n):
@@ -441,6 +497,27 @@ class TestVerifyPackage:
         finally:
             tracemalloc.stop()
         assert peak < 10 * 2 ** 20
+
+    @pytest.mark.parametrize("kind", [float, str, bool])
+    @pytest.mark.parametrize("field", [
+        "period", "exponent", "preperiod", "orbit_period", "multiplier",
+        "constant"])
+    def test_non_integer_constant_is_reported(self, packages, field, kind,
+                                              tmp_path):
+        # 1.0 and True equal 1, so only the type tells them apart; verify
+        # reports them, and loading names the field before the chain runs
+        pkg = packages["sigma"]
+        value = kind(getattr(pkg, field))
+        report = verify_package(dataclasses.replace(pkg, **{field: value}))
+        assert not report.ok
+        assert "constant_consistent" in report.failures()
+        write_package(tmp_path, pkg, verify_package(pkg))
+        path = tmp_path / "constants.json"
+        obj = json.loads(path.read_text())
+        obj[field] = value
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match="constants.json: %s " % field):
+            load_package(tmp_path)
 
     @pytest.mark.parametrize("pair", [("sigma", "fib"), ("_ring2", "_ring3")])
     @pytest.mark.parametrize("field",
