@@ -24,12 +24,13 @@ valence-one vertices other than the basepoint leaves the pointed core of
 f_*(H) (Stallings 1983); renamed, that is `map_subgroup`.  `image_chain`
 takes such single steps of f from the whole group until it has every link
 it returns, so its words are edge images of f even when the return map is
-a power of f.  An image that is no link stays a trimmed table, from which
-the next step is folded as it stands.  Stabilization, the stable quotient
-and the injectivity exponent read that chain; `stable_quotient`, which
-writes the restriction to the stable image in the core's basis, serves
-`ttforge quotient`, and the promotion needs only the chain.  Injectivity
-on a subgroup, by Hopficity, is a rank query on one map fold.
+a power of f.  Each step is folded from the last step's trimmed table as
+it stands, and only the links are renamed into graphs.  Stabilization,
+the stable quotient and the injectivity exponent read that chain;
+`stable_quotient`, which writes the restriction to the stable image in the
+core's basis, serves `ttforge quotient`, and the promotion needs only the
+chain.  Injectivity on a subgroup, by Hopficity, is a rank query on one
+map fold.
 
 A labeling sends positive darts to positive ambient darts; the label of a
 reversed dart is the reversed label.  Folded means no vertex carries two
@@ -44,8 +45,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .graphs import (
-    GraphMap, SerreGraph, dart_key, edge_of, inv, is_positive, reduce_darts,
-    rose,
+    INV_PREFIX, GraphMap, SerreGraph, dart_key, edge_of, inv, is_positive,
+    reduce_darts, rose,
 )
 
 
@@ -271,8 +272,7 @@ class _Folding:
     ``table`` is the Kapovich-Myasnikov pass, run at most once, and `rank`
     reads it without a graph.  `trimmed` cuts it down to the core in place;
     `core` renames that into a `SubgroupGraph`, and `labeled_edges` hands
-    it to the next map fold as it is, which is how `image_chain` steps
-    between the links it keeps.
+    it to the next map fold as it is, which is how `image_chain` steps.
     """
 
     def __init__(self, ambient, over, paths):
@@ -361,13 +361,15 @@ class _Folding:
 
         ``(base, vertex images, edges)`` with table ids for vertices and
         ``(origin, ambient label, terminus)`` edges, one per positive dart
-        left in the table; see `_map_folding`.
+        left in the table; see `_map_folding`.  `image_chain` reads every
+        step's table here, so the sign test and the root lookup are inline.
         """
         base = self.trimmed
         parent, over, out = self.table
         live = [v for v, darts in enumerate(out) if darts is not None]
-        edges = [(v, label, _find(parent, w)) for v in live
-                 for label, w in out[v].items() if is_positive(label)]
+        edges = [(v, label, w if parent[w] == w else _find(parent, w))
+                 for v in live for label, w in out[v].items()
+                 if label[0] != INV_PREFIX]
         return base, {v: over[v] for v in live}, edges
 
     def core(self):
@@ -415,13 +417,25 @@ def _map_folding(f, base, vertex_image, edges):
     f(label) between its endpoints' seeds.  The fold's fundamental group
     at the first seed is the image of the graph's at ``base`` under f_*
     (Stallings 1983).  A `SubgroupGraph` supplies the list through
-    `_subgroup_folding`, and a trimmed `_Folding` through `labeled_edges`.
+    `_subgroup_folding`, the domain itself through `_domain_folding`, and
+    a trimmed `_Folding` through `labeled_edges`.
     """
     order = [base] + [u for u in vertex_image if u != base]
     seed = {u: i for i, u in enumerate(order)}
     over = [f.vertex_map[vertex_image[u]] for u in order]
     paths = [(seed[o], f.dart_image(a), seed[t]) for o, a, t in edges]
     return _Folding(f.codomain, over, paths)
+
+
+def _domain_folding(f, base):
+    """f after its whole domain at ``base``, each edge labeled by itself.
+
+    The same fold as over `whole_group_graph`, with no `SubgroupGraph`
+    built (see `_map_folding`).
+    """
+    graph = f.domain
+    return _map_folding(f, base, {v: v for v in graph.vertices},
+                        [(o, e, t) for e, o, t in graph.edge_data])
 
 
 def _subgroup_folding(f, sub):
@@ -551,10 +565,10 @@ def image_chain(f, base, period=1):
     orbit.  Returns ``(links, K)``: K = ceil(j* / period) is the kernel
     stabilization constant of the return map f^period, and ``links`` holds
     G_0, G_period, ..., G_{period max(K, 1)}, its image subgroups at
-    ``base``.  Only those links become `SubgroupGraph`s; any other image
-    stays a trimmed fold table, and the next step is folded from it as it
-    stands.  Ranks are read off the tables only until j* is found, and the
-    chain returns once its last link exists, without folding further.
+    ``base``.  Only those links become `SubgroupGraph`s; every step is
+    folded from the previous trimmed fold table as it stands.  Ranks are
+    read off the tables only until j* is found, and the chain returns once
+    its last link exists, without folding further.
     """
     if period < 1:
         raise ValueError("period %r is not positive" % (period,))
@@ -567,7 +581,7 @@ def image_chain(f, base, period=1):
         raise ValueError("%r is not a vertex of period %d" % (base, period))
     sub = whole_group_graph(f.domain, base)
     links, rank, K = [sub], sub.rank(), None
-    image = _subgroup_folding(f, sub)
+    image = _domain_folding(f, base)
     for j in itertools.count():
         if K is None:
             image_rank = image.rank()
@@ -576,11 +590,9 @@ def image_chain(f, base, period=1):
             rank = image_rank
         if K is not None and len(links) > max(K, 1):
             return links, K
-        if (j + 1) % period:
-            image = _map_folding(f, *image.labeled_edges())
-        else:
+        if (j + 1) % period == 0:
             links.append(image.core())
-            image = _subgroup_folding(f, links[-1])
+        image = _map_folding(f, *image.labeled_edges())
 
 
 def image_subgroup(phi, k):
@@ -607,15 +619,12 @@ def is_injective_on(f, sub):
 def is_pi1_injective(f):
     """Whether a graph map is injective on its domain's fundamental group.
 
-    `is_injective_on` the whole group, read off one map fold of f over the
-    domain's own edges, each labeled by itself, so that not even the
-    whole group's `SubgroupGraph` is built.
+    `is_injective_on` the whole group, read off `_domain_folding`'s table,
+    so that not even the whole group's `SubgroupGraph` is built.
     """
     graph = f.domain
-    folding = _map_folding(f, graph.vertices[0],
-                           {v: v for v in graph.vertices},
-                           [(o, e, t) for e, o, t in graph.edge_data])
-    return folding.rank() == len(graph.edge_ids) - len(graph.vertices) + 1
+    rank = len(graph.edge_ids) - len(graph.vertices) + 1
+    return _domain_folding(f, graph.vertices[0]).rank() == rank
 
 
 def kernel_stabilization(phi):
@@ -668,7 +677,7 @@ def induces_pi1_isomorphism(f):
     graph = f.domain
     if not graph.is_connected():
         return False
-    image = map_subgroup(f, whole_group_graph(graph, graph.vertices[0]))
+    image = _domain_folding(f, graph.vertices[0]).core()
     return (image.is_covering()
             and len(image.graph.vertices) == len(graph.vertices))
 

@@ -162,7 +162,8 @@ class TestImageChainOracle:
     def test_non_link_fold_trims_a_hanging_tree(self, monkeypatch):
         # period 2, so G_1 is no link and G_2 is folded from G_1's trimmed
         # table: there e2 -> e0 e2 -e0 runs from the seed over v0 out to
-        # the base and back, which leaves that seed hanging by e0
+        # the base and back, which leaves that seed hanging by e0; the
+        # link G_2's table, read once more after its core, trims nothing
         from ttforge import freegroup
         g = SerreGraph(["v0", "v1"], [("e0", "v0", "v1"),
                                       ("e1", "v0", "v0"),
@@ -183,7 +184,7 @@ class TestImageChainOracle:
         assert find_periodic_vertex(f) == ("v0", 2)
         links, K = image_chain(f, "v0", 2)
         assert (trimmed, K, [link.rank() for link in links]) \
-            == ([1], 1, [2, 1])
+            == ([1, 0], 1, [2, 1])
         assert_chain_matches_oracle(f)
 
 
