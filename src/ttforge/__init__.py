@@ -23,9 +23,8 @@ from .traintrack import (
 )
 from .freegroup import (
     SubgroupGraph, fold, whole_group_graph, Pi1Endomorphism,
-    pi1_endomorphism, image_chain, image_subgroup, is_injective_on,
-    kernel_stabilization, stable_quotient, map_subgroup, subgroup_rank,
-    hall_completion,
+    pi1_endomorphism, image_chain, image_subgroup, kernel_stabilization,
+    stable_quotient, map_subgroup, subgroup_rank, hall_completion,
 )
 from .covers import NotLiftableError, based_lift_power, lift_graph_map
 from .induced import (

@@ -20,8 +20,7 @@ from fractions import Fraction
 
 from . import io as io_mod
 from .freegroup import (
-    induces_pi1_isomorphism, is_injective_on, pi1_endomorphism,
-    stable_quotient, whole_group_graph,
+    induces_pi1_isomorphism, stable_quotient, whole_group_graph,
 )
 from .graphs import GraphMap, rose, validate
 from .induced import build_induced, find_periodic_vertex, verify_package
@@ -98,15 +97,17 @@ def cmd_analyze(args):
 def cmd_quotient(args):
     bundle, f = _load_self_map(args.file)
     v, period = find_periodic_vertex(f)
-    phi = pi1_endomorphism(f.power(period), v)
-    q = stable_quotient(phi)
+    q = stable_quotient(f, v, period)
+    graph = f.domain
     results = {
-        "basepoint": phi.base,
+        "basepoint": v,
         "period": period,
-        "ambient_rank": phi.rank,
+        "ambient_rank": len(graph.edge_ids) - len(graph.vertices) + 1,
         "stabilization": q.exponent,
         "rank": q.core.rank(),
-        "injective_on_image": is_injective_on(phi.map, q.core),
+        # the chain stops at the first step that keeps the rank, and free
+        # groups are Hopfian, so f^period is injective on the stable image
+        "injective_on_image": True,
         "image_basis": {name: " ".join(word)
                         for name, _loop, word in q.core.basis()},
         "restriction": dict(q.restriction),

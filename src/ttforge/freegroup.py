@@ -26,11 +26,11 @@ takes such single steps of f from the whole group until it has every link
 it returns, so its words are edge images of f even when the return map is
 a power of f.  Each step is folded from the last step's trimmed table as
 it stands, and only the links are renamed into graphs.  Stabilization,
-the stable quotient and the injectivity exponent read that chain;
-`stable_quotient`, which writes the restriction to the stable image in the
-core's basis, serves `ttforge quotient`, and the promotion needs only the
-chain.  Injectivity on a subgroup, by Hopficity, is a rank query on one
-map fold.
+the stable quotient and the injectivity exponent read that one chain: the
+promotion reads its links, and `stable_quotient`, behind `ttforge
+quotient`, writes the return map's restriction to the last link in that
+core's basis.  Injectivity on the whole domain, by Hopficity, is a rank
+query on one map fold.
 
 A labeling sends positive darts to positive ambient darts; the label of a
 reversed dart is the reversed label.  Folded means no vertex carries two
@@ -186,12 +186,6 @@ class SubgroupGraph:
         reduced, and the ambient word is its projection.
         """
         return self._tree_basis[0]
-
-    def contains(self, ambient_darts):
-        """Membership of a loop at the basepoint, by deterministic tracing."""
-        word = reduce_darts(tuple(ambient_darts))
-        end, _, consumed = self.trace(self.basepoint, word)
-        return consumed == len(word) and end == self.basepoint
 
     def rewrite(self, ambient_darts):
         """Express a member loop in the basis, as a word of generator darts.
@@ -416,9 +410,9 @@ def _map_folding(f, base, vertex_image, edges):
     ambient vertex below it, ``base`` first, and each edge is the path
     f(label) between its endpoints' seeds.  The fold's fundamental group
     at the first seed is the image of the graph's at ``base`` under f_*
-    (Stallings 1983).  A `SubgroupGraph` supplies the list through
-    `_subgroup_folding`, the domain itself through `_domain_folding`, and
-    a trimmed `_Folding` through `labeled_edges`.
+    (Stallings 1983).  `map_subgroup` supplies the list of a
+    `SubgroupGraph`, `_domain_folding` the domain itself, and a trimmed
+    `_Folding` its `labeled_edges`.
     """
     order = [base] + [u for u in vertex_image if u != base]
     seed = {u: i for i, u in enumerate(order)}
@@ -436,15 +430,6 @@ def _domain_folding(f, base):
     graph = f.domain
     return _map_folding(f, base, {v: v for v in graph.vertices},
                         [(o, e, t) for e, o, t in graph.edge_data])
-
-
-def _subgroup_folding(f, sub):
-    """f after the immersion of a subgroup graph (see `_map_folding`)."""
-    if f.domain != sub.ambient:
-        raise ValueError("map does not start on the subgroup's ambient graph")
-    label = sub.edge_label
-    return _map_folding(f, sub.basepoint, sub.vertex_image,
-                        [(o, label[e], t) for e, o, t in sub.graph.edge_data])
 
 
 def fold(ambient, basepoint, loops):
@@ -484,8 +469,9 @@ class Pi1Endomorphism:
 
     Stores the basepoint (which the map must fix) and a free basis as
     reduced loops; arbitrary loops are pushed through the map and freely
-    reduced.  Abstract endomorphisms of free groups are handled by realizing
-    them on a rose.
+    reduced.  No command builds one: `stable_quotient` reads the image
+    chain of the map itself, and this word-level form stays as the
+    reference that the chain is checked against.
     """
 
     def __init__(self, f, base, basis):
@@ -534,15 +520,14 @@ def pi1_endomorphism(f, base=None):
 
 
 def endomorphism_on_rose(generators, images):
-    """Abstract endomorphism of a free group, realized on a rose.
+    """Abstract endomorphism of a free group, realized as a rose self-map.
 
     ``images`` maps generator names to words over the generators, as text
     or dart tuples, which `GraphMap` reads.
     """
     rose_graph = rose(generators)
-    f = GraphMap(rose_graph, rose_graph, {"v": "v"},
-                 {g: images[g] for g in generators})
-    return pi1_endomorphism(f, "v")
+    return GraphMap(rose_graph, rose_graph, {"v": "v"},
+                    {g: images[g] for g in generators})
 
 
 def map_subgroup(f, sub):
@@ -551,7 +536,12 @@ def map_subgroup(f, sub):
     One fold of f after the immersion of ``sub`` (see `_map_folding`), based
     over the image of ``sub``'s basepoint.
     """
-    return _subgroup_folding(f, sub).core()
+    if f.domain != sub.ambient:
+        raise ValueError("map does not start on the subgroup's ambient graph")
+    label = sub.edge_label
+    return _map_folding(
+        f, sub.basepoint, sub.vertex_image,
+        [(o, label[e], t) for e, o, t in sub.graph.edge_data]).core()
 
 
 def image_chain(f, base, period=1):
@@ -605,22 +595,13 @@ def image_subgroup(phi, k):
     return sub
 
 
-def is_injective_on(f, sub):
-    """Whether a graph map is injective on the fundamental group of ``sub``.
-
-    Finitely generated free groups are Hopfian, so injectivity on a rank-n
-    subgroup is equivalent to its image having rank n.  That rank is read
-    off one map fold's table (see `subgroup_rank`), with no graph built;
-    `image_chain` reads its ranks the same way.
-    """
-    return _subgroup_folding(f, sub).rank() == sub.rank()
-
-
 def is_pi1_injective(f):
     """Whether a graph map is injective on its domain's fundamental group.
 
-    `is_injective_on` the whole group, read off `_domain_folding`'s table,
-    so that not even the whole group's `SubgroupGraph` is built.
+    Finitely generated free groups are Hopfian, so f is injective exactly
+    when the image keeps the domain's rank.  That rank is read off
+    `_domain_folding`'s table, as `image_chain` reads its ranks, with no
+    graph built.
     """
     graph = f.domain
     rank = len(graph.edge_ids) - len(graph.vertices) + 1
@@ -652,19 +633,24 @@ class StableQuotientReport:
     restriction: dict
 
 
-def stable_quotient(phi):
-    """Kernel stabilization constant plus the restricted endomorphism."""
-    links, K = image_chain(phi.map, phi.base)
+def stable_quotient(f, base, period=1):
+    """The stable image of f^period at ``base`` and the restriction to it.
+
+    The core is ``links[K]`` of `image_chain(f, base, period)`, the chain
+    the promotion reads.  Each of its basis words is stepped through f
+    ``period`` times, freely reduced after each step, and rewritten in the
+    core's basis; no power of f is built.
+    """
+    if not f.domain.is_connected():
+        raise ValueError("graph is not connected")
+    links, K = image_chain(f, base, period)
     core = links[K]
     restriction = {}
     for name, _loop, word in core.basis():
-        image = phi.apply_word(word)
-        restriction[name] = " ".join(core.rewrite(image))
-    return StableQuotientReport(
-        exponent=K,
-        core=core,
-        restriction=restriction,
-    )
+        for _ in range(period):
+            word = reduce_darts(f.apply_to_darts(word))
+        restriction[name] = " ".join(core.rewrite(word))
+    return StableQuotientReport(exponent=K, core=core, restriction=restriction)
 
 
 def induces_pi1_isomorphism(f):

@@ -140,9 +140,8 @@ def load_input(obj):
         raise ValueError("input document must be a JSON object")
     if "endomorphism" in obj:
         payload = obj["endomorphism"]
-        generators = payload["generators"]
-        phi = endomorphism_on_rose(generators, payload["images"])
-        return InputBundle("endomorphism", phi.map, obj)
+        f = endomorphism_on_rose(payload["generators"], payload["images"])
+        return InputBundle("endomorphism", f, obj)
     if "graph" not in obj or "map" not in obj:
         raise ValueError("input document needs 'graph' and 'map' "
                          "(or an 'endomorphism' payload)")
@@ -190,8 +189,10 @@ def load_core(outdir):
 def load_package(outdir):
     """Rebuild a package from its directory; derived pieces are recomputed.
 
-    ValueError names the first of `induced.INTEGER_CONSTANTS` in
-    ``constants.json`` that is not an integer, before any is used.
+    ValueError names the first field of ``constants.json`` that is missing,
+    the first of `induced.INTEGER_CONSTANTS` that is not an integer, or a
+    periodic vertex that is not a vertex of the source graph, before any
+    is used.
     """
     f, core = load_core(outdir)
     induced = map_from_obj(_read(os.path.join(outdir, "induced.json")),
@@ -201,10 +202,17 @@ def load_package(outdir):
     half = map_from_obj(_read(os.path.join(outdir, "half_transfer.json")),
                         f.domain, core.graph)
     c = _read(os.path.join(outdir, "constants.json"))
+    for name in INTEGER_CONSTANTS + ("periodic_vertex", "basepoint",
+                                     "transfer_basepoint"):
+        if name not in c:
+            raise ValueError("constants.json: %s is missing" % name)
     for name in INTEGER_CONSTANTS:
         if not is_integer(c[name]):
             raise ValueError("constants.json: %s %r is not an integer"
                              % (name, c[name]))
+    if c["periodic_vertex"] not in f.domain.vertices:
+        raise ValueError("constants.json: periodic_vertex %r is not a vertex"
+                         % (c["periodic_vertex"],))
     return InducedPackage(
         source=f, core=core, induced=induced, projection=projection,
         half=half, periodic_vertex=c["periodic_vertex"],

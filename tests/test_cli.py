@@ -159,6 +159,19 @@ class TestQuotient:
         assert r["ambient_rank"] == 2 and r["rank"] == 1
         assert r["period"] == 1
 
+    def test_disconnected_graph_is_bad_input(self, capsys, tmp_path):
+        # two two-petal roses, each mapped to itself
+        doc = {"graph": {"vertices": ["u", "v"],
+                         "edges": [["a", "u", "u"], ["b", "u", "u"],
+                                   ["c", "v", "v"], ["d", "v", "v"]]},
+               "map": {"vertices": {"u": "u", "v": "v"},
+                       "edges": {"a": "a b", "b": "a", "c": "c d",
+                                 "d": "c"}}}
+        path = tmp_path / "two_roses.json"
+        path.write_text(json.dumps(doc))
+        assert main(["quotient", str(path)]) == 1
+        assert "graph is not connected" in capsys.readouterr().err
+
 
 class TestInduce:
     def test_writes_verified_package(self, capsys, tmp_path):

@@ -29,7 +29,10 @@ from ttforge.traintrack import (
     certification_failure, has_positive_power, pf_eigenvalue,
     transition_matrix,
 )
-from ttforge.freegroup import SubgroupGraph, image_chain, whole_group_graph
+from ttforge.freegroup import (
+    SubgroupGraph, image_chain, pi1_endomorphism, stable_quotient,
+    whole_group_graph,
+)
 from ttforge.randmaps import random_candidate
 from ttforge.induced import (
     SizeBudgetExceeded, basepoint_orbit, build_induced,
@@ -39,8 +42,8 @@ from ttforge.induced import (
 from ttforge.io import load_package, write_package
 
 from oracles import (
-    lifting_premises_oracle, orbit_chains_oracle, orbit_exponents_oracle,
-    transfer_after_projection_oracle,
+    image_chain_oracle, lifting_premises_oracle, orbit_chains_oracle,
+    orbit_exponents_oracle, transfer_after_projection_oracle,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -186,6 +189,38 @@ class TestImageChainOracle:
         assert (trimmed, K, [link.rank() for link in links]) \
             == ([1, 0], 1, [2, 1])
         assert_chain_matches_oracle(f)
+
+
+def assert_quotient_matches_oracle(f):
+    """`stable_quotient` of f against the basis-loop chain of phi = (f^r)_*.
+
+    The oracle's restriction pushes each basis word of its stable core
+    through phi once and rewrites it in that core's basis.
+    """
+    v, r = find_periodic_vertex(f)
+    q = stable_quotient(f, v, r)
+    phi = pi1_endomorphism(f.power(r), v)
+    links, K = image_chain_oracle(phi)
+    core = links[K]
+    restriction = {name: " ".join(core.rewrite(phi.apply_word(word)))
+                   for name, _loop, word in core.basis()}
+    assert (q.exponent, q.core.canonical_key(), q.restriction) \
+        == (K, core.canonical_key(), restriction)
+
+
+class TestStableQuotientOracle:
+    def test_fixtures(self, named_fixture_maps, nilp):
+        for f in list(named_fixture_maps.values()) + [nilp]:
+            assert_quotient_matches_oracle(f)
+
+    def test_corpus(self, corpus100):
+        for f in corpus100:
+            assert_quotient_matches_oracle(f)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_ring_families(self, n):
+        assert_quotient_matches_oracle(_two_strand_ring(n))
+        assert_quotient_matches_oracle(_three_strand_ring(n))
 
 
 class TestMultiplierArithmetic:
@@ -517,6 +552,25 @@ class TestVerifyPackage:
         obj = json.loads(path.read_text())
         obj[field] = value
         path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match="constants.json: %s " % field):
+            load_package(tmp_path)
+
+    @pytest.mark.parametrize("field,edit", [
+        ("periodic_vertex",
+         lambda c: c.update(periodic_vertex=[c["periodic_vertex"]])),
+        ("multiplier", lambda c: c.pop("multiplier")),
+        ("periodic_vertex", lambda c: c.pop("periodic_vertex")),
+    ], ids=["list_periodic_vertex", "no_multiplier", "no_periodic_vertex"])
+    def test_malformed_constants_name_the_field(self, packages, field, edit,
+                                                tmp_path, monkeypatch):
+        pkg = packages["sigma"]
+        write_package(tmp_path, pkg, verify_package(pkg))
+        path = tmp_path / "constants.json"
+        obj = json.loads(path.read_text())
+        edit(obj)
+        path.write_text(json.dumps(obj))
+        monkeypatch.setattr("ttforge.io.image_chain",
+                            lambda *args: pytest.fail("the chain ran"))
         with pytest.raises(ValueError, match="constants.json: %s " % field):
             load_package(tmp_path)
 

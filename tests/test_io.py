@@ -73,7 +73,7 @@ class TestInputDocuments:
         assert bundle.kind == "endomorphism"
         f = bundle.graph_map
         assert f == endomorphism_on_rose(
-            ["x", "y"], {"x": "x y", "y": "x y"}).map
+            ["x", "y"], {"x": "x y", "y": "x y"})
         assert f.is_self_map
         assert sorted(f.domain.edge_ids) == ["x", "y"]
         assert f.dart_image("x") == ("x", "y")

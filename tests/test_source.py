@@ -36,7 +36,7 @@ from pathlib import Path
 import pytest
 
 import ttforge
-from ttforge import induced, suspension, traintrack
+from ttforge import cli, freegroup, induced, suspension, traintrack
 from ttforge.cli import main
 from ttforge.io import PACKAGE_FILES
 
@@ -425,8 +425,18 @@ def test_one_admission_chain():
 
 
 def test_one_stable_quotient_entry_point():
+    """The quotient reads build's image chain; no endomorphism route."""
     assert [module for module, source in PACKAGE_SOURCES.items()
             if "chain_quotient" in source] == []
+    body = inspect.getsource(freegroup.stable_quotient)
+    assert function_sites(body, "image_chain")[1]
+    command = inspect.getsource(cli.cmd_quotient)
+    assert function_sites(command, "stable_quotient")[1]
+    for source in (body, command):
+        assert not function_sites(source, "power")[1]
+    assert [module for module, source in PACKAGE_SOURCES.items()
+            if function_sites(source, "pi1_endomorphism")[1]
+            or "is_injective_on" in source] == []
 
 
 def test_package_layout_is_known_to_io_only():
