@@ -168,19 +168,14 @@ def is_irreducible(matrix):
     return all(matrix.entries) and len(_condensation(matrix)[1]) <= 1
 
 
-def has_positive_power(matrix):
-    """Smallest t with every entry of A^t positive, or None.
+def period(matrix):
+    """Period of an irreducible matrix, or None if empty or reducible.
 
-    Only a primitive matrix has one: irreducible, with period 1.  The
-    period is the gcd of level(u) + 1 - level(v) over the arcs u -> v,
-    with levels from one breadth-first search (Denardo 1977), so any other
-    matrix is answered in O(nnz).  On a primitive one the rows of A^t are
-    int bitsets: row i of A^(t+1) = A A^t is the OR of the rows k of A^t
-    over the support of row i of A, O(nnz(A)) big-int ORs per step, until
-    every row is full, by Wielandt's bound (n-1)^2 + 1 at the latest.
+    The gcd of the lengths of the positivity digraph's cycles, which is
+    the gcd of level(u) + 1 - level(v) over the arcs u -> v, with levels
+    from one breadth-first search (Denardo 1977): O(nnz).
     """
-    n = matrix.dim
-    if n == 0 or not is_irreducible(matrix):
+    if matrix.dim == 0 or not is_irreducible(matrix):
         return None
     adj = matrix.adjacency
     level = {0: 0}
@@ -190,9 +185,22 @@ def has_positive_power(matrix):
             if v not in level:
                 level[v] = level[u] + 1
                 frontier.append(v)
-    if reduce(gcd, (level[u] + 1 - level[v]
-                    for u in frontier for v in adj[u]), 0) != 1:
+    return reduce(gcd, (level[u] + 1 - level[v]
+                        for u in frontier for v in adj[u]), 0)
+
+
+def has_positive_power(matrix):
+    """Smallest t with every entry of A^t positive, or None.
+
+    Only a primitive matrix has one: irreducible, with `period` 1, so any
+    other matrix is answered in O(nnz).  On a primitive one the rows of A^t
+    are int bitsets: row i of A^(t+1) = A A^t is the OR of the rows k of
+    A^t over the support of row i of A, O(nnz(A)) big-int ORs per step,
+    until every row is full, by Wielandt's bound (n-1)^2 + 1 at the latest.
+    """
+    if period(matrix) != 1:
         return None
+    n, adj = matrix.dim, matrix.adjacency
     full = (1 << n) - 1
     rows = [sum(1 << j for j in out) for out in adj]
     for t in range(1, (n - 1) ** 2 + 2):

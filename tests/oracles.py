@@ -7,6 +7,7 @@ eigenvalues instead of exact power iteration.
 
 import functools
 import itertools
+import math
 import operator
 
 import numpy
@@ -487,6 +488,27 @@ def positive_power_oracle(matrix):
         rows = [functools.reduce(operator.or_, (rows[k] for k in out), 0)
                 for out in adj]
     return None
+
+
+def period_oracle(rows):
+    """gcd of the t <= 2n with a positive diagonal entry of A^t, or None.
+
+    Boolean matrix powers; every cycle of the positivity digraph is made of
+    simple ones, of length at most n.  None for an empty or reducible
+    matrix.
+    """
+    n = len(rows)
+    if n == 0 or not irreducible_oracle(rows):
+        return None
+    support = [[x > 0 for x in row] for row in rows]
+    cur = support
+    g = 0
+    for t in range(1, 2 * n + 1):
+        if any(cur[i][i] for i in range(n)):
+            g = math.gcd(g, t)
+        cur = [[any(cur[i][k] and support[k][j] for k in range(n))
+                for j in range(n)] for i in range(n)]
+    return g
 
 
 # -- direct iterate checks -----------------------------------------------------

@@ -26,8 +26,8 @@ from ttforge.graphs import (
     validate,
 )
 from ttforge.traintrack import (
-    certification_failure, has_positive_power, pf_eigenvalue,
-    transition_matrix,
+    certification_failure, has_positive_power, is_train_track,
+    pf_eigenvalue, transition_matrix,
 )
 from ttforge.freegroup import (
     SubgroupGraph, image_chain, pi1_endomorphism, stable_quotient,
@@ -607,8 +607,9 @@ class TestVerifyPackage:
         assert has_positive_power(transition_matrix(pkg.induced)) == up
         report = verify_package(pkg)
         assert report.ok, report.failures()
+        # verify decides by period, without stepping either power
         assert report.checks["positive_power_transfer"] == (
-            True, "down %d up %d" % (down(n), up))
+            True, "period down 1 up 1")
 
     @pytest.mark.parametrize("s", [2, 3, 4])
     def test_doubled_ladder_is_imprimitive(self, s):
@@ -617,7 +618,7 @@ class TestVerifyPackage:
         report = verify_package(build_induced(f))
         assert report.ok, report.failures()
         assert report.checks["positive_power_transfer"] == (
-            True, "down None up None")
+            True, "period down 2 up 2")
 
     def test_doubled_ladder_verifies_fast(self):
         # the primitivity check stops at the period, not at Wielandt's
@@ -898,6 +899,113 @@ def test_no_tampered_package_passes(lifting_packages, corpus100):
     assert sum(skipped.values()) == 319
     # f̄ with one vertex moved within its fiber used to pass all 15 checks
     assert {"cyc2", "pre1_r2", "pre1_r3"} <= set(invalid_induced)
+
+
+class TestTransferLemmas:
+    """Train track by projection and primitivity by period.
+
+    Verify transfers both properties from f through p instead of walking
+    turn orbits or stepping matrix powers on the core; these tests pin the
+    verdicts to the full re-derivation and the cost to the base graph.
+    """
+
+    def test_verdicts_match_the_rederivation(self, lifting_packages,
+                                             corpus100):
+        # every tampered variant, and the lifting packages with one image
+        # of the induced map replaced by another dart's, which is where
+        # the verdicts come out False
+        variants = [bad for pkg in list(lifting_packages.values()) + [
+            build_induced(f) for f in corpus100]
+            for bad in tampered_packages(pkg)]
+        for pkg in lifting_packages.values():
+            fbar = pkg.induced
+            e = fbar.domain.edge_ids[0]
+            variants += [dataclasses.replace(pkg, induced=_edited(
+                fbar, image=(e, fbar.dart_image(d))))
+                for d in fbar.domain.darts]
+        seen = Counter()
+        for bad in variants:
+            report = verify_package(bad)
+            if validate(bad.induced) is None:
+                verdict = report.checks["induced_train_track"][0]
+                assert verdict == is_train_track(bad.induced).is_train_track
+                seen["train track", verdict] += 1
+            down = has_positive_power(transition_matrix(bad.source))
+            up = has_positive_power(transition_matrix(bad.induced))
+            verdict = report.checks["positive_power_transfer"][0]
+            assert verdict == (down is None or up is not None)
+            seen["positive power", verdict] += 1
+        assert len(seen) == 4, seen
+
+    @pytest.mark.parametrize("name,edge,dart,reason", [
+        ("sigma", "e0", "-e0", "taken turn ('e1', '-e0') degenerates"),
+        ("fib", "e0", "-e0", "taken turn ('e1', '-e0') degenerates"),
+        ("fib", "e1", "e0", "not surjective: edge 'e0' is never crossed"),
+    ], ids=["sigma_turn", "fib_turn", "fib_uncrossed"])
+    def test_failing_premise_falls_back_to_the_turn_walk(
+            self, packages, name, edge, dart, reason):
+        # one image of the induced map replaced by another dart's keeps it
+        # a valid map but breaks f p = p fbar, so the full walk decides
+        pkg = packages[name]
+        fbar = _edited(pkg.induced,
+                       image=(edge, pkg.induced.dart_image(dart)))
+        assert validate(fbar) is None
+        assert is_train_track(fbar).reason == reason
+        report = verify_package(dataclasses.replace(pkg, induced=fbar))
+        assert report.checks["induced_train_track"] == (False, reason)
+
+    def test_uncertified_source_fails(self, packages):
+        # the identity is not expanding, the backtracking loop not a train
+        # track map; swapped in as the source, verify rejects either
+        for name, pkg in packages.items():
+            g = pkg.source.domain
+            identity = GraphMap(g, g, {v: v for v in g.vertices},
+                                {e: (e,) for e in g.edge_ids})
+            sources = [identity]
+            e = g.edge_ids[0]
+            if g.origin(e) == g.terminus(e):
+                sources.append(_edited(identity, image=(e, (e, inv(e), e))))
+            for source in sources:
+                assert certification_failure(source) is not None
+                report = verify_package(dataclasses.replace(
+                    pkg, source=source))
+                assert not report.ok, name
+
+    def test_package_of_an_uncertified_map_fails_only_the_train_track(
+            self, monkeypatch):
+        # promoted with the admission check skipped, this rose map's
+        # package is consistent, but f has a degenerating turn and so has
+        # its lift: the premise on f fails and the turn walk names the turn
+        f = rose_map({"e0": "e2 e2 -e1", "e1": "e0 e2 -e1", "e2": "e1"})
+        failure = certification_failure(f)
+        assert failure is not None and failure[0] == "not_train_track"
+        monkeypatch.setattr(induced, "certification_failure", lambda f: None)
+        pkg = build_induced(f)
+        verdict = is_train_track(pkg.induced)
+        assert not verdict.is_train_track
+        report = verify_package(pkg)
+        assert report.failures() == ["induced_train_track"]
+        assert report.checks["induced_train_track"] == (False, verdict.reason)
+
+    def test_no_check_steps_a_power_or_walks_the_core(self, packages,
+                                                      monkeypatch):
+        # is_train_track runs on the source only; has_positive_power never
+        walked = []
+        real = induced.is_train_track
+        monkeypatch.setattr(induced, "is_train_track",
+                            lambda m: walked.append(m) or real(m))
+        for module in list(sys.modules.values()):
+            if module is not None and module.__name__.startswith("ttforge") \
+                    and hasattr(module, "has_positive_power"):
+                monkeypatch.setattr(
+                    module, "has_positive_power",
+                    lambda m: pytest.fail("verify stepped a matrix power"))
+        pkgs = list(packages.values()) + [
+            build_induced(_two_strand_ring(n)) for n in (2, 3, 4)]
+        for pkg in pkgs:
+            walked.clear()
+            assert verify_package(pkg).ok
+            assert walked == [pkg.source]
 
 
 def test_induced_action_is_the_lifted_return_map(lifting_packages):

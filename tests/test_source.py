@@ -290,12 +290,14 @@ def test_one_pass_over_the_positivity_digraph():
     """Irreducibility, expansion and invariant subgraphs read one condensation.
 
     Outside ``TransitionMatrix`` itself, the digraph is walked only by
-    ``_condensation`` and by the primitivity walk ``has_positive_power``.
+    ``_condensation``, by the period search ``period`` and by the
+    primitivity walk ``has_positive_power``.
     """
     readers = {(p.stem, name) for p in SRC.glob("*.py") for name in
                attribute_readers(p.read_text(encoding="utf-8"), "adjacency")
                if not name.startswith("TransitionMatrix")}
     assert readers == {("traintrack", "_condensation"),
+                       ("traintrack", "period"),
                        ("traintrack", "has_positive_power")}
 
 

@@ -17,8 +17,8 @@ from ttforge.graphs import (
 from ttforge.traintrack import (
     ExpansionReport, TransitionMatrix, TurnSystem, certification_failure,
     find_invariant_subgraph, has_positive_power, is_expanding,
-    is_irreducible, is_train_track, legal_loop_through, pf_eigenvalue,
-    transition_matrix,
+    is_irreducible, is_train_track, legal_loop_through, period,
+    pf_eigenvalue, transition_matrix,
 )
 from ttforge.induced import _growth_rate_mismatch, build_induced
 from ttforge.io import load_input_file
@@ -28,8 +28,9 @@ from oracles import (
     dense_transition_rows, expansion_matrix_oracle, expansion_oracle,
     growth_rate_mismatch_oracle, invariant_subgraph_oracle,
     invariant_subgraph_search, irreducible_oracle, iterate_darts,
-    darts_reduced, positive_power_oracle, primitivity_exponent_oracle,
-    spectral_radius, train_track_oracle, transfer_size_oracle,
+    darts_reduced, period_oracle, positive_power_oracle,
+    primitivity_exponent_oracle, spectral_radius, train_track_oracle,
+    transfer_size_oracle,
 )
 
 GOLDEN = (1 + 5 ** 0.5) / 2
@@ -188,6 +189,7 @@ class TestSparseRows:
         assert m == TransitionMatrix.from_entries(m.labels, m.entries)
         assert is_irreducible(m) == irreducible_oracle(rows)
         assert has_positive_power(m) == primitivity_exponent_oracle(rows)
+        assert period(m) == period_oracle(rows)
         bounded, _stable = expansion_matrix_oracle(rows)
         report = is_expanding(m)
         assert report == ExpansionReport(
@@ -260,7 +262,10 @@ class TestPositivePower:
         if dim and rng.random() < 0.2:
             rows[rng.randrange(dim)] = [0] * dim
         expected = primitivity_exponent_oracle(rows)
-        assert has_positive_power(square_matrix(rows)) == expected
+        m = square_matrix(rows)
+        assert has_positive_power(m) == expected
+        assert period(m) == period_oracle(rows)
+        assert (period(m) == 1) == (expected is not None)
 
     def test_period_gate_matches_the_stepping_loop(self):
         # supports with arcs only from class c to class c + 1 mod p: for
@@ -300,6 +305,36 @@ class TestPositivePower:
     def test_upper_triangular_is_never_positive(self):
         m = square_matrix([[2, 1, 1], [0, 1, 3], [0, 0, 1]])
         assert has_positive_power(m) is None
+
+    def test_period_on_block_cyclic_supports(self):
+        # arcs only from class c to class c + 1 mod p: every cycle's
+        # length is a multiple of p, so p divides an irreducible support's
+        # period
+        rng = random.Random(1507)
+        seen = set()
+        for _ in range(400):
+            dim = rng.randint(0, 8)
+            classes = rng.randint(1, 4)
+            group = [rng.randrange(classes) for _ in range(dim)]
+            rows = [[rng.randint(1, 2) if rng.random() < 0.6
+                     and (group[j] - group[i] - 1) % classes == 0 else 0
+                     for j in range(dim)] for i in range(dim)]
+            m = square_matrix(rows)
+            got = period(m)
+            assert got == period_oracle(rows), rows
+            if got is not None:
+                assert got % classes == 0, rows
+            seen.add(got)
+        assert {None, 1, 2, 3, 4} <= seen
+
+    def test_period_of_empty_and_reducible_is_none(self):
+        assert period(square_matrix([])) is None
+        assert period(square_matrix([[0]])) is None
+        assert period(square_matrix([[2, 1, 1], [0, 1, 3], [0, 0, 1]])) \
+            is None
+        assert period(square_matrix([[1, 1], [0, 0]])) is None
+        assert period(square_matrix([[3]])) == 1
+        assert period(square_matrix([[0, 1], [1, 0]])) == 2
 
     def test_degenerate_sizes(self):
         assert has_positive_power(square_matrix([])) is None
