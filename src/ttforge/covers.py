@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .graphs import GraphMap, edge_of, inv, is_positive
+from .graphs import GraphMap, edge_of, inv
 
 
 class NotLiftableError(ValueError):
@@ -37,9 +37,10 @@ def lift_by_tracing(graph, base, image, word_of, trace):
     vm = {base: image}
     images = {}
     queue = deque([base])
+    out_darts, terminus = graph.out_darts, graph.terminus
     while queue:
         u = queue.popleft()
-        for d in graph.out_darts(u):
+        for d in out_darts(u):
             e = edge_of(d)
             if e in images:
                 continue
@@ -49,14 +50,14 @@ def lift_by_tracing(graph, base, image, word_of, trace):
                 raise NotLiftableError(
                     "image of %r leaves the core after %d darts"
                     % (d, consumed))
-            w = graph.terminus(d)
+            w = terminus(d)
             if w not in vm:
                 vm[w] = end
                 queue.append(w)
             elif vm[w] != end:
                 raise NotLiftableError("lift does not close over %r" % e)
-            images[e] = lifted if is_positive(d) else tuple(
-                inv(x) for x in reversed(lifted))
+            images[e] = lifted if d == e else tuple(
+                map(inv, reversed(lifted)))
     if len(vm) != len(graph.vertices):
         raise ValueError("graph is not connected")
     return vm, images
@@ -78,11 +79,16 @@ def lift_graph_map(f, core):
     if not candidates:
         raise NotLiftableError("no core vertex over %r" % downstairs)
     graph = core.graph
+    image, label = f.dart_image, core.dart_label
+
+    def word_of(d):
+        """f of the label below the core dart ``d``."""
+        return image(label(d))
+
     for candidate in candidates:
         try:
             vm, images = lift_by_tracing(
-                graph, core.basepoint, candidate,
-                lambda d: f.dart_image(core.dart_label(d)), core.trace)
+                graph, core.basepoint, candidate, word_of, core.trace)
         except NotLiftableError:
             continue
         return GraphMap(graph, graph, vm, images)

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .graphs import (
-    INV_PREFIX, GraphMap, SerreGraph, dart_key, edge_of, inv, is_positive,
+    INV_PREFIX, GraphMap, SerreGraph, edge_of, inv, is_positive,
     reduce_darts, rose,
 )
 
@@ -58,30 +58,33 @@ class SubgroupGraph:
     labeling must respect incidence.  A folded core represents the
     finitely generated subgroup of loops at ``basepoint``; a finite cover is
     the core of a finite-index subgroup (see `hall_completion`).
+
+    The step table sends ``(vertex, signed ambient label)`` to ``(dart,
+    terminus)``, filled with the positive darts and then the reversed ones,
+    so on a graph that is no immersion the last such dart wins.  The graph
+    is an immersion exactly when no two darts collide there.
     """
 
     def __init__(self, graph, ambient, edge_label, vertex_image, basepoint):
         self.graph = graph
         self.ambient = ambient
-        self.edge_label = dict(edge_label)
-        self.vertex_image = dict(vertex_image)
-        for e, o, t in graph.edge_data:
-            a = self.edge_label[e]
-            if not (isinstance(a, str) and is_positive(a)
-                    and ambient.has_dart(a)):
-                raise ValueError("label %r is not an ambient edge" % a)
-            if (self.vertex_image[o] != ambient.origin(a)
-                    or self.vertex_image[t] != ambient.terminus(a)):
-                raise ValueError("labeling of %r breaks incidence" % e)
+        self.edge_label = edge_label = dict(edge_label)
+        self.vertex_image = vertex_image = dict(vertex_image)
+        origin, terminus = ambient._origin, ambient._terminus
+        edges = graph.edge_data
         steps = {}
-        immersed = True
-        for d in graph.darts:
-            key = (graph.origin(d), self.dart_label(d))
-            if key in steps:
-                immersed = False
-            steps[key] = d
+        for e, o, t in edges:
+            a = edge_label[e]
+            if not (isinstance(a, str) and a[:1] != INV_PREFIX
+                    and a in origin):
+                raise ValueError("label %r is not an ambient edge" % a)
+            if vertex_image[o] != origin[a] or vertex_image[t] != terminus[a]:
+                raise ValueError("labeling of %r breaks incidence" % e)
+            steps[o, a] = (e, t)
+        for (e, o, t), r in zip(edges, graph.darts[len(edges):]):
+            steps[t, INV_PREFIX + edge_label[e]] = (r, o)
         self._steps = steps
-        self._immersed = immersed
+        self._immersed = len(steps) == len(graph.darts)
         if basepoint not in graph._out:
             raise ValueError("basepoint %r is not a vertex" % basepoint)
         self.basepoint = basepoint
@@ -99,23 +102,25 @@ class SubgroupGraph:
 
     def step(self, vertex, ambient_dart):
         """The unique dart at ``vertex`` labeled ``ambient_dart``, or None."""
-        return self._steps.get((vertex, ambient_dart))
+        found = self._steps.get((vertex, ambient_dart))
+        return None if found is None else found[0]
 
     def trace(self, vertex, ambient_darts):
         """Lift an ambient dart sequence from a vertex, while possible.
 
         Returns ``(end_vertex, lifted_darts, consumed)``; ``consumed`` is the
-        number of steps that existed.
+        number of steps that existed.  A step is one step-table lookup.
         """
+        steps = self._steps
         out = []
         cur = vertex
-        for i, a in enumerate(ambient_darts):
-            d = self.step(cur, a)
-            if d is None:
-                return cur, tuple(out), i
+        for a in ambient_darts:
+            found = steps.get((cur, a))
+            if found is None:
+                break
+            d, cur = found
             out.append(d)
-            cur = self.graph.terminus(d)
-        return cur, tuple(out), len(ambient_darts)
+        return cur, tuple(out), len(out)
 
     def fiber(self, ambient_vertex):
         return tuple(v for v in self.graph.vertices
@@ -280,22 +285,16 @@ class _Folding:
 
         The union-find parent, the ambient vertex below, and the signed
         ambient label -> target table (targets may be stale ids), None once
-        the vertex is merged away.
+        the vertex is merged away.  ``out`` is the fold's step table: a
+        dart whose label is already at its vertex collides, and the two
+        targets are queued for identification.
         """
         parent = list(range(len(self.over)))
         over = list(self.over)
         out = [{} for _ in over]
         pending = []
-
-        def add(v, label, w):
-            x = out[v].setdefault(label, w)
-            if x != w:
-                pending.append((x, w))
-
-        def join(v, label, w):
-            add(v, label, w)
-            add(w, inv(label), v)
-
+        terminus = self.ambient._terminus
+        flip = {d: inv(d) for d in self.ambient.darts}
         for start, word, stop in self.paths:
             cur = _find(parent, start)
             for d in word[:-1]:
@@ -303,11 +302,17 @@ class _Folding:
                 if nxt is None:
                     nxt = len(parent)
                     parent.append(nxt)
-                    over.append(self.ambient.terminus(d))
-                    out.append({})
-                    join(cur, d, nxt)
-                cur = _find(parent, nxt)
-            join(cur, word[-1], _find(parent, stop))
+                    over.append(terminus[d])
+                    out.append({flip[d]: cur})
+                    out[cur][d] = nxt
+                    cur = nxt
+                else:
+                    cur = nxt if parent[nxt] == nxt else _find(parent, nxt)
+            last, w = word[-1], _find(parent, stop)
+            for v, label, u in ((cur, last, w), (w, flip[last], cur)):
+                x = out[v].setdefault(label, u)
+                if x != u:
+                    pending.append((x, u))
             while pending:
                 a, b = pending.pop()
                 a, b = _find(parent, a), _find(parent, b)
@@ -319,9 +324,11 @@ class _Folding:
                 if len(out[a]) < len(out[b]):
                     a, b = b, a
                 parent[b] = a
-                table, out[b] = out[b], None
+                into, table, out[b] = out[a], out[b], None
                 for label, x in table.items():
-                    add(a, label, x)
+                    y = into.setdefault(label, x)
+                    if y != x:
+                        pending.append((y, x))
         return parent, over, out
 
     def rank(self):
@@ -369,36 +376,47 @@ class _Folding:
     def core(self):
         """The pointed core of the table as a `SubgroupGraph`.
 
-        The `trimmed` table is renamed by BFS from the base.  Darts at a
-        vertex go in the `dart_key` order of their signed ambient label,
-        which is unique there.
+        The `trimmed` table is renamed in one breadth-first pass from the
+        base, vertices numbered as reached.  Darts at a vertex go in the
+        order of their signed ambient label in ``ambient.darts``, the
+        `dart_key` order.  An edge is named from the first of its endpoints
+        reached, a loop from its positive dart.  Both checked constructors
+        run, so the step table holds ``(dart, terminus)`` and immersion is
+        read off step collisions, as for any `SubgroupGraph`.
         """
         base = self.trimmed
         parent, over, out = self.table
-        order = {base: "w0"}
+        position = {d: i for i, d in
+                    enumerate(self.ambient.darts)}.__getitem__
+        index = {base: 0}
         seq = [base]
-        new_edges = []
-        elab = {}
-        vimg = {"w0": over[base]}
-        visited_edges = set()
-        for v in seq:
-            for label in sorted(out[v], key=dart_key):
-                far = _find(parent, out[v][label])
-                o, t, lab = ((v, far, label) if is_positive(label)
-                             else (far, v, inv(label)))
-                if (o, lab) in visited_edges:
-                    continue
-                visited_edges.add((o, lab))
-                if far not in order:
-                    order[far] = "w%d" % len(order)
-                    vimg[order[far]] = over[far]
+        names = ["w0"]
+        edges = []
+        labels = {}
+        for i, v in enumerate(seq):
+            row = out[v]
+            for label in sorted(row, key=position):
+                far = row[label]
+                if parent[far] != far:
+                    far = _find(parent, far)
+                j = index.get(far)
+                if j is None:
+                    j = index[far] = len(seq)
                     seq.append(far)
-                name = "e%d" % len(new_edges)
-                new_edges.append((name, order[o], order[t]))
-                elab[name] = lab
-        graph = SerreGraph(list(order.values()), new_edges,
-                           allow_isolated=not new_edges)
-        return SubgroupGraph(graph, self.ambient, elab, vimg, "w0")
+                    names.append("w%d" % j)
+                elif j < i or (j == i and label[0] == INV_PREFIX):
+                    continue
+                name = "e%d" % len(edges)
+                if label[0] == INV_PREFIX:
+                    edges.append((name, names[j], names[i]))
+                    labels[name] = label[1:]
+                else:
+                    edges.append((name, names[i], names[j]))
+                    labels[name] = label
+        graph = SerreGraph(names, edges, allow_isolated=not edges)
+        return SubgroupGraph(graph, self.ambient, labels,
+                             dict(zip(names, map(over.__getitem__, seq))),
+                             "w0")
 
 
 def _map_folding(f, base, vertex_image, edges):

@@ -63,6 +63,7 @@ class SerreGraph:
     """Finite Serre graph built from unoriented edge data.
 
     ``edges`` is an iterable of ``(edge_id, origin_vertex, terminus_vertex)``.
+    Every edge id is checked as given, before anything is sorted.
     Vertices of valence 0 are rejected unless ``allow_isolated`` is set (the
     folded graph of the trivial subgroup is a lone basepoint, so intermediate
     objects occasionally need this).
@@ -77,24 +78,28 @@ class SerreGraph:
             _check_id("vertex", v)
         if len(set(vertices)) != len(vertices):
             raise ValueError("duplicate vertex ids")
-        edges = tuple(sorted((str(e), o, t) for (e, o, t) in edges))
-        vset = set(vertices)
+        edges = [(e, o, t) for e, o, t in edges]
+        for e, _o, _t in edges:
+            _check_id("edge", e)
+        edges = tuple(sorted(edges))
         origin = {}
         terminus = {}
         out = {v: [] for v in vertices}
+        reversed_ids = []
         for e, o, t in edges:
-            _check_id("edge", e)
             if e in origin:
                 raise ValueError("duplicate edge id %r" % e)
-            if o not in vset or t not in vset:
+            if o not in out or t not in out:
                 raise ValueError("edge %r has endpoint outside the vertex set" % e)
-            origin[e] = terminus[inv(e)] = o
-            origin[inv(e)] = terminus[e] = t
+            r = INV_PREFIX + e
+            reversed_ids.append(r)
+            origin[e] = terminus[r] = o
+            origin[r] = terminus[e] = t
             out[o].append(e)
         # edges are sorted, so positive darts and then reversed ones, edge
         # by edge, are in the `dart_key` order, at each vertex and overall
-        for e, _o, t in edges:
-            out[t].append(inv(e))
+        for r, (_e, _o, t) in zip(reversed_ids, edges):
+            out[t].append(r)
         out = {v: tuple(darts) for v, darts in out.items()}
         if not allow_isolated:
             for v in vertices:
@@ -103,7 +108,7 @@ class SerreGraph:
         self._vertices = vertices
         self._edges = edges
         self._edge_ids = tuple(e for (e, _, _) in edges)
-        self._darts = self._edge_ids + tuple(map(inv, self._edge_ids))
+        self._darts = self._edge_ids + tuple(reversed_ids)
         self._origin = origin
         self._terminus = terminus
         self._out = out

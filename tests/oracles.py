@@ -17,7 +17,8 @@ from ttforge.freegroup import (
 )
 from ttforge.suspension import edge_point, vertex_point
 from ttforge.graphs import (
-    SerreGraph, compose, edge_of, inv, is_positive, reduce_darts, validate,
+    SerreGraph, compose, dart_key, edge_of, inv, is_positive, reduce_darts,
+    validate,
 )
 from ttforge.induced import projection_map
 
@@ -264,6 +265,41 @@ def fold_oracle(ambient, basepoint, loops):
                        allow_isolated=not new_edges)
     return SubgroupGraph(graph, ambient, elab, vimg, "w0")
 
+
+
+# The renaming of a trimmed fold table as `_Folding.core` did it before the
+# one-pass version: a visited-edge set, labels sorted by `dart_key`, and
+# string names throughout.  Kept unchanged as the reference.
+
+
+def core_oracle(folding):
+    """The pointed core of a `_Folding`'s trimmed table, renamed by BFS."""
+    base = folding.trimmed
+    parent, over, out = folding.table
+    order = {base: "w0"}
+    seq = [base]
+    new_edges = []
+    elab = {}
+    vimg = {"w0": over[base]}
+    visited_edges = set()
+    for v in seq:
+        for label in sorted(out[v], key=dart_key):
+            far = _find(parent, out[v][label])
+            o, t, lab = ((v, far, label) if is_positive(label)
+                         else (far, v, inv(label)))
+            if (o, lab) in visited_edges:
+                continue
+            visited_edges.add((o, lab))
+            if far not in order:
+                order[far] = "w%d" % len(order)
+                vimg[order[far]] = over[far]
+                seq.append(far)
+            name = "e%d" % len(new_edges)
+            new_edges.append((name, order[o], order[t]))
+            elab[name] = lab
+    graph = SerreGraph(list(order.values()), new_edges,
+                       allow_isolated=not new_edges)
+    return SubgroupGraph(graph, folding.ambient, elab, vimg, "w0")
 
 
 # -- the basis-loop image chain -----------------------------------------------

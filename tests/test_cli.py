@@ -96,6 +96,16 @@ class TestAnalyze:
         assert "Traceback" not in err
 
 
+    def test_non_string_edge_id_is_input_error(self, capsys, tmp_path):
+        doc = json.loads((FIXTURES / "sigma.json").read_text())
+        doc["graph"]["edges"][0] = [1, "v", "v"]
+        doc["map"]["edges"] = {"1": "1 b", "b": "1 b"}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: edge id must be a nonempty string, got 1\n")
+
     def test_unknown_dart_is_named_as_written(self, capsys, tmp_path):
         doc = json.loads((FIXTURES / "sigma.json").read_text())
         doc["map"]["edges"]["a"] = "a -z"

@@ -307,13 +307,55 @@ class TestMembership:
         assert h.step(h.basepoint, "b") is None
 
 
+def _two_darts_labeled_a():
+    """Two edges out of w0, both labeled a: no immersion."""
+    graph = SerreGraph(["w0", "w1", "w2"],
+                       [("p0", "w0", "w1"), ("p1", "w0", "w2")])
+    return graph, {"p0": "a", "p1": "a"}, {"w0": "v", "w1": "v", "w2": "v"}
+
+
+class TestSubgroupGraphChecks:
+    @pytest.mark.parametrize("labels,message", [
+        ({"p0": "c", "p1": "a"}, "label 'c' is not an ambient edge"),
+        ({"p0": "-a", "p1": "a"}, "label '-a' is not an ambient edge"),
+    ], ids=["non_ambient", "reversed"])
+    def test_rejects_label(self, labels, message):
+        graph, _labels, images = _two_darts_labeled_a()
+        with pytest.raises(ValueError) as err:
+            SubgroupGraph(graph, ROSE2, labels, images, "w0")
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("end", ["origin", "terminus"])
+    def test_rejects_broken_incidence(self, end):
+        # a: u -> w in the ambient graph; p0's other end sits over u
+        ambient = SerreGraph(["u", "w"], [("a", "u", "w"), ("b", "w", "u")])
+        graph = SerreGraph(["x", "y"], [("p0", "x", "y"), ("p1", "y", "x")])
+        images = {"x": "w", "y": "w"} if end == "origin" \
+            else {"x": "u", "y": "u"}
+        with pytest.raises(ValueError) as err:
+            SubgroupGraph(graph, ambient, {"p0": "a", "p1": "b"}, images, "x")
+        assert str(err.value) == "labeling of 'p0' breaks incidence"
+
+    def test_rejects_unknown_basepoint(self):
+        graph, labels, images = _two_darts_labeled_a()
+        with pytest.raises(ValueError) as err:
+            SubgroupGraph(graph, ROSE2, labels, images, "w9")
+        assert str(err.value) == "basepoint 'w9' is not a vertex"
+
+
 class TestLabeledGraphPredicates:
     def test_unfolded_graph_is_not_immersion(self):
-        graph = SerreGraph(["w0", "w1", "w2"],
-                           [("p0", "w0", "w1"), ("p1", "w0", "w2")])
-        lab = SubgroupGraph(graph, ROSE2, {"p0": "a", "p1": "a"},
-                            {"w0": "v", "w1": "v", "w2": "v"}, "w0")
+        graph, labels, images = _two_darts_labeled_a()
+        lab = SubgroupGraph(graph, ROSE2, labels, images, "w0")
         assert not lab.is_immersion()
+        # the step table keeps the last dart written: positive darts in
+        # edge order, then reversed ones
+        assert (lab.step("w0", "a"), lab.step("w1", "-a"),
+                lab.step("w2", "-a"), lab.step("w0", "-a")) \
+            == ("p1", "-p0", "-p1", None)
+        assert lab.trace("w0", ("a", "-a", "a")) \
+            == ("w2", ("p1", "-p1", "p1"), 3)
+        assert lab.trace("w1", ("-a", "a", "b")) == ("w2", ("-p0", "p1"), 2)
 
     def test_whole_group_graph_is_degree_one_cover(self):
         full = whole_group_graph(ROSE2, "v")

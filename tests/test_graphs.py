@@ -35,6 +35,25 @@ class TestSerreGraph:
         with pytest.raises(ValueError):
             SerreGraph(["a"], [("e", "a", "a"), ("e", "a", "a")])
 
+    @pytest.mark.parametrize("edges,message", [
+        ([("e", "a", "a"), ("e", "a", "b")], "duplicate edge id 'e'"),
+        ([("e", "a", "z")], "edge 'e' has endpoint outside the vertex set"),
+        ([("z", "x", "b")], "edge 'z' has endpoint outside the vertex set"),
+        ([("e f", "a", "b")], "edge id 'e f' contains whitespace"),
+    ], ids=["duplicate", "terminus_outside", "origin_outside", "whitespace"])
+    def test_edge_checks_name_the_edge(self, edges, message):
+        with pytest.raises(ValueError) as err:
+            SerreGraph(["a", "b"], edges)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("edge_id", [None, 1, 1.5])
+    def test_rejects_non_string_edge_id(self, edge_id):
+        # checked as given: no id is converted to a string first
+        with pytest.raises(ValueError) as err:
+            SerreGraph(["a"], [("b", "a", "a"), (edge_id, "a", "a")])
+        assert str(err.value) == (
+            "edge id must be a nonempty string, got %r" % (edge_id,))
+
     def test_rose(self):
         g = rose(["a", "b"])
         assert g.vertices == ("v",)

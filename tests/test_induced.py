@@ -42,8 +42,9 @@ from ttforge.induced import (
 from ttforge.io import load_package, write_package
 
 from oracles import (
-    image_chain_oracle, lifting_premises_oracle, orbit_chains_oracle,
-    orbit_exponents_oracle, transfer_after_projection_oracle,
+    core_oracle, image_chain_oracle, lifting_premises_oracle,
+    orbit_chains_oracle, orbit_exponents_oracle,
+    transfer_after_projection_oracle,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -189,6 +190,69 @@ class TestImageChainOracle:
         assert (trimmed, K, [link.rank() for link in links]) \
             == ([1, 0], 1, [2, 1])
         assert_chain_matches_oracle(f)
+
+
+def assert_core_matches_oracle(folding, core):
+    """``core``, the `_Folding.core` of ``folding``, against `core_oracle`.
+
+    Same canonical key, dart order, out-darts at every vertex, and step
+    from every vertex along every ambient dart.
+    """
+    oracle = core_oracle(folding)
+    assert core.canonical_key() == oracle.canonical_key()
+    assert core.graph.darts == oracle.graph.darts
+    for v in oracle.graph.vertices:
+        assert core.graph.out_darts(v) == oracle.graph.out_darts(v)
+        for a in folding.ambient.darts:
+            assert core.step(v, a) == oracle.step(v, a), (v, a)
+
+
+def links_match_core_oracle(monkeypatch, maps):
+    """Check every link `image_chain` renames for ``maps``; the count."""
+    from ttforge import freegroup
+    real_core = freegroup._Folding.core
+    checked = []
+
+    def checking_core(self):
+        core = real_core(self)
+        assert_core_matches_oracle(self, core)
+        checked.append(core)
+        return core
+
+    monkeypatch.setattr(freegroup._Folding, "core", checking_core)
+    for f in maps:
+        v, r = find_periodic_vertex(f)
+        image_chain(f, v, r)
+    return len(checked)
+
+
+class TestCoreOracle:
+    """The one-pass renaming against the visited-edge BFS it replaced."""
+
+    def test_fixtures(self, monkeypatch, named_fixture_maps, nilp):
+        maps = list(named_fixture_maps.values()) + [nilp]
+        assert links_match_core_oracle(monkeypatch, maps) >= len(maps)
+
+    def test_corpus(self, monkeypatch, corpus100):
+        assert links_match_core_oracle(monkeypatch, corpus100) \
+            >= len(corpus100)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_ring_families(self, monkeypatch, n):
+        maps = [_two_strand_ring(n), _three_strand_ring(n)]
+        assert links_match_core_oracle(monkeypatch, maps) >= len(maps)
+
+    def test_lone_basepoint(self):
+        # a tree x -a-> y read through a -> a b: the path from seed x to
+        # seed y trims away, leaving the base with no edge
+        from ttforge import freegroup
+        f = GraphMap(ROSE2, ROSE2, {"v": "v"}, {"a": "a b", "b": "a"})
+        folding = freegroup._map_folding(
+            f, "x", {"x": "v", "y": "v"}, [("x", "a", "y")])
+        assert len(folding.table[0]) == 3
+        core = folding.core()
+        assert_core_matches_oracle(folding, core)
+        assert (core.graph.vertices, core.graph.edge_ids) == (("w0",), ())
 
 
 def assert_quotient_matches_oracle(f):

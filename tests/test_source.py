@@ -12,7 +12,8 @@ each have one home.
 Darts and words have one spelling, with no converter between spellings.
 The suspension module has one point type and one height check.
 The train track routines return plain answers, not self-checking
-certificates.  Subgroups and finite covers share one graph type.  A
+certificates.  Subgroups and finite covers share one graph type, built
+only through its checked constructor, and a trace steps by one lookup.  A
 package stores the half lift and derives the transfer only when read.
 No test runs the scripts under ``scripts/``, so every name they import from
 the package is checked to exist.  The README's Python quick start and its
@@ -30,6 +31,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from functools import cached_property
 from pathlib import Path
 
@@ -553,6 +555,35 @@ def test_one_subgroup_graph_type():
     assert not hasattr(ttforge, "LabeledGraph")
     source = inspect.getsource(suspension.make_cover_descriptor)
     assert "is_covering(" not in source
+
+
+def method_source(method):
+    """The dedented source of a method, ready for `ast.parse`."""
+    return textwrap.dedent(inspect.getsource(method))
+
+
+def test_one_path_from_fold_table_to_trace():
+    """One fold loop, one graph constructor, one lookup per traced step.
+
+    The fold table is a single loop with no helper closures.  No module
+    builds a graph through ``__new__``, so every core passes the checked
+    constructors.  A trace reads each dart and its terminus off the step
+    table, without asking for either separately.
+    """
+    table = ast.parse(method_source(freegroup._Folding.table.func))
+    functions = [getattr(node, "name", "lambda") for node in ast.walk(table)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.Lambda))]
+    assert functions == ["table"]
+    sites = {(module, name) for module, source in PACKAGE_SOURCES.items()
+             for name in node_sites(source, lambda node: (
+                 isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "__new__"))}
+    assert sites == {("traintrack", "TransitionMatrix.from_entries")}
+    trace = method_source(freegroup.SubgroupGraph.trace)
+    for name in ("step", "terminus"):
+        assert not function_sites(trace, name)[1], name
 
 
 def test_transfer_is_derived_on_demand():
