@@ -63,7 +63,8 @@ class SerreGraph:
     """Finite Serre graph built from unoriented edge data.
 
     ``edges`` is an iterable of ``(edge_id, origin_vertex, terminus_vertex)``.
-    Every edge id is checked as given, before anything is sorted.
+    Every vertex and edge id is checked as given, before anything is
+    sorted.
     Vertices of valence 0 are rejected unless ``allow_isolated`` is set (the
     folded graph of the trivial subgroup is a lone basepoint, so intermediate
     objects occasionally need this).
@@ -73,9 +74,10 @@ class SerreGraph:
                  "_terminus", "_out", "_key")
 
     def __init__(self, vertices, edges, allow_isolated=False):
-        vertices = tuple(sorted(vertices))
+        vertices = tuple(vertices)
         for v in vertices:
             _check_id("vertex", v)
+        vertices = tuple(sorted(vertices))
         if len(set(vertices)) != len(vertices):
             raise ValueError("duplicate vertex ids")
         edges = [(e, o, t) for e, o, t in edges]

@@ -89,12 +89,13 @@ def injectivity_exponent(chain):
 class InducedPackage:
     """Everything the promotion produces, ready for verification.
 
-    ``core`` is the folded graph of the stable image subgroup; ``induced``
-    the promoted train track map on it; ``projection`` the labeling as a
-    graph map; ``half`` the based lift H of the source's m-th power into
-    the core, m = ``constant`` // 2.  ``transfer``, built on first read,
-    is induced^m after H: the semi-conjugating map into the core lifting
-    the ``constant``-th power.
+    ``core`` is the folded graph of the stable image subgroup, and the
+    only home of its labeling and basepoint; ``induced`` the promoted
+    train track map on it; ``half`` the based lift H of the source's m-th
+    power into the core, m = ``constant`` // 2.  Two maps are read off
+    these on first use and never stored: ``projection``, the core's
+    labeling as a graph map, and ``transfer``, induced^m after H, the
+    semi-conjugating map into the core lifting the ``constant``-th power.
     ``chain`` is the `image_chain` ``(links, K)`` of the source at the
     periodic vertex with its period: ``links[K]`` is the stable image
     subgroup and K the kernel stabilization constant of the return map.
@@ -103,7 +104,6 @@ class InducedPackage:
     source: GraphMap
     core: object
     induced: GraphMap
-    projection: GraphMap
     half: GraphMap
     periodic_vertex: str
     period: int
@@ -112,7 +112,6 @@ class InducedPackage:
     orbit_period: int
     multiplier: int
     constant: int
-    basepoint: str
     transfer_basepoint: str
     chain: tuple
 
@@ -129,6 +128,10 @@ class InducedPackage:
             "core_edges": len(self.core.graph.edge_ids),
             "stabilization": self.chain[1],
         }
+
+    @cached_property
+    def projection(self):
+        return projection_map(self.core)
 
     @cached_property
     def transfer(self):
@@ -219,7 +222,6 @@ def build_induced(f, size_budget=None):
         source=f,
         core=core,
         induced=fbar,
-        projection=projection_map(core),
         half=based_lift_power(core, f, k * n * r),
         periodic_vertex=v,
         period=r,
@@ -228,7 +230,6 @@ def build_induced(f, size_budget=None):
         orbit_period=orbit_period,
         multiplier=k,
         constant=K,
-        basepoint=core.basepoint,
         transfer_basepoint=z,
         chain=chain,
     )
@@ -277,40 +278,24 @@ def _growth_rate_mismatch(core, a_down, a_up, up_irreducible):
     return None
 
 
-def _is_path_map(m, domain, codomain):
-    """Whether m maps domain to codomain, each edge onto a nonempty path
-    from the image of its origin to the image of its terminus."""
-    if m.domain != domain or m.codomain != codomain:
-        return False
-    origin, terminus = codomain.origin, codomain.terminus
-    vm = m.vertex_map
-    try:
-        for e, o, t in domain.edge_data:
-            img = m.dart_image(e)
-            if not img or ([vm[o]] + list(map(terminus, img))
-                           != list(map(origin, img)) + [vm[t]]):
-                return False
-    except KeyError:
-        return False
-    return True
-
-
 def verify_package(pkg):
     """Re-derive every property the promotion claims.
 
     Maps are compared with unreduced substitution, so bit for bit, and
-    composed only once they are paths between the right graphs.  The
-    transfer P = fbar^m H, m = K // 2, is certified without building it,
-    from these premises: f and fbar are valid graph maps, fbar and H path
-    maps into the immersed core, p the core's labeling with f p = p fbar,
-    and p H = f^m, built only once H's image lengths are f^m's.  Then
-    p P = f^m p H = f^K by associativity, and P p against fbar^K, like P f
-    against fbar P, are lifts of one ambient map through the immersion,
-    equal exactly when their vertex maps agree (Stallings 1983).  A check
-    whose premise fails fails, and so do the premises that need m when
-    the `INTEGER_CONSTANTS` are not all integers.  Growth rates are
-    compared exactly: both transition matrices are irreducible and
-    A_up Pi = Pi A_down, where Pi sends each core edge to its label.
+    composed only once they are valid graph maps between the right
+    graphs.  The transfer P = fbar^m H, m = K // 2, is certified without
+    building it, from these premises: f, fbar and H are valid graph maps,
+    fbar and H into the immersed core, f p = p fbar for the core's
+    labeling p (read off the core, so there is no second copy to
+    compare), and p H = f^m, built only once H's image lengths are f^m's.
+    Then p P = f^m p H = f^K by associativity, and P p against fbar^K,
+    like P f against fbar P, are lifts of one ambient map through the
+    immersion, equal exactly when their vertex maps agree (Stallings
+    1983).  A check whose premise fails fails, and so do the premises
+    that need m when the `INTEGER_CONSTANTS` are not all integers.
+    Growth rates are compared exactly: both transition matrices are
+    irreducible and A_up Pi = Pi A_down, where Pi sends each core edge to
+    its label.
 
     The dynamics transfer from f through p, as in the paper, rather than
     being re-derived on the core.  Train track by projection: f p = p fbar
@@ -336,15 +321,15 @@ def verify_package(pkg):
     # f and fbar valid self-maps of the ambient graph and of the core
     maps_ok = (invalid is None and fbar.domain == graph == fbar.codomain
                and f.domain == f.codomain == ambient and validate(f) is None)
-    commutes = (maps_ok and p == projection_map(core)
-                and compose(f, p) == compose(p, fbar))
+    commutes = maps_ok and compose(f, p) == compose(p, fbar)
     report.record(
         "projection_commutes", commutes,
         "f after p versus p after induced")
     # f^m is built only once H's lengths are f^m's; no level over |H| is read
     lengths = {e: len(H.dart_image(e)) for e in H.domain.edge_ids}
     fits = (integral and maps_ok and core.is_immersion()
-            and _is_path_map(H, ambient, graph)
+            and H.domain == ambient and H.codomain == graph
+            and validate(H) is None
             and _level(f, m, sum(lengths.values())) == lengths)
     # P's vertex map and crossed edges: m pushes of H's through fbar
     power, transfer_vertex, crossed = {v: v for v in graph.vertices}, {}, set()
@@ -385,7 +370,6 @@ def verify_package(pkg):
         integral
         and orbit == (pkg.preperiod, pkg.orbit_period, pkg.transfer_basepoint)
         and periodic == (pkg.periodic_vertex, r)
-        and pkg.basepoint == core.basepoint
         and transfer_vertex.get(pkg.periodic_vertex)
         == pkg.transfer_basepoint
         and K == 2 * k * n * r and k % pkg.orbit_period == 0

@@ -3,7 +3,9 @@
 One fixed schema, deterministic serialization (sorted keys, two-space
 indent, trailing newline), and a content digest over the canonical bytes.
 Paths are their darts joined by spaces, a reversed dart being its edge id
-with a leading "-", so documents stay readable and diffable.
+with a leading "-", so documents stay readable and diffable.  A package
+directory holds the `PACKAGE_FILES`, each fact in one of them: the core's
+document is the only one that carries its labeling and basepoint.
 
 Every file is written in place by :func:`_write_text`: the UTF-8 bytes go
 over the old contents, then the file is cut to their length.  Rewriting a
@@ -33,8 +35,7 @@ from .induced import INTEGER_CONSTANTS, InducedPackage, is_integer
 SCHEMA = 1
 
 PACKAGE_FILES = ("source.json", "core.json", "induced.json",
-                 "projection.json", "half_transfer.json", "constants.json",
-                 "report.json")
+                 "half_transfer.json", "constants.json", "report.json")
 
 
 def canonical_text(obj):
@@ -120,7 +121,6 @@ class InputBundle:
     def __init__(self, kind, graph_map, document):
         self.kind = kind
         self.graph_map = graph_map
-        self.document = document
         self.digest = content_digest(document)
 
 
@@ -164,15 +164,12 @@ def write_package(outdir, pkg, report):
     _write_text(os.path.join(outdir, "source.json"), source_text)
     _write(os.path.join(outdir, "core.json"), labeled_to_obj(pkg.core))
     _write(os.path.join(outdir, "induced.json"), map_to_obj(pkg.induced))
-    _write(os.path.join(outdir, "projection.json"),
-           map_to_obj(pkg.projection))
     _write(os.path.join(outdir, "half_transfer.json"), map_to_obj(pkg.half))
     constants = dict(pkg.constants())
     constants.update({
         "schema": SCHEMA,
         "tool_version": __version__,
         "input_digest": sha256(source_text.encode("utf-8")).hexdigest(),
-        "basepoint": pkg.basepoint,
         "transfer_basepoint": pkg.transfer_basepoint,
     })
     _write(os.path.join(outdir, "constants.json"), constants)
@@ -189,21 +186,21 @@ def load_core(outdir):
 def load_package(outdir):
     """Rebuild a package from its directory; derived pieces are recomputed.
 
+    The core is the one home of its labeling and basepoint, so the
+    projection is read off it and no file stores either again.
     ValueError names the first field of ``constants.json`` that is missing,
     the first of `induced.INTEGER_CONSTANTS` that is not an integer, or a
     periodic vertex that is not a vertex of the source graph, before any
-    is used.
+    is used; then the first of the package's `constants` whose value in
+    the file differs from the rebuilt package's, type included.
     """
     f, core = load_core(outdir)
     induced = map_from_obj(_read(os.path.join(outdir, "induced.json")),
                            core.graph)
-    projection = map_from_obj(_read(os.path.join(outdir, "projection.json")),
-                              core.graph, f.domain)
     half = map_from_obj(_read(os.path.join(outdir, "half_transfer.json")),
                         f.domain, core.graph)
     c = _read(os.path.join(outdir, "constants.json"))
-    for name in INTEGER_CONSTANTS + ("periodic_vertex", "basepoint",
-                                     "transfer_basepoint"):
+    for name in INTEGER_CONSTANTS + ("periodic_vertex", "transfer_basepoint"):
         if name not in c:
             raise ValueError("constants.json: %s is missing" % name)
     for name in INTEGER_CONSTANTS:
@@ -213,15 +210,21 @@ def load_package(outdir):
     if c["periodic_vertex"] not in f.domain.vertices:
         raise ValueError("constants.json: periodic_vertex %r is not a vertex"
                          % (c["periodic_vertex"],))
-    return InducedPackage(
-        source=f, core=core, induced=induced, projection=projection,
-        half=half, periodic_vertex=c["periodic_vertex"],
+    pkg = InducedPackage(
+        source=f, core=core, induced=induced, half=half,
+        periodic_vertex=c["periodic_vertex"],
         period=c["period"], exponent=c["exponent"],
         preperiod=c["preperiod"], orbit_period=c["orbit_period"],
         multiplier=c["multiplier"], constant=c["constant"],
-        basepoint=c["basepoint"],
         transfer_basepoint=c["transfer_basepoint"],
         chain=image_chain(f, c["periodic_vertex"], c["period"]))
+    for name, value in pkg.constants().items():
+        if name not in c:
+            raise ValueError("constants.json: %s is missing" % name)
+        if type(c[name]) is not type(value) or c[name] != value:
+            raise ValueError("constants.json: %s %r does not match the "
+                             "package (%r)" % (name, c[name], value))
+    return pkg
 
 
 def report_to_obj(report):

@@ -106,6 +106,16 @@ class TestAnalyze:
         assert capsys.readouterr().err == (
             "error: edge id must be a nonempty string, got 1\n")
 
+    def test_non_string_vertex_id_is_input_error(self, capsys, tmp_path):
+        # a mixed vertex list is rejected by id, not by failing to sort
+        doc = json.loads((FIXTURES / "sigma.json").read_text())
+        doc["graph"]["vertices"] = ["v", 1]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: vertex id must be a nonempty string, got 1\n")
+
     def test_unknown_dart_is_named_as_written(self, capsys, tmp_path):
         doc = json.loads((FIXTURES / "sigma.json").read_text())
         doc["map"]["edges"]["a"] = "a -z"

@@ -54,6 +54,14 @@ class TestSerreGraph:
         assert str(err.value) == (
             "edge id must be a nonempty string, got %r" % (edge_id,))
 
+    @pytest.mark.parametrize("vertex_id", [None, 1, 1.5])
+    def test_rejects_non_string_vertex_id(self, vertex_id):
+        # checked as given, before the ids are sorted
+        with pytest.raises(ValueError) as err:
+            SerreGraph(["a", vertex_id], [("b", "a", "a")])
+        assert str(err.value) == (
+            "vertex id must be a nonempty string, got %r" % (vertex_id,))
+
     def test_rose(self):
         g = rose(["a", "b"])
         assert g.vertices == ("v",)

@@ -546,12 +546,11 @@ class TestVerifyPackage:
                  ("orbit_period", pkg.orbit_period + 1)]
         for field, vertices in (
                 ("transfer_basepoint", pkg.core.graph.vertices),
-                ("basepoint", pkg.core.graph.vertices),
                 ("periodic_vertex", pkg.source.domain.vertices)):
             edits += [(field, w) for w in vertices
                       if w != getattr(pkg, field)][:1]
         assert {field for field, _ in edits} >= {
-            "preperiod", "orbit_period", "transfer_basepoint", "basepoint"}
+            "preperiod", "orbit_period", "transfer_basepoint"}
         for field, value in edits:
             report = verify_package(
                 dataclasses.replace(pkg, **{field: value}))
@@ -640,7 +639,7 @@ class TestVerifyPackage:
 
     @pytest.mark.parametrize("pair", [("sigma", "fib"), ("_ring2", "_ring3")])
     @pytest.mark.parametrize("field",
-                             ["core", "induced", "projection", "half"])
+                             ["core", "induced", "half"])
     def test_mixed_packages_are_reported(self, lifting_packages, pair,
                                          field):
         # maps of another package are not composed, so nothing raises
@@ -725,9 +724,9 @@ class TestVerifyPackage:
         assert report.checks["induced_pi1_injective"][0] is False
 
     # Swapping the labels a and b of sigma's core keeps its graph and rank
-    # but folds <b a> instead of the stable image <a b>; the package's
-    # projection is then no longer the core's labeling, which the three
-    # transfer identities also take as a premise.
+    # but folds <b a> instead of the stable image <a b>; the projection,
+    # read off the core, then no longer commutes f with the induced map,
+    # which the three transfer identities also take as a premise.
     SWAP = {"a": "b", "b": "a"}
     RELABELED_FAILURES = [
         "projection_commutes", "transfer_covers_power",
@@ -757,31 +756,20 @@ class TestVerifyPackage:
         report = verify_package(load_package(tmp_path))
         assert report.failures() == self.RELABELED_FAILURES
 
-    # 15 of the 54 single-vertex edits of pre1_r2's projection, moving w1
-    # to v2 among them, used to pass all 15 checks, though the edited p is
-    # not even a graph map.
-    def test_moved_projection_vertex_is_caught(self, packages):
-        pkg = packages["pre1_r2"]
-        p = pkg.projection
-        edits = [(v, w) for v in p.domain.vertices
-                 for w in p.codomain.vertices if w != p.vertex_map[v]]
-        for v, w in edits:
-            bad = dataclasses.replace(
-                pkg, projection=_edited(p, vertex=(v, w)))
-            report = verify_package(bad)
-            assert "projection_commutes" in report.failures(), (v, w)
-
     def test_moved_projection_vertex_file_is_caught(self, packages,
                                                     tmp_path):
+        # the projection is read off the core, so moving w1 to v2 is an
+        # edit of core.json, and the labeling then breaks incidence
         pkg = packages["pre1_r2"]
         write_package(tmp_path, pkg, verify_package(pkg))
-        path = tmp_path / "projection.json"
+        path = tmp_path / "core.json"
         obj = json.loads(path.read_text())
-        assert obj["vertices"]["w1"] != "v2"
-        obj["vertices"]["w1"] = "v2"
+        assert obj["vertex_images"]["w1"] != "v2"
+        obj["vertex_images"]["w1"] = "v2"
         path.write_text(json.dumps(obj))
-        report = verify_package(load_package(tmp_path))
-        assert "projection_commutes" in report.failures()
+        with pytest.raises(ValueError) as err:
+            load_package(tmp_path)
+        assert str(err.value) == "labeling of 'e0' breaks incidence"
 
     def test_report_records_named_checks(self, packages):
         report = verify_package(packages["fib"])

@@ -95,8 +95,7 @@ class TestPackageFiles:
             report = verify_package(pkg)
             outdir = tmp_path / name
             write_package(outdir, pkg, report)
-            for piece in PACKAGE_FILES:
-                assert (outdir / piece).exists()
+            assert sorted(os.listdir(outdir)) == sorted(PACKAGE_FILES)
             loaded = load_package(outdir)
             assert loaded.source == pkg.source
             assert loaded.core == pkg.core
@@ -105,6 +104,74 @@ class TestPackageFiles:
             assert loaded.transfer == pkg.transfer
             assert loaded.constants() == pkg.constants()
             assert verify_package(loaded).ok
+
+    def test_rewrite_of_loaded_package_is_byte_identical(
+            self, tmp_path, sigma, cyc2, stab2, pre1_r3):
+        # a fact dropped between write and load would change a file
+        for name, f in (("sigma", sigma), ("cyc2", cyc2), ("stab2", stab2),
+                        ("pre1_r3", pre1_r3)):
+            pkg = build_induced(f)
+            first, again = tmp_path / name, tmp_path / (name + "_again")
+            write_package(first, pkg, verify_package(pkg))
+            loaded = load_package(first)
+            write_package(again, loaded, verify_package(loaded))
+            for piece in PACKAGE_FILES:
+                assert (first / piece).read_bytes() \
+                    == (again / piece).read_bytes(), (name, piece)
+
+    @pytest.mark.parametrize("name", [
+        "periodic_vertex", "period", "exponent", "preperiod",
+        "orbit_period", "multiplier", "constant", "core_rank", "core_edges",
+        "stabilization"])
+    def test_edited_constant_is_never_silently_kept(self, tmp_path, cyc2,
+                                                    name):
+        # a value load rebuilds must match the file; a value it reads
+        # into the package makes a package that verify rejects
+        pkg = build_induced(cyc2)
+        write_package(tmp_path, pkg, verify_package(pkg))
+        value = pkg.constants()[name]
+        if name == "periodic_vertex":
+            edited = next(v for v in cyc2.domain.vertices if v != value)
+        elif name == "period":
+            # a multiple keeps the vertex periodic, so the chain builds
+            edited = 2 * value
+        else:
+            edited = value + 7
+        self._edit_constants(tmp_path, **{name: edited})
+        if name in ("core_rank", "core_edges", "stabilization"):
+            with pytest.raises(ValueError) as err:
+                load_package(tmp_path)
+            assert str(err.value) == (
+                "constants.json: %s %r does not match the package (%r)"
+                % (name, edited, value))
+        else:
+            loaded = load_package(tmp_path)
+            assert loaded.constants()[name] == edited
+            assert not verify_package(loaded).ok
+
+    @pytest.mark.parametrize("name", ["core_rank", "stabilization"])
+    def test_constant_of_another_type_is_rejected(self, tmp_path, sigma,
+                                                  name):
+        # 1.0 and true equal 1, so the type tells them apart
+        pkg = build_induced(sigma)
+        write_package(tmp_path, pkg, verify_package(pkg))
+        for edited in (1.0, True):
+            self._edit_constants(tmp_path, **{name: edited})
+            with pytest.raises(ValueError,
+                               match="constants.json: %s .* does not match"
+                               % name):
+                load_package(tmp_path)
+
+    def test_constant_load_rebuilds_must_be_present(self, tmp_path, sigma):
+        pkg = build_induced(sigma)
+        write_package(tmp_path, pkg, verify_package(pkg))
+        path = tmp_path / "constants.json"
+        doc = json.loads(path.read_text())
+        del doc["core_edges"]
+        path.write_text(canonical_text(doc))
+        with pytest.raises(ValueError,
+                           match="constants.json: core_edges is missing"):
+            load_package(tmp_path)
 
     @staticmethod
     def _edit_constants(outdir, **changes):

@@ -23,6 +23,7 @@ README shows.
 
 import ast
 import contextlib
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -600,6 +601,29 @@ def test_transfer_is_derived_on_demand():
                                              "transfer"), cached_property)
     assert "half_transfer.json" in PACKAGE_FILES
     assert "transfer.json" not in PACKAGE_FILES
+
+
+def test_package_stores_each_fact_once():
+    """The core is the one home of its labeling and basepoint.
+
+    The projection is read off the core, as the transfer is read off the
+    half lift, so no field, file or verify comparison holds a second copy;
+    every stored map is checked by the one graph-map validator.
+    """
+    fields = {f.name for f in dataclasses.fields(induced.InducedPackage)}
+    assert fields & {"projection", "basepoint"} == set()
+    for name in ("projection", "transfer"):
+        assert isinstance(inspect.getattr_static(induced.InducedPackage,
+                                                 name), cached_property)
+    assert "projection.json" not in PACKAGE_FILES
+    assert [module for module, source in PACKAGE_SOURCES.items()
+            if function_sites(source, "_is_path_map")[0]] == []
+    verify = ast.parse(inspect.getsource(induced.verify_package))
+    validated = {arg.id for node in ast.walk(verify)
+                 if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", None) == "validate"
+                 for arg in node.args if isinstance(arg, ast.Name)}
+    assert "H" in validated
 
 
 VERIFY_CHECKS = {
