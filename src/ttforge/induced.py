@@ -138,6 +138,13 @@ class InducedPackage:
         return compose(self.induced.power(self.constant // 2), self.half)
 
 
+def vertex_power(f, v, j):
+    """Where j steps of f's vertex map take the vertex v."""
+    for _ in range(j):
+        v = f.vertex_map[v]
+    return v
+
+
 def basepoint_orbit(fbar, base, r):
     """The orbit of ``base`` under the r-th power of the lift fbar.
 
@@ -150,8 +157,7 @@ def basepoint_orbit(fbar, base, r):
     cur = base
     while cur not in step:
         step[cur] = len(step)
-        for _ in range(r):
-            cur = fbar.vertex_map[cur]
+        cur = vertex_power(fbar, cur, r)
     preperiod = step[cur]
     orbit_period = len(step) - preperiod
     landing = list(step)[preperiod + -preperiod % orbit_period]
@@ -165,10 +171,7 @@ def smallest_multiple_reaching(step, floor):
     any multiple of q at least max(s, 1) lands the iterate count inside the
     cycle, which is what makes the transfer map close up.
     """
-    k = step
-    while k < floor:
-        k += step
-    return k
+    return max(-(-floor // step), 1) * step
 
 
 def projection_map(core):
@@ -191,15 +194,17 @@ def _level(f, j, bound):
 def build_induced(f, size_budget=None):
     """Run the whole promotion and return the package.
 
-    The input must be a valid expanding irreducible train track map; else
-    ValueError names the first admission check it fails (see
-    `traintrack.certification_failure`).  A ``size_budget`` caps the total
+    The input must be a valid expanding irreducible train track map on a
+    connected graph; else ValueError names the first admission check it
+    fails (see `traintrack.certification_failure`) or the graph.  A ``size_budget`` caps the total
     symbol count of the transfer map's edge images (its length grows like
     the growth rate to the power 2knr).
     """
     failure = certification_failure(f)
     if failure is not None:
         raise ValueError(failure[1])
+    if not f.domain.is_connected():
+        raise ValueError("graph is not connected")
 
     v, r = find_periodic_vertex(f)
     chain = image_chain(f, v, r)
@@ -288,14 +293,18 @@ def verify_package(pkg):
     fbar and H into the immersed core, f p = p fbar for the core's
     labeling p (read off the core, so there is no second copy to
     compare), and p H = f^m, built only once H's image lengths are f^m's.
-    Then p P = f^m p H = f^K by associativity, and P p against fbar^K,
-    like P f against fbar P, are lifts of one ambient map through the
-    immersion, equal exactly when their vertex maps agree (Stallings
-    1983).  A check whose premise fails fails, and so do the premises
-    that need m when the `INTEGER_CONSTANTS` are not all integers.
-    Growth rates are compared exactly: both transition matrices are
-    irreducible and A_up Pi = Pi A_down, where Pi sends each core edge to
-    its label.
+    Then p P = f^m p H = f^K by associativity, so P p and fbar^K lift
+    f^K p, and P f and fbar P lift f^(K+1).  In the immersed core a dart
+    sequence is fixed by its first vertex and its projection, unreduced
+    (Stallings 1983): maps into it whose projections agree dart for dart
+    are equal once they agree at one vertex of a connected domain, each
+    dart's image being the one lift of one path from one vertex, termini
+    included.  So each comparison reads the core's basepoint w or p(w),
+    failing by its premise on a disconnected graph.  A check whose premise
+    fails fails, and so do the premises that need m when the
+    `INTEGER_CONSTANTS` are not all integers.  Growth rates are compared
+    exactly: both transition matrices are irreducible and
+    A_up Pi = Pi A_down, where Pi sends each core edge to its label.
 
     The dynamics transfer from f through p, as in the paper, rather than
     being re-derived on the core.  Train track by projection: f p = p fbar
@@ -331,33 +340,31 @@ def verify_package(pkg):
             and H.domain == ambient and H.codomain == graph
             and validate(H) is None
             and _level(f, m, sum(lengths.values())) == lengths)
-    # P's vertex map and crossed edges: m pushes of H's through fbar
-    power, transfer_vertex, crossed = {v: v for v in graph.vertices}, {}, set()
+    # the edges P crosses: m pushes of H's through fbar
+    crossed = set()
     if fits:
         hit = {e: set(map(edge_of, fbar.dart_image(e)))
                for e in graph.edge_ids}
         crossed = set(map(edge_of, chain.from_iterable(
             map(H.dart_image, ambient.edge_ids))))
         for _ in range(m):
-            power = {v: fbar.vertex_map[w] for v, w in power.items()}
             crossed = set().union(*map(hit.__getitem__, crossed))
-        transfer_vertex = {x: power[H.vertex_map[x]]
-                           for x in ambient.vertices}
     lifts = fits and commutes and compose(p, H) == f.power(m)
+    w, x = core.basepoint, p.vertex_map[core.basepoint]  # x below w
     report.record(
         "transfer_covers_power", lifts and K % 2 == 0,
         "p after transfer versus f^%s" % (K,))
     report.record(
         "transfer_after_projection",
-        lifts and K % 2 == 0
-        and all(transfer_vertex[p.vertex_map[v]] == power[power[v]]
-                for v in graph.vertices),
+        lifts and K % 2 == 0 and graph.is_connected()
+        and vertex_power(fbar, H.vertex_map[x], m)
+        == vertex_power(fbar, w, K),
         "transfer after p versus induced^%s" % (K,))
     report.record(
         "equivariance",
-        lifts and all(transfer_vertex[f.vertex_map[x]]
-                      == fbar.vertex_map[transfer_vertex[x]]
-                      for x in ambient.vertices),
+        lifts and ambient.is_connected()
+        and vertex_power(fbar, H.vertex_map[f.vertex_map[x]], m)
+        == vertex_power(fbar, H.vertex_map[x], m + 1),
         "transfer after f versus induced after transfer")
 
     k, n, r = pkg.multiplier, pkg.exponent, pkg.period
@@ -370,7 +377,7 @@ def verify_package(pkg):
         integral
         and orbit == (pkg.preperiod, pkg.orbit_period, pkg.transfer_basepoint)
         and periodic == (pkg.periodic_vertex, r)
-        and transfer_vertex.get(pkg.periodic_vertex)
+        and fits and vertex_power(fbar, H.vertex_map[periodic[0]], m)
         == pkg.transfer_basepoint
         and K == 2 * k * n * r and k % pkg.orbit_period == 0
         and k >= max(pkg.preperiod, 1) and n >= 1,

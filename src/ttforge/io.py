@@ -88,15 +88,30 @@ def map_to_obj(f):
 
 
 def map_from_obj(obj, domain, codomain=None):
-    """The graph map of a map object; `GraphMap` parses the path strings."""
+    """The graph map of a map object; `GraphMap` parses the path strings.
+
+    ValueError names the least vertex key, then the least edge key, that
+    is not in the domain, then the least domain edge with no image.
+    """
     codomain = domain if codomain is None else codomain
-    images = obj["edges"]
+    vertices, images = obj["vertices"], obj["edges"]
+    if not isinstance(vertices, dict):
+        raise ValueError("map vertices must be an object of vertex ids")
     if not isinstance(images, dict):
         raise ValueError("map edges must be an object of path strings")
+    for kind, keys, known in (("vertex", vertices, domain.vertices),
+                              ("edge", images, domain.edge_ids)):
+        extra = set(keys) - set(known)
+        if extra:
+            raise ValueError("map %s %r is not in the graph"
+                             % (kind, min(extra)))
+    missing = set(domain.edge_ids) - set(images)
+    if missing:
+        raise ValueError("map has no image for edge %r" % (min(missing),))
     for e, word in images.items():
         if not isinstance(word, str):
             raise ValueError("image of edge %r is not a path string" % (e,))
-    return GraphMap(domain, codomain, dict(obj["vertices"]), images)
+    return GraphMap(domain, codomain, vertices, images)
 
 
 def labeled_to_obj(lab):
@@ -130,22 +145,53 @@ def input_to_obj(f):
             "map": map_to_obj(f)}
 
 
+def _endomorphism_payload(payload):
+    """The generators and images of an endomorphism payload, checked.
+
+    The generators must be a list of names and the image keys exactly
+    those names; ValueError names the first extra key, in sorted order,
+    else the first generator with no image.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError("endomorphism payload must be an object")
+    generators, images = payload.get("generators"), payload.get("images")
+    if not (isinstance(generators, list)
+            and all(isinstance(g, str) for g in generators)):
+        raise ValueError("endomorphism generators must be a list of names")
+    if not isinstance(images, dict):
+        raise ValueError("endomorphism images must be an object")
+    extra = set(images) - set(generators)
+    if extra:
+        raise ValueError("endomorphism image for %r, which is not a "
+                         "generator" % (min(extra),))
+    missing = [g for g in generators if g not in images]
+    if missing:
+        raise ValueError("endomorphism has no image for generator %r"
+                         % (missing[0],))
+    return generators, images
+
+
 def load_input(obj):
     """Parse an input document: a graph with a self-map, or an endomorphism.
 
     Endomorphism payloads ({"generators": [...], "images": {...}}) are
     realized on a rose, so every command can treat the input as a map.
+    ValueError rejects a graph with no vertices, and map or image keys
+    that are not exactly the graph's or the generators (see
+    `map_from_obj` and `_endomorphism_payload`).
     """
     if not isinstance(obj, dict):
         raise ValueError("input document must be a JSON object")
     if "endomorphism" in obj:
-        payload = obj["endomorphism"]
-        f = endomorphism_on_rose(payload["generators"], payload["images"])
+        generators, images = _endomorphism_payload(obj["endomorphism"])
+        f = endomorphism_on_rose(generators, images)
         return InputBundle("endomorphism", f, obj)
     if "graph" not in obj or "map" not in obj:
         raise ValueError("input document needs 'graph' and 'map' "
                          "(or an 'endomorphism' payload)")
     graph = graph_from_obj(obj["graph"])
+    if not graph.vertices:
+        raise ValueError("graph has no vertices")
     f = map_from_obj(obj["map"], graph)
     return InputBundle("map", f, obj)
 

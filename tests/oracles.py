@@ -656,6 +656,12 @@ def transfer_after_projection_oracle(pkg):
         == pkg.induced.power(pkg.constant)
 
 
+def equivariance_oracle(pkg):
+    """P after f against fbar after P, both built in full and compared."""
+    return compose(pkg.transfer, pkg.source) \
+        == compose(pkg.induced, pkg.transfer)
+
+
 def lifting_premises_oracle(pkg):
     """Whether the premises of the vertex-map decision hold, read on maps
     built in full: f, fbar and H valid graph maps between the right graphs,

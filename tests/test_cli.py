@@ -143,6 +143,57 @@ class TestAnalyze:
         assert renamed["\u00e9"] == renamed["c"]
 
 
+class TestMalformedDocuments:
+    """Documents every command refuses with exit 1, writing nothing."""
+
+    @staticmethod
+    def _refused(capsys, tmp_path, command, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, str(path)]
+        if command in ("induce", "export-dot"):
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: %s\n" % message
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [
+        "analyze", "quotient", "induce", "suspend", "export-dot"])
+    def test_graph_with_no_vertices(self, capsys, tmp_path, command):
+        doc = {"schema": 1, "graph": {"vertices": [], "edges": []},
+               "map": {"vertices": {}, "edges": {}}}
+        self._refused(capsys, tmp_path, command, doc,
+                      "graph has no vertices")
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc["map"]["edges"].update(zz="a"),
+         "map edge 'zz' is not in the graph"),
+        (lambda doc: doc["map"]["vertices"].update(zz="v"),
+         "map vertex 'zz' is not in the graph"),
+        (lambda doc: doc["map"]["edges"].pop("b"),
+         "map has no image for edge 'b'"),
+    ], ids=["extra-edge", "extra-vertex", "missing-edge"])
+    def test_map_keys_must_match_the_graph(self, capsys, tmp_path, edit,
+                                           message):
+        doc = json.loads((FIXTURES / "sigma.json").read_text())
+        edit(doc)
+        self._refused(capsys, tmp_path, "induce", doc, message)
+
+    @pytest.mark.parametrize("payload,message", [
+        ({"generators": ["x", "y"], "images": {"x": "x y", "y": "x",
+                                               "z": "x"}},
+         "endomorphism image for 'z', which is not a generator"),
+        ({"generators": ["x", "y"], "images": {"x": "x y"}},
+         "endomorphism has no image for generator 'y'"),
+        ({"generators": "xy", "images": {"x": "x y", "y": "x"}},
+         "endomorphism generators must be a list of names"),
+    ], ids=["extra", "missing", "string"])
+    def test_endomorphism_images_match_the_generators(
+            self, capsys, tmp_path, payload, message):
+        self._refused(capsys, tmp_path, "induce", {"endomorphism": payload},
+                      message)
+
+
 class TestQuotient:
     def test_collapsing_substitution(self, capsys):
         code, doc, _ = run_json(capsys, ["quotient", fixture("sigma.json")])
@@ -191,6 +242,16 @@ class TestQuotient:
         path.write_text(json.dumps(doc))
         assert main(["quotient", str(path)]) == 1
         assert "graph is not connected" in capsys.readouterr().err
+        # the roses swapped: a certified map, refused before the lift
+        doc["map"] = {"vertices": {"u": "v", "v": "u"},
+                      "edges": {"a": "c d", "b": "c", "c": "a b", "d": "a"}}
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "pkg"
+        for argv in (["induce", str(path), "--out", str(out)],
+                     ["suspend", str(path), "--check", "pair"]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == "error: graph is not connected\n"
+        assert not out.exists()
 
 
 class TestInduce:

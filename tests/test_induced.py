@@ -42,8 +42,8 @@ from ttforge.induced import (
 from ttforge.io import load_package, write_package
 
 from oracles import (
-    core_oracle, image_chain_oracle, lifting_premises_oracle,
-    orbit_chains_oracle, orbit_exponents_oracle,
+    core_oracle, equivariance_oracle, image_chain_oracle,
+    lifting_premises_oracle, orbit_chains_oracle, orbit_exponents_oracle,
     transfer_after_projection_oracle,
 )
 
@@ -887,14 +887,56 @@ def lifting_packages(packages):
     return pkgs
 
 
+def _disjoint_union(pkg):
+    """The package beside a primed copy of itself, maps taken componentwise.
+
+    Every lifting premise holds on it and both transfer identities hold
+    when built in full, but neither graph is connected.
+    """
+    def prime(path):
+        return tuple(d + "'" for d in path)
+
+    def union(graph):
+        return SerreGraph(
+            list(graph.vertices) + [v + "'" for v in graph.vertices],
+            list(graph.edge_data) + [prime(row) for row in graph.edge_data])
+
+    def doubled(m, domain, codomain):
+        vertex_map = dict(m.vertex_map)
+        vertex_map.update((v + "'", w + "'") for v, w in m.vertex_map.items())
+        images = {e: m.dart_image(e) for e in m.domain.edge_ids}
+        images.update((e + "'", prime(m.dart_image(e)))
+                      for e in m.domain.edge_ids)
+        return GraphMap(domain, codomain, vertex_map, images)
+
+    core = pkg.core
+    ambient, graph = union(core.ambient), union(core.graph)
+    labels = dict(core.edge_label)
+    labels.update((e + "'", a + "'") for e, a in core.edge_label.items())
+    images = dict(core.vertex_image)
+    images.update((v + "'", w + "'") for v, w in core.vertex_image.items())
+    return dataclasses.replace(
+        pkg, source=doubled(pkg.source, ambient, ambient),
+        core=SubgroupGraph(graph, ambient, labels, images, core.basepoint),
+        induced=doubled(pkg.induced, graph, graph),
+        half=doubled(pkg.half, ambient, graph))
+
+
+TRANSFER_IDENTITIES = [
+    ("transfer_after_projection", transfer_after_projection_oracle),
+    ("equivariance", equivariance_oracle),
+]
+
+
 class TestTransferAfterProjection:
-    """The vertex-map decision against the maps built in full."""
+    """The one-vertex decisions against the maps built in full."""
 
     def test_matches_materialized_comparison(self, lifting_packages,
                                              monkeypatch):
-        # where the lifting premises hold, the vertex maps decide exactly
-        # as the built maps do; where one fails, the package is rejected;
-        # either way verify builds no map much larger than H and fbar
+        # where the lifting premises hold, one vertex decides each identity
+        # exactly as the built maps do; where one fails, the package is
+        # rejected; either way verify builds no map much larger than H and
+        # fbar
         symbols = counting_composes(monkeypatch)
         outcomes = {}
         for pkg in lifting_packages.values():
@@ -903,19 +945,39 @@ class TestTransferAfterProjection:
                 report = verify_package(bad)
                 stored = image_symbols(bad.half) + image_symbols(bad.induced)
                 assert sum(symbols) < 10 * stored
-                got = report.checks["transfer_after_projection"][0]
                 held = lifting_premises_oracle(bad)
-                if held:
-                    assert got == transfer_after_projection_oracle(bad)
-                else:
-                    assert not got and not report.ok
-                outcomes.setdefault((held, got), []).append(bad is pkg)
+                for check, oracle in TRANSFER_IDENTITIES:
+                    got = report.checks[check][0]
+                    if held:
+                        assert got == oracle(bad), check
+                    else:
+                        assert not got and not report.ok, check
+                    outcomes.setdefault((check, held, got), []).append(
+                        bad is pkg)
         # every built package is accepted, and a failed premise rejects;
         # no variant here keeps the premises but moves a vertex map, as a
         # retraced H does not once f̄^m is applied after it
-        assert outcomes[True, True].count(True) == len(lifting_packages)
-        assert outcomes[False, False] and set(outcomes) <= {
-            (True, True), (False, False)}
+        for check, _ in TRANSFER_IDENTITIES:
+            assert outcomes[check, True, True].count(True) == len(
+                lifting_packages)
+            assert outcomes[check, False, False]
+        assert {key[1:] for key in outcomes} <= {(True, True), (False, False)}
+
+    @pytest.mark.parametrize("name", ["sigma", "cyc2", "pre1_r3"])
+    def test_disconnected_package_fails_by_premise(self, lifting_packages,
+                                                   name):
+        # one vertex decides only on a connected graph: the union keeps
+        # every other premise and both identities, yet fails both checks
+        pkg = _disjoint_union(lifting_packages[name])
+        assert not pkg.core.graph.is_connected()
+        assert not pkg.core.ambient.is_connected()
+        assert lifting_premises_oracle(pkg)
+        report = verify_package(pkg)
+        for check, oracle in TRANSFER_IDENTITIES:
+            assert oracle(pkg)
+            assert report.checks[check][0] is False, check
+        assert report.checks["transfer_covers_power"][0] is True
+        assert not report.ok
 
 
 def test_no_tampered_package_passes(lifting_packages, corpus100):

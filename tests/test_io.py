@@ -84,6 +84,51 @@ class TestInputDocuments:
         with pytest.raises(ValueError, match="graph"):
             load_input({"map": {}})
 
+    def test_rejects_a_graph_with_no_vertices(self):
+        doc = {"graph": {"vertices": [], "edges": []},
+               "map": {"vertices": {}, "edges": {}}}
+        with pytest.raises(ValueError, match="^graph has no vertices$"):
+            load_input(doc)
+
+    @pytest.mark.parametrize("vertices,edges,message", [
+        ({"v": "v", "u": "v", "t": "v"}, {"a": "a b", "b": "a"},
+         "map vertex 't' is not in the graph"),
+        ({"v": "v"}, {"a": "a b", "b": "a", "z": "a", "c": "b"},
+         "map edge 'c' is not in the graph"),
+        ({"v": "v", "u": "v"}, {"a": "a b", "z": "a"},
+         "map vertex 'u' is not in the graph"),
+        ({"v": "v"}, {"z": "a"}, "map edge 'z' is not in the graph"),
+        ({"v": "v"}, {}, "map has no image for edge 'a'"),
+        ({"v": "v"}, {"b": "a"}, "map has no image for edge 'a'"),
+        (["v"], {"a": "a b", "b": "a"}, "map vertices must be an object"),
+    ], ids=["vertex-sorted", "edge-sorted", "vertex-first",
+            "extra-before-missing", "missing", "missing-one", "vertex-list"])
+    def test_map_keys_are_the_domain(self, vertices, edges, message):
+        # extra keys in sorted order, vertices first, then a missing edge
+        with pytest.raises(ValueError, match="^%s" % message):
+            map_from_obj({"vertices": vertices, "edges": edges}, ROSE2)
+
+    @pytest.mark.parametrize("payload,message", [
+        ({"generators": ["x", "y"], "images": {"x": "x", "y": "y",
+                                               "w": "x", "z": "y"}},
+         "endomorphism image for 'w', which is not a generator"),
+        ({"generators": ["x", "y", "z"], "images": {"x": "x y"}},
+         "endomorphism has no image for generator 'y'"),
+        ({"generators": "xy", "images": {"x": "x y", "y": "x"}},
+         "endomorphism generators must be a list of names"),
+        ({"generators": ["x", 1], "images": {"x": "x"}},
+         "endomorphism generators must be a list of names"),
+        ({"generators": ["x"], "images": ["x"]},
+         "endomorphism images must be an object"),
+        ({"images": {"x": "x"}},
+         "endomorphism generators must be a list of names"),
+        (["x"], "endomorphism payload must be an object"),
+    ], ids=["extra", "missing", "string", "non-string", "image-list",
+            "no-generators", "payload-list"])
+    def test_endomorphism_images_are_the_generators(self, payload, message):
+        with pytest.raises(ValueError, match="^%s$" % message):
+            load_input({"endomorphism": payload})
+
 
 class TestPackageFiles:
     def test_write_and_load_round_trip(self, tmp_path, sigma, cyc2, stab2,

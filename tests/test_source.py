@@ -626,6 +626,39 @@ def test_package_stores_each_fact_once():
     assert "H" in validated
 
 
+def vertex_scans(source):
+    """The iterables of every comprehension over a ``.vertices`` attribute."""
+    return sorted(ast.unparse(node.iter) for node in ast.walk(
+        ast.parse(source)) if isinstance(node, ast.comprehension)
+        and isinstance(node.iter, ast.Attribute)
+        and node.iter.attr == "vertices")
+
+
+def test_detects_vertex_scans():
+    source = ("a = {v: f(v) for v in graph.vertices}\n"
+              "b = all(p(x) for x in core.ambient.vertices)\n"
+              "c = [e for e in graph.edge_ids]\n")
+    assert vertex_scans(source) == ["core.ambient.vertices",
+                                    "graph.vertices"]
+
+
+def test_transfer_identities_read_one_vertex():
+    """Verify decides P p = fbar^K and P f = fbar P at one vertex.
+
+    Lifts through the immersed core that agree at one vertex of a connected
+    graph agree everywhere, so verify builds no vertex table of P or of
+    fbar^m and scans no vertex set, and it checks that both graphs are
+    connected.
+    """
+    source = inspect.getsource(induced.verify_package)
+    assert vertex_scans(source) == []
+    connected = {ast.unparse(node.func.value)
+                 for node in ast.walk(ast.parse(source))
+                 if isinstance(node, ast.Call)
+                 and getattr(node.func, "attr", None) == "is_connected"}
+    assert connected == {"graph", "ambient"}
+
+
 VERIFY_CHECKS = {
     "projection_commutes", "transfer_covers_power",
     "transfer_after_projection", "equivariance", "constant_consistent",
