@@ -1,5 +1,8 @@
 """Build, verify, and save promotion packages for the reference maps.
 
+The maps are the benchmark's `reference_maps()` from
+``perfbench/workloads.py``, which this script only reads.
+
 Writes one package directory per map under the output directory and prints
 a table of the promotion constants next to the growth rates upstairs and
 downstairs.  Exits nonzero if any verification report comes back bad.
@@ -9,47 +12,14 @@ import argparse
 import os
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
-from ttforge.graphs import GraphMap, SerreGraph, rose
 from ttforge.induced import build_induced, verify_package
 from ttforge.io import write_package
 from ttforge.traintrack import pf_eigenvalue, transition_matrix
-
-
-def rose_map(labels, images):
-    g = rose(labels)
-    return GraphMap(g, g, {"v": "v"}, images)
-
-
-def reference_maps():
-    cyc2 = SerreGraph(["u", "w"], [("c1", "u", "w"), ("c2", "w", "u")])
-    pre2 = SerreGraph(["v0", "v1", "v2"],
-                      [("e0", "v0", "v1"), ("e1", "v2", "v1"),
-                       ("e2", "v0", "v2")])
-    pre3 = SerreGraph(["v0", "v1", "v2"],
-                      [("e0", "v0", "v1"), ("e1", "v2", "v0"),
-                       ("e2", "v2", "v1")])
-    return {
-        "sigma": rose_map(["a", "b"], {"a": "a b", "b": "a b"}),
-        "fib": rose_map(["a", "b"], {"a": "b", "b": "a b"}),
-        "cyc2": GraphMap(cyc2, cyc2, {"u": "w", "w": "u"},
-                         {"c1": "c2", "c2": "c1 c2 c1"}),
-        "stab2": rose_map(["e0", "e1", "e2", "e3", "e4"], {
-            "e0": "-e1 -e3", "e1": "e2", "e2": "e0 -e2 -e2 e4",
-            "e3": "e2", "e4": "-e3"}),
-        "stab3": rose_map(["e0", "e1", "e2", "e3", "e4"], {
-            "e0": "e1 e3", "e1": "e4", "e2": "-e4", "e3": "-e0",
-            "e4": "-e3 e2"}),
-        "pre1_r2": GraphMap(pre2, pre2,
-                            {"v0": "v2", "v1": "v0", "v2": "v0"}, {
-                                "e0": "e1 -e0", "e1": "e0 -e1 -e2",
-                                "e2": "-e2 e0 -e1 -e2"}),
-        "pre1_r3": GraphMap(pre3, pre3,
-                            {"v0": "v1", "v1": "v2", "v2": "v0"}, {
-                                "e0": "-e2", "e1": "e0",
-                                "e2": "-e1 e2 -e0 -e1"}),
-    }
+from workloads import reference_maps
 
 
 def growth(f):
@@ -68,7 +38,7 @@ def main(argv=None):
 
     rows = []
     all_ok = True
-    for name, f in reference_maps().items():
+    for name, f, _expect in reference_maps():
         pkg = build_induced(f)
         report = verify_package(pkg)
         all_ok = all_ok and report.ok

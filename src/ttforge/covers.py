@@ -67,10 +67,14 @@ def lift_graph_map(f, core):
     """Lift of the ambient self-map to a self-map of the core's graph.
 
     ``core`` is a folded core or a connected finite covering, pointed.
-    Tries each core vertex over the image of the core's base vertex, in id
-    order, as the image of the basepoint; the first consistent assignment
-    wins.  Raises NotLiftableError when none works, which for train track
-    promotion means the subgroup is not invariant in the required sense.
+    Tries each core vertex over the image of the core's base vertex, in
+    string order of ids ('w14' before 'w2'), as the image of the basepoint;
+    the first consistent assignment wins.  That is a convention: on build's
+    cores for cyc2, pre1_r2 and pre1_r3, 4, 9 and 8 lifts are consistent,
+    one with a basepoint orbit periodic from the start, and the order picks
+    another, so those packages have preperiod 1.  Raises NotLiftableError
+    when none works, which for train track promotion means the subgroup is
+    not invariant in the required sense.
     """
     if not f.is_self_map or f.domain != core.ambient:
         raise ValueError("need a self map of the core's ambient graph")

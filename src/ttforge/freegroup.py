@@ -22,15 +22,15 @@ basis loops: each vertex u of H is seeded over f of the vertex below it,
 and each edge is read in as the f-image of its label.  Trimming the
 valence-one vertices other than the basepoint leaves the pointed core of
 f_*(H) (Stallings 1983); renamed, that is `map_subgroup`.  `image_chain`
-takes such single steps of f from the whole group until it has every link
-it returns, so its words are edge images of f even when the return map is
-a power of f.  Each step is folded from the last step's trimmed table as
-it stands, and only the links are renamed into graphs.  Stabilization,
-the stable quotient and the injectivity exponent read that one chain: the
-promotion reads its links, and `stable_quotient`, behind `ttforge
-quotient`, writes the return map's restriction to the last link in that
-core's basis.  Injectivity on the whole domain, by Hopficity, is a rank
-query on one map fold.
+takes such single steps of f from the whole group up to its one link, so
+its words are edge images of f even when the return map is a power of f.
+Each step is folded from the last step's trimmed table as it stands, the
+others count only by rank, and only the link is renamed into a graph.
+Stabilization, the stable quotient and the injectivity exponent read that
+one chain: the promotion's core is its link, and `stable_quotient`, behind
+`ttforge quotient`, writes the return map's restriction to the link (the
+whole group if K = 0) in that core's basis.  Injectivity on the whole
+domain, by Hopficity, is a rank query on one map fold.
 
 A labeling sends positive darts to positive ambient darts; the label of a
 reversed dart is the reversed label.  Folded means no vertex carries two
@@ -40,7 +40,6 @@ is deterministic wherever it is possible at all.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -362,8 +361,8 @@ class _Folding:
 
         ``(base, vertex images, edges)`` with table ids for vertices and
         ``(origin, ambient label, terminus)`` edges, one per positive dart
-        left in the table; see `_map_folding`.  `image_chain` reads every
-        step's table here, so the sign test and the root lookup are inline.
+        left in the table; see `_map_folding`.  `image_chain` reads its
+        steps here, so the sign test and the root lookup are inline.
         """
         base = self.trimmed
         parent, over, out = self.table
@@ -563,20 +562,19 @@ def map_subgroup(f, sub):
 
 
 def image_chain(f, base, period=1):
-    """Images of the fundamental group under f's powers, up to stabilization.
+    """The stable link of f's image chain and the stabilization constant.
 
     G_0 is the whole group at ``base``, which f returns to after ``period``
     steps, and G_{j+1} is one map fold of f over G_j.  Ranks never
     increase; at the first step j* that keeps the rank, f is injective on
     G_{j*}, and every later step keeps it too (free groups are Hopfian).
     Ranks do not depend on the basepoint, so one chain serves the whole
-    orbit.  Returns ``(links, K)``: K = ceil(j* / period) is the kernel
-    stabilization constant of the return map f^period, and ``links`` holds
-    G_0, G_period, ..., G_{period max(K, 1)}, its image subgroups at
-    ``base``.  Only those links become `SubgroupGraph`s; every step is
-    folded from the previous trimmed fold table as it stands.  Ranks are
-    read off the tables only until j* is found, and the chain returns once
-    its last link exists, without folding further.
+    orbit.  Returns ``(link, K)``: K = ceil(j* / period) is the kernel
+    stabilization constant of the return map f^period, and ``link`` is
+    G_{period max(K, 1)}, its max(K, 1)-th image subgroup at ``base``.
+    Each step folds the last trimmed table as it stands; ranks are read
+    off the tables (G_0's is E - V + 1 of the domain), and only the link,
+    where the chain stops, is renamed into a `SubgroupGraph`.
     """
     if period < 1:
         raise ValueError("period %r is not positive" % (period,))
@@ -587,20 +585,18 @@ def image_chain(f, base, period=1):
         cur = f.vertex_map.get(cur)
     if cur != base:
         raise ValueError("%r is not a vertex of period %d" % (base, period))
-    sub = whole_group_graph(f.domain, base)
-    links, rank, K = [sub], sub.rank(), None
-    image = _domain_folding(f, base)
-    for j in itertools.count():
-        if K is None:
-            image_rank = image.rank()
-            if image_rank == rank:
-                K = -(-j // period)
-            rank = image_rank
-        if K is not None and len(links) > max(K, 1):
-            return links, K
-        if (j + 1) % period == 0:
-            links.append(image.core())
+    rank = len(f.domain.edge_ids) - len(f.domain.vertices) + 1
+    # last folds G_j (None for G_0) and image G_{j+1}
+    last, image, j = None, _domain_folding(f, base), 0
+    while (image_rank := image.rank()) != rank:
+        rank, last, j = image_rank, image, j + 1
         image = _map_folding(f, *image.labeled_edges())
+    K = -(-j // period)
+    ahead = period * max(K, 1) - j  # the link is G_{j + ahead}, ahead >= 0
+    link = last if ahead == 0 else image
+    for _ in range(ahead - 1):
+        link = _map_folding(f, *link.labeled_edges())
+    return link.core(), K
 
 
 def image_subgroup(phi, k):
@@ -654,15 +650,16 @@ class StableQuotientReport:
 def stable_quotient(f, base, period=1):
     """The stable image of f^period at ``base`` and the restriction to it.
 
-    The core is ``links[K]`` of `image_chain(f, base, period)`, the chain
-    the promotion reads.  Each of its basis words is stepped through f
-    ``period`` times, freely reduced after each step, and rewritten in the
-    core's basis; no power of f is built.
+    The core is G_{period K}: the link of `image_chain(f, base, period)`,
+    the one the promotion reads, when K > 0, and the whole group when
+    K = 0.  Each of its basis words is stepped through f ``period`` times,
+    freely reduced after each step, and rewritten in the core's basis; no
+    power of f is built.
     """
     if not f.domain.is_connected():
         raise ValueError("graph is not connected")
-    links, K = image_chain(f, base, period)
-    core = links[K]
+    link, K = image_chain(f, base, period)
+    core = link if K else whole_group_graph(f.domain, base)
     restriction = {}
     for name, _loop, word in core.basis():
         for _ in range(period):

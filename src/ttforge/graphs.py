@@ -24,7 +24,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from itertools import chain, islice
+from itertools import chain
 
 INV_PREFIX = "-"
 
@@ -399,11 +399,6 @@ def iterated_lengths(f):
         yield level
         level = {e: sum(map(level.__getitem__, edges))
                  for e, edges in crossed.items()}
-
-
-def iterate_lengths(f, count):
-    """The first ``count`` levels of `iterated_lengths`, as a list."""
-    return list(islice(iterated_lengths(f), count))
 
 
 def validate(m):

@@ -96,9 +96,10 @@ class InducedPackage:
     these on first use and never stored: ``projection``, the core's
     labeling as a graph map, and ``transfer``, induced^m after H, the
     semi-conjugating map into the core lifting the ``constant``-th power.
-    ``chain`` is the `image_chain` ``(links, K)`` of the source at the
-    periodic vertex with its period: ``links[K]`` is the stable image
-    subgroup and K the kernel stabilization constant of the return map.
+    ``chain`` is the `image_chain` ``(link, K)`` of the source at the
+    periodic vertex with its period: ``link`` is the n-th image subgroup,
+    n = max(K, 1), which ``core`` must equal, and K the kernel
+    stabilization constant of the return map.
     """
 
     source: GraphMap
@@ -209,8 +210,7 @@ def build_induced(f, size_budget=None):
     v, r = find_periodic_vertex(f)
     chain = image_chain(f, v, r)
     n = injectivity_exponent(chain)
-    # the chain's links run up to index max(K, 1), which is n
-    core = chain[0][n]
+    core = chain[0]
     if core.rank() == 0:
         raise ValueError("stable image subgroup is trivial")
 
@@ -368,7 +368,7 @@ def verify_package(pkg):
         "transfer after f versus induced after transfer")
 
     k, n, r = pkg.multiplier, pkg.exponent, pkg.period
-    links, stabilization = pkg.chain
+    link, stabilization = pkg.chain
     # the orbit constants are re-derived, the orbit only on a valid lift
     periodic = find_periodic_vertex(f)
     orbit = maps_ok and basepoint_orbit(fbar, core.basepoint, periodic[1])
@@ -438,7 +438,7 @@ def verify_package(pkg):
         "folded core projecting onto the whole graph")
     report.record(
         "rank_matches_quotient",
-        core == links[max(stabilization, 1)],
+        core == link,
         "rank %d" % core.rank())
 
     report.record(

@@ -150,7 +150,7 @@ def _endomorphism_payload(payload):
 
     The generators must be a list of names and the image keys exactly
     those names; ValueError names the first extra key, in sorted order,
-    else the first generator with no image.
+    else the first generator with no image or one that is no word string.
     """
     if not isinstance(payload, dict):
         raise ValueError("endomorphism payload must be an object")
@@ -164,10 +164,13 @@ def _endomorphism_payload(payload):
     if extra:
         raise ValueError("endomorphism image for %r, which is not a "
                          "generator" % (min(extra),))
-    missing = [g for g in generators if g not in images]
-    if missing:
-        raise ValueError("endomorphism has no image for generator %r"
-                         % (missing[0],))
+    for g in generators:
+        if g not in images:
+            raise ValueError("endomorphism has no image for generator %r"
+                             % (g,))
+        if not isinstance(images[g], str):
+            raise ValueError("endomorphism image of generator %r is not a "
+                             "word string" % (g,))
     return generators, images
 
 

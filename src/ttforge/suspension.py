@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .covers import NotLiftableError, lift_graph_map
 from .freegroup import hall_completion, induces_pi1_isomorphism
-from .graphs import compose, edge_of, is_positive, iterate_lengths, validate
+from .graphs import compose, edge_of, is_positive, iterated_lengths, validate
 from .induced import projection_map, verify_package
 
 
@@ -236,7 +237,7 @@ def _tracked(lift, label, downstairs, power):
     downstairs steps, not at constant speed, so that projecting commutes
     with flowing bit for bit.
     """
-    lengths = iterate_lengths(downstairs, power)
+    lengths = list(islice(iterated_lengths(downstairs), power))
 
     def point(pt):
         if pt.is_vertex:
@@ -280,7 +281,7 @@ def breakpoint_samples(torus, power, heights=(Fraction(0), Fraction(1, 2))):
     included at every height.
     """
     f = torus.map
-    lengths = iterate_lengths(f, power + 1)[power]
+    lengths = next(islice(iterated_lengths(f), power, None))
     out = []
     for v in torus.graph.vertices:
         for h in heights:

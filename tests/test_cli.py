@@ -187,7 +187,9 @@ class TestMalformedDocuments:
          "endomorphism has no image for generator 'y'"),
         ({"generators": "xy", "images": {"x": "x y", "y": "x"}},
          "endomorphism generators must be a list of names"),
-    ], ids=["extra", "missing", "string"])
+        ({"generators": ["x"], "images": {"x": 7}},
+         "endomorphism image of generator 'x' is not a word string"),
+    ], ids=["extra", "missing", "string", "int-word"])
     def test_endomorphism_images_match_the_generators(
             self, capsys, tmp_path, payload, message):
         self._refused(capsys, tmp_path, "induce", {"endomorphism": payload},

@@ -14,6 +14,7 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,7 @@ from hypothesis import assume, given, settings, strategies as st
 from ttforge import graphs, induced
 from ttforge.covers import NotLiftableError, lift_by_tracing
 from ttforge.graphs import (
-    GraphMap, SerreGraph, compose, inv, iterate_lengths, reduce_darts, rose,
+    GraphMap, SerreGraph, compose, inv, iterated_lengths, reduce_darts, rose,
     validate,
 )
 from ttforge.traintrack import (
@@ -128,19 +129,19 @@ class TestInjectivityExponent:
 
 
 def assert_chain_matches_oracle(f):
-    """K, the exponent and every link's canonical key, against the oracle.
+    """K, the exponent and the link's canonical key, against the oracle.
 
     The oracle runs the basis-loop chain of the return map at every vertex
-    of the periodic orbit; the single-step chain runs once, from the first.
+    of the periodic orbit; the single-step chain runs once, from the first,
+    and its link is the oracle's H_max(K, 1).
     """
     v, r = find_periodic_vertex(f)
-    links, K = image_chain(f, v, r)
+    link, K = image_chain(f, v, r)
     orbit = orbit_chains_oracle(f, v, r)
     oracle_links, oracle_K = orbit[0][1]
     assert K == oracle_K
-    assert [link.canonical_key() for link in links] \
-        == [link.canonical_key() for link in oracle_links]
-    n = injectivity_exponent((links, K))
+    assert link.canonical_key() == oracle_links[max(K, 1)].canonical_key()
+    n = injectivity_exponent((link, K))
     assert orbit_exponents_oracle(f, orbit) == [n] * r
 
 
@@ -167,7 +168,7 @@ class TestImageChainOracle:
         # period 2, so G_1 is no link and G_2 is folded from G_1's trimmed
         # table: there e2 -> e0 e2 -e0 runs from the seed over v0 out to
         # the base and back, which leaves that seed hanging by e0; the
-        # link G_2's table, read once more after its core, trims nothing
+        # link G_2 is renamed and never read as a fold input
         from ttforge import freegroup
         g = SerreGraph(["v0", "v1"], [("e0", "v0", "v1"),
                                       ("e1", "v0", "v0"),
@@ -186,9 +187,8 @@ class TestImageChainOracle:
         monkeypatch.setattr(freegroup._Folding, "labeled_edges",
                             counting_edges)
         assert find_periodic_vertex(f) == ("v0", 2)
-        links, K = image_chain(f, "v0", 2)
-        assert (trimmed, K, [link.rank() for link in links]) \
-            == ([1, 0], 1, [2, 1])
+        link, K = image_chain(f, "v0", 2)
+        assert (trimmed, K, link.rank()) == ([1], 1, 1)
         assert_chain_matches_oracle(f)
 
 
@@ -368,7 +368,7 @@ class TestBuildInduced:
                                                  K):
         for f in named_fixture_maps.values():
             fk = f.power(K)
-            assert iterate_lengths(f, K + 1)[K] == {
+            assert next(islice(iterated_lengths(f), K, None)) == {
                 e: len(fk.dart_image(e)) for e in f.domain.edge_ids}
 
     def test_deterministic(self, sigma, packages):
@@ -414,9 +414,10 @@ class TestBuildInduced:
                 assert 0 < sum(symbols) < 5 * core_edges, (
                     family.__name__, n, sum(symbols), core_edges)
 
-    def test_only_links_become_graphs(self, monkeypatch):
-        # build renames a fold table into a graph only for the chain's
-        # links past G_0, and verify builds no subgroup graph at all
+    def test_one_graph_per_build(self, monkeypatch, stab2, stab3):
+        # build renames one fold table, the chain's link, into the one
+        # subgroup graph it builds, and verify builds none; stab2 and stab3
+        # (K = 2, 3) step past image subgroups before their link
         from ttforge import freegroup
         cores, graphs_built = [], []
         real_core = freegroup._Folding.core
@@ -433,15 +434,20 @@ class TestBuildInduced:
         monkeypatch.setattr(freegroup._Folding, "core", counting_core)
         monkeypatch.setattr(freegroup.SubgroupGraph, "__init__",
                             counting_init)
-        for family in (_two_strand_ring, _three_strand_ring):
-            for n in range(2, 6):
-                cores.clear()
-                pkg = build_induced(family(n))
-                links = pkg.chain[0]
-                assert len(cores) == len(links) - 1, (family.__name__, n)
-                graphs_built.clear()
-                assert verify_package(pkg).ok
-                assert graphs_built == [], (family.__name__, n)
+        maps = [("%s(%d)" % (family.__name__, n), family(n), 1)
+                for family in (_two_strand_ring, _three_strand_ring)
+                for n in range(2, 6)]
+        maps += [("stab2", stab2, 2), ("stab3", stab3, 3)]
+        for name, f, K in maps:
+            cores.clear()
+            graphs_built.clear()
+            pkg = build_induced(f)
+            assert pkg.chain[1] == K, name
+            assert len(cores) == 1, name
+            assert graphs_built == [pkg.core], name
+            graphs_built.clear()
+            assert verify_package(pkg).ok
+            assert graphs_built == [], name
 
 
 def _two_strand_ring(n):

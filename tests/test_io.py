@@ -123,8 +123,12 @@ class TestInputDocuments:
         ({"images": {"x": "x"}},
          "endomorphism generators must be a list of names"),
         (["x"], "endomorphism payload must be an object"),
+        ({"generators": ["x"], "images": {"x": 7}},
+         "endomorphism image of generator 'x' is not a word string"),
+        ({"generators": ["x", "y"], "images": {"x": ["x", "y"], "y": "x"}},
+         "endomorphism image of generator 'x' is not a word string"),
     ], ids=["extra", "missing", "string", "non-string", "image-list",
-            "no-generators", "payload-list"])
+            "no-generators", "payload-list", "int-word", "list-word"])
     def test_endomorphism_images_are_the_generators(self, payload, message):
         with pytest.raises(ValueError, match="^%s$" % message):
             load_input({"endomorphism": payload})

@@ -15,8 +15,8 @@ The train track routines return plain answers, not self-checking
 certificates.  Subgroups and finite covers share one graph type, built
 only through its checked constructor, and a trace steps by one lookup.  A
 package stores the half lift and derives the transfer only when read.
-No test runs the scripts under ``scripts/``, so every name they import from
-the package is checked to exist.  The README's Python quick start and its
+Every name the scripts under ``scripts/`` import from the package is
+checked to exist, and ``build_packages.py`` is run into a fresh directory.  The README's Python quick start and its
 sample ``ttforge quotient`` report are run and compared with the output the
 README shows.
 """
@@ -167,6 +167,21 @@ def test_detects_an_unresolved_package_import():
 def test_script_imports_resolve(script):
     source = (ROOT / "scripts" / script).read_text(encoding="utf-8")
     assert unresolved_package_imports(source) == []
+
+
+def test_build_packages_writes_every_reference_package(tmp_path):
+    # the script reads its maps from perfbench's reference_maps
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "build_packages.py"),
+         "--out", str(tmp_path)],
+        env=env, timeout=120, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    names = ["cyc2", "fib", "pre1_r2", "pre1_r3", "sigma", "stab2", "stab3"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names:
+        assert sorted(p.name for p in (tmp_path / name).iterdir()) \
+            == sorted(PACKAGE_FILES), name
 
 
 def _import_targets(node, modules):
