@@ -205,10 +205,6 @@ def reduce_darts(darts):
     return tuple(out)
 
 
-def is_reduced(darts):
-    return all(b != inv(a) for a, b in zip(darts, darts[1:]))
-
-
 class CyclicPath:
     """Nonempty closed edge path; its rotations are different paths.
 
@@ -404,11 +400,17 @@ def iterated_lengths(f):
 def validate(m):
     """First violated graph-map invariant as a string, or None if valid.
 
-    Checked in order: graph sanity (no isolated vertices), vertex images,
-    dart images nonempty ("edge collapsed"), incidence, endpoint
-    compatibility, immersed images ("not immersed").
+    Checked in order: graph sanity (no isolated vertices; a self-map's
+    one graph is scanned once), vertex images, dart images nonempty
+    ("edge collapsed"), incidence, endpoint compatibility, immersed images
+    ("not immersed").  Each edge image is read once, so a break in
+    incidence is reported only after the image's last dart is known, and
+    the first backtrack only after every image is a path between the
+    right endpoints.
     """
-    for graph, side in ((m.domain, "domain"), (m.codomain, "codomain")):
+    scanned = ((m.domain,) if m.codomain == m.domain
+               else (m.domain, m.codomain))
+    for graph, side in zip(scanned, ("domain", "codomain")):
         for v in graph.vertices:
             if graph.valence(v) == 0:
                 return "%s has isolated vertex %r" % (side, v)
@@ -419,20 +421,30 @@ def validate(m):
         if w not in m.codomain._out:
             return "vertex %r maps outside the codomain" % v
     origin, terminus = m.codomain._origin, m.codomain._terminus
+    backtracks = None  # the first edge whose image backtracks
     for e, o, t in m.domain.edge_data:
         img = m.dart_image(e)
         if not img:
             return "edge collapsed: %r has trivial image" % e
+        path = True
+        prev = begin = end = None
         for d in img:
-            if d not in origin:
+            start = origin.get(d)
+            if start is None:
                 return "image of %r uses unknown dart %r" % (e, d)
-        if [terminus[d] for d in img[:-1]] != [origin[d] for d in img[1:]]:
+            stop = terminus[d]
+            if prev is not None:
+                path = path and start == end
+                # a backtrack ends where the dart before it began
+                if stop == begin and backtracks is None and d == inv(prev):
+                    backtracks = e
+            prev, begin, end = d, start, stop
+        if not path:
             return "image of %r is not a path" % e
         if origin[img[0]] != m.vertex_map[o]:
             return "endpoint mismatch at origin of %r" % e
-        if terminus[img[-1]] != m.vertex_map[t]:
+        if end != m.vertex_map[t]:
             return "endpoint mismatch at terminus of %r" % e
-    for e in m.domain.edge_ids:
-        if not is_reduced(m.dart_image(e)):
-            return "not immersed: image of %r backtracks" % e
+    if backtracks is not None:
+        return "not immersed: image of %r backtracks" % backtracks
     return None

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, islice
+from itertools import islice
 
 from .covers import based_lift_power, lift_graph_map
 from .freegroup import image_chain, is_pi1_injective
@@ -257,7 +257,8 @@ class VerificationReport:
         return [name for name, (ok, _) in self.checks.items() if not ok]
 
 
-def _growth_rate_mismatch(core, a_down, a_up, up_irreducible):
+def _growth_rate_mismatch(core, a_down, a_up, up_irreducible,
+                          commutes=False):
     """Why the source and induced growth rates may differ, or None.
 
     Pi is the 0/1 matrix sending each core edge to its label.  Row e of
@@ -265,12 +266,17 @@ def _growth_rate_mismatch(core, a_down, a_up, up_irreducible):
     A_down's row for the label of e.  The identity A_up Pi = Pi A_down and
     the irreducibility of both matrices make Pi times A_down's Perron
     vector a positive eigenvector of A_up for the source's growth rate, so
-    by Perron-Frobenius the two growth rates are equal.
+    by Perron-Frobenius the two growth rates are equal.  When f p = p fbar
+    holds unreduced (``commutes``), the identity needs no comparison: row
+    e of A_up Pi counts the edges of p(fbar(e)) = f(p(e)), which row p(e)
+    of A_down counts.
     """
     if not is_irreducible(a_down):
         return "source matrix is reducible"
     if not up_irreducible:
         return "induced matrix is reducible"
+    if commutes:
+        return None
     column = {e: j for j, e in enumerate(a_down.labels)}
     down_row = dict(zip(a_down.labels, a_down.entries))
     label_column = [column[core.edge_label[e]] for e in a_up.labels]
@@ -288,7 +294,10 @@ def verify_package(pkg):
 
     Maps are compared with unreduced substitution, so bit for bit, and
     composed only once they are valid graph maps between the right
-    graphs.  The transfer P = fbar^m H, m = K // 2, is certified without
+    graphs.  Each stored map is validated once, f and fbar have one
+    transition matrix each, which every count of crossings reads, and
+    f p = p fbar is compared edge image by edge image, with no composite
+    built.  The transfer P = fbar^m H, m = K // 2, is certified without
     building it, from these premises: f, fbar and H are valid graph maps,
     fbar and H into the immersed core, f p = p fbar for the core's
     labeling p (read off the core, so there is no second copy to
@@ -300,23 +309,35 @@ def verify_package(pkg):
     are equal once they agree at one vertex of a connected domain, each
     dart's image being the one lift of one path from one vertex, termini
     included.  So each comparison reads the core's basepoint w or p(w),
-    failing by its premise on a disconnected graph.  A check whose premise
-    fails fails, and so do the premises that need m when the
-    `INTEGER_CONSTANTS` are not all integers.  Growth rates are compared
-    exactly: both transition matrices are irreducible and
-    A_up Pi = Pi A_down, where Pi sends each core edge to its label.
+    failing by its premise on a disconnected graph.  A check whose
+    premise fails fails, and so do the premises that need m when the
+    `INTEGER_CONSTANTS` are not all integers.
 
     The dynamics transfer from f through p, as in the paper, rather than
-    being re-derived on the core.  Train track by projection: f p = p fbar
-    unreduced gives p fbar^j(e) = f^j(p(e)), and p sends a backtrack to a
-    backtrack, so fbar is a train track map when f is one (on the base
-    graph) and fbar crosses every core edge (no column of A_up is zero).
-    When a premise fails, the full turn walk decides and its detail names
-    the first uncrossed edge or degenerating turn.  Primitivity by period:
-    an irreducible matrix is primitive exactly when its period is 1, so
+    being re-derived on the core; when a lemma's premise fails, the
+    direct computation on the core decides, with the same detail.
+    Train track by projection: f p = p fbar unreduced gives
+    p fbar^j(e) = f^j(p(e)), and p sends a backtrack to a backtrack, so
+    fbar is a train track map when f is one (on the base graph) and fbar
+    crosses every core edge (no column of A_up is zero); else the full
+    turn walk names the first uncrossed edge or degenerating turn.
+    Irreducible by transfer: when f is irreducible, P p = fbar^K and
+    P f = fbar P hold, and P crosses every core edge, then for core edges
+    e and e' some ambient edge b has e' in P(b) and b is in f^j(p(e)) for
+    some j >= 1, so e' is in P f^j p(e) = fbar^(K+j)(e).  Expanding by
+    transfer: f p = p fbar unreduced and p sends each dart to one dart,
+    so |fbar^j(e)| = |f^j(p(e))|, and fbar is expanding when f is.
+    Growth rates are compared exactly, without eigenvalues: both
+    transition matrices are irreducible and A_up Pi = Pi A_down, where Pi
+    sends each core edge to its label, and when f p = p fbar holds that
+    identity follows row by row (see `_growth_rate_mismatch`), which is
+    compared only when it does not.  Primitivity by period: an
+    irreducible matrix is primitive exactly when its period is 1, so
     "down primitive implies up primitive" is decided by one breadth-first
-    search per matrix, with detail "period down %r up %r".  No matrix
-    power is stepped and no turn orbit is walked on the core.
+    search per matrix, with detail "period down %r up %r".  When the
+    premises hold, the checks of irreducibility, expansion and the growth
+    rate re-derive nothing on the core (`period` still condenses A_up),
+    and no check steps a matrix power or walks a turn orbit there.
     """
     report = VerificationReport()
     f, fbar, p, H = pkg.source, pkg.induced, pkg.projection, pkg.half
@@ -325,46 +346,48 @@ def verify_package(pkg):
                    for name in INTEGER_CONSTANTS)
     m = K // 2 if integral else None
     graph, ambient = core.graph, core.ambient
+    immersed = core.is_immersion()
 
     invalid = validate(fbar)
     # f and fbar valid self-maps of the ambient graph and of the core
     maps_ok = (invalid is None and fbar.domain == graph == fbar.codomain
                and f.domain == f.codomain == ambient and validate(f) is None)
-    commutes = maps_ok and compose(f, p) == compose(p, fbar)
+    # f p = p fbar, edge image by edge image.  The vertex maps then agree
+    # too: f and fbar are valid, and so is p, the core's labeling
+    # respecting incidence, so both composites are valid maps; a core
+    # vertex v has an out-dart d, fbar's domain having no isolated vertex,
+    # and both composites send d to the same nonempty path (a reversed
+    # dart to its edge's image reversed), which starts at both images of v
+    commutes = maps_ok and all(
+        f.dart_image(core.edge_label[e])
+        == p.apply_to_darts(fbar.dart_image(e)) for e in graph.edge_ids)
     report.record(
         "projection_commutes", commutes,
         "f after p versus p after induced")
     # f^m is built only once H's lengths are f^m's; no level over |H| is read
     lengths = {e: len(H.dart_image(e)) for e in H.domain.edge_ids}
-    fits = (integral and maps_ok and core.is_immersion()
+    fits = (integral and maps_ok and immersed
             and H.domain == ambient and H.codomain == graph
             and validate(H) is None
             and _level(f, m, sum(lengths.values())) == lengths)
-    # the edges P crosses: m pushes of H's through fbar
-    crossed = set()
-    if fits:
-        hit = {e: set(map(edge_of, fbar.dart_image(e)))
-               for e in graph.edge_ids}
-        crossed = set(map(edge_of, chain.from_iterable(
-            map(H.dart_image, ambient.edge_ids))))
-        for _ in range(m):
-            crossed = set().union(*map(hit.__getitem__, crossed))
     lifts = fits and commutes and compose(p, H) == f.power(m)
     w, x = core.basepoint, p.vertex_map[core.basepoint]  # x below w
     report.record(
         "transfer_covers_power", lifts and K % 2 == 0,
         "p after transfer versus f^%s" % (K,))
-    report.record(
-        "transfer_after_projection",
+    after_projection = (
         lifts and K % 2 == 0 and graph.is_connected()
         and vertex_power(fbar, H.vertex_map[x], m)
-        == vertex_power(fbar, w, K),
-        "transfer after p versus induced^%s" % (K,))
+        == vertex_power(fbar, w, K))
     report.record(
-        "equivariance",
+        "transfer_after_projection", after_projection,
+        "transfer after p versus induced^%s" % (K,))
+    equivariant = (
         lifts and ambient.is_connected()
         and vertex_power(fbar, H.vertex_map[f.vertex_map[x]], m)
-        == vertex_power(fbar, H.vertex_map[x], m + 1),
+        == vertex_power(fbar, H.vertex_map[x], m + 1))
+    report.record(
+        "equivariance", equivariant,
         "transfer after f versus induced after transfer")
 
     k, n, r = pkg.multiplier, pkg.exponent, pkg.period
@@ -389,8 +412,21 @@ def verify_package(pkg):
 
     a_down = transition_matrix(f)
     a_up = transition_matrix(fbar)
+    # the columns of the edges P crosses: m pushes of H's through A_up,
+    # where a set that a push fixes stays fixed
+    crossed = set()
+    if fits:
+        column = {e: j for j, e in enumerate(a_up.labels)}
+        crossed = {column[edge_of(d)] for e in ambient.edge_ids
+                   for d in H.dart_image(e)}
+        for _ in range(m):
+            pushed = {j for i in crossed for j, _x in a_up.entries[i]}
+            if pushed == crossed:
+                break
+            crossed = pushed
+    onto = len(crossed) == len(graph.edge_ids)
     # train track by projection, else the turn walk that names a failure
-    if (commutes and core.is_immersion()
+    if (commutes and immersed
             and len({j for row in a_up.entries for j, _x in row}) == a_up.dim
             and is_train_track(f).is_train_track):
         report.record("induced_train_track", True, "")
@@ -401,12 +437,18 @@ def verify_package(pkg):
     else:
         report.record("induced_train_track", False,
                       "invalid graph map: %s" % invalid)
-    up_irreducible = is_irreducible(a_up)
+    # irreducible by transfer, else by the condensation of A_up
+    up_irreducible = (is_irreducible(a_down) and after_projection
+                      and equivariant and onto) or is_irreducible(a_up)
     report.record("induced_irreducible", up_irreducible)
-    expansion = is_expanding(a_up)
-    report.record("induced_expanding", expansion.expanding,
-                  "" if expansion.expanding
-                  else "bounded %r" % (expansion.bounded_edges,))
+    # expanding by transfer, else by the condensation of A_up
+    if commutes and is_expanding(a_down).expanding:
+        report.record("induced_expanding", True, "")
+    else:
+        expansion = is_expanding(a_up)
+        report.record("induced_expanding", expansion.expanding,
+                      "" if expansion.expanding
+                      else "bounded %r" % (expansion.bounded_edges,))
     # primitive is period 1; the period of a reducible matrix is None
     down_period, up_period = period(a_down), period(a_up)
     report.record(
@@ -414,7 +456,8 @@ def verify_package(pkg):
         down_period != 1 or up_period == 1,
         "period down %r up %r" % (down_period, up_period))
 
-    growth = (_growth_rate_mismatch(core, a_down, a_up, up_irreducible)
+    growth = (_growth_rate_mismatch(core, a_down, a_up, up_irreducible,
+                                    commutes)
               if fbar.domain == graph and f.domain == ambient
               else "induced map and core are over different graphs")
     # equal growth rates: the detail keeps the difference format
@@ -432,7 +475,7 @@ def verify_package(pkg):
     vertex_images = set(core.vertex_image.values())
     report.record(
         "core_shape",
-        core.is_immersion() and not core.core_violations()
+        immersed and not core.core_violations()
         and labels == set(ambient.edge_ids)
         and vertex_images == set(ambient.vertices),
         "folded core projecting onto the whole graph")
@@ -442,9 +485,7 @@ def verify_package(pkg):
         "rank %d" % core.rank())
 
     report.record(
-        "transfer_onto_core",
-        crossed == set(graph.edge_ids),
+        "transfer_onto_core", onto,
         "%d of %d edges hit" % (len(crossed), len(graph.edge_ids)))
 
     return report
-

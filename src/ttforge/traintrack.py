@@ -19,7 +19,6 @@ what :func:`is_train_track` decides.  Every routine returns a plain answer;
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -97,13 +96,25 @@ class TransitionMatrix:
 
 
 def transition_matrix(f):
+    """The transition matrix of a self-map, each edge image read once.
+
+    A dart and its reverse share their edge's column, so a row counts its
+    image's darts into a plain dict by one lookup each.
+    """
     if not f.is_self_map:
         raise ValueError("transition matrix needs a self map")
     labels = tuple(sorted(f.domain.edge_ids))
-    index = {e: i for i, e in enumerate(labels)}
-    return TransitionMatrix.from_entries(labels, (
-        sorted(Counter(index[edge_of(d)] for d in f.dart_image(e)).items())
-        for e in labels))
+    column = {}
+    for j, e in enumerate(labels):
+        column[e] = column[inv(e)] = j
+    rows = []
+    for e in labels:
+        row = {}
+        for d in f.dart_image(e):
+            j = column[d]
+            row[j] = row.get(j, 0) + 1
+        rows.append(sorted(row.items()))
+    return TransitionMatrix.from_entries(labels, rows)
 
 
 def _condensation(matrix):
@@ -315,15 +326,17 @@ class TurnSystem:
     __slots__ = ("df", "taken")
 
     def __init__(self, f):
+        # a reversed dart's image is its edge's image reversed, so its first
+        # dart is the reverse of the edge image's last
         df = {}
-        for d in f.domain.darts:
-            df[d] = f.dart_image(d)[0]
-        self.df = df
         taken = set()
         for e in f.domain.edge_ids:
             img = f.dart_image(e)
+            df[e] = img[0]
+            df[inv(e)] = inv(img[-1])
             for i in range(len(img) - 1):
                 taken.add(turn(inv(img[i]), img[i + 1]))
+        self.df = df
         self.taken = frozenset(taken)
 
     def apply(self, t):

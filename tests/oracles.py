@@ -547,6 +547,44 @@ def period_oracle(rows):
     return g
 
 
+# -- graph-map invariants ------------------------------------------------------
+
+
+def validate_oracle(m):
+    """`graphs.validate`'s first message, one invariant per pass.
+
+    Both graphs' valences, then every vertex image, then each edge image's
+    darts, incidence and endpoints, then every image's reduction.
+    """
+    for graph, side in ((m.domain, "domain"), (m.codomain, "codomain")):
+        for v in graph.vertices:
+            if not graph.out_darts(v):
+                return "%s has isolated vertex %r" % (side, v)
+    for v in m.domain.vertices:
+        if m.vertex_map.get(v) is None:
+            return "vertex %r has no image" % v
+        if m.vertex_map[v] not in m.codomain.vertices:
+            return "vertex %r maps outside the codomain" % v
+    c = m.codomain
+    for e in m.domain.edge_ids:
+        img = m.dart_image(e)
+        if not img:
+            return "edge collapsed: %r has trivial image" % e
+        unknown = [d for d in img if not c.has_dart(d)]
+        if unknown:
+            return "image of %r uses unknown dart %r" % (e, unknown[0])
+        if any(c.terminus(a) != c.origin(b) for a, b in zip(img, img[1:])):
+            return "image of %r is not a path" % e
+        if c.origin(img[0]) != m.vertex_map[m.domain.origin(e)]:
+            return "endpoint mismatch at origin of %r" % e
+        if c.terminus(img[-1]) != m.vertex_map[m.domain.terminus(e)]:
+            return "endpoint mismatch at terminus of %r" % e
+    for e in m.domain.edge_ids:
+        if reduce_darts(m.dart_image(e)) != m.dart_image(e):
+            return "not immersed: image of %r backtracks" % e
+    return None
+
+
 # -- direct iterate checks -----------------------------------------------------
 
 

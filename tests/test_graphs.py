@@ -7,6 +7,8 @@ from ttforge.graphs import (
     reduce_darts, rose, turn, validate,
 )
 
+from oracles import validate_oracle
+
 
 def theta_graph():
     return SerreGraph(["p", "q"], [("x", "p", "q"), ("y", "p", "q"),
@@ -233,6 +235,42 @@ def test_compose_of_valid_maps_is_valid(seed):
     # substitution without reduction is associative on the nose
     raw = compose(compose(maps[0], maps[1]), maps[0])
     assert raw == compose(maps[0], compose(maps[1], maps[0]))
+
+
+@given(seed=st.integers(0, 10 ** 9))
+@settings(max_examples=400, deadline=None)
+def test_validate_names_the_first_failing_invariant(seed):
+    # one pass per edge image returns what one pass per invariant does:
+    # maps between a theta graph and a graph with an isolated vertex, with
+    # vertex images missing or outside, images walked from the right
+    # vertex and then perhaps broken, ending anywhere and backtracking
+    import random
+    rng = random.Random(seed)
+    theta = theta_graph()
+    lonely = SerreGraph(["p", "q", "r"], [("x", "p", "q"), ("w", "q", "q")],
+                        allow_isolated=True)
+    domain, codomain = rng.choices(
+        [(theta, theta), (theta, lonely), (lonely, theta), (lonely, lonely)],
+        weights=(6, 1, 1, 1))[0]
+    vm = {v: rng.choice(codomain.vertices) for v in domain.vertices}
+    roll = rng.random()
+    if roll < 0.1:
+        del vm[rng.choice(domain.vertices)]
+    elif roll < 0.3:
+        vm[rng.choice(domain.vertices)] = rng.choice([None, "s"])
+    images = {}
+    for e in domain.edge_ids:
+        v = vm.get(domain.origin(e))
+        walk = []
+        for _ in range(rng.randrange(0, 5)):
+            out = codomain.out_darts(v) if v in codomain.vertices else ()
+            d = rng.choice(out) if out and rng.random() < 0.9 else \
+                rng.choice(codomain.darts + ("-u",))
+            walk.append(d)
+            v = codomain.terminus(d) if codomain.has_dart(d) else None
+        images[e] = tuple(walk)
+    m = GraphMap(domain, codomain, vm, images)
+    assert validate(m) == validate_oracle(m)
 
 
 def _random_walk_between(g, rng, a, b, length):

@@ -27,8 +27,8 @@ from ttforge.graphs import (
     validate,
 )
 from ttforge.traintrack import (
-    certification_failure, has_positive_power, is_train_track,
-    pf_eigenvalue, transition_matrix,
+    certification_failure, has_positive_power, is_expanding,
+    is_irreducible, is_train_track, pf_eigenvalue, transition_matrix,
 )
 from ttforge.freegroup import (
     SubgroupGraph, image_chain, pi1_endomorphism, stable_quotient,
@@ -1022,11 +1022,13 @@ def test_no_tampered_package_passes(lifting_packages, corpus100):
 
 
 class TestTransferLemmas:
-    """Train track by projection and primitivity by period.
+    """Train track by projection, primitivity by period, and irreducibility,
+    expansion and the growth-rate identity by transfer.
 
-    Verify transfers both properties from f through p instead of walking
-    turn orbits or stepping matrix powers on the core; these tests pin the
-    verdicts to the full re-derivation and the cost to the base graph.
+    Verify transfers these properties from f through p instead of walking
+    turn orbits, stepping matrix powers or condensing A_up on the core;
+    these tests pin the verdicts to the full re-derivation, the cost to the
+    base graph, and verify to one reading of each map.
     """
 
     def test_verdicts_match_the_rederivation(self, lifting_packages,
@@ -1046,16 +1048,51 @@ class TestTransferLemmas:
         seen = Counter()
         for bad in variants:
             report = verify_package(bad)
+            checks = report.checks
             if validate(bad.induced) is None:
-                verdict = report.checks["induced_train_track"][0]
+                verdict = checks["induced_train_track"][0]
                 assert verdict == is_train_track(bad.induced).is_train_track
                 seen["train track", verdict] += 1
-            down = has_positive_power(transition_matrix(bad.source))
-            up = has_positive_power(transition_matrix(bad.induced))
-            verdict = report.checks["positive_power_transfer"][0]
+            a_down = transition_matrix(bad.source)
+            a_up = transition_matrix(bad.induced)
+            down = has_positive_power(a_down)
+            up = has_positive_power(a_up)
+            verdict = checks["positive_power_transfer"][0]
             assert verdict == (down is None or up is not None)
             seen["positive power", verdict] += 1
-        assert len(seen) == 4, seen
+            # each lemma's verdict is the direct one, counted by whether
+            # its premises held (the lemma decided) or not (the fallback)
+            commutes = checks["projection_commutes"][0]
+            irreducible = is_irreducible(a_up)
+            assert checks["induced_irreducible"][0] == irreducible
+            lemma = is_irreducible(a_down) and all(
+                checks[name][0] for name in (
+                    "transfer_after_projection", "equivariance",
+                    "transfer_onto_core"))
+            seen["irreducible", lemma, irreducible] += 1
+            expansion = is_expanding(a_up)
+            assert checks["induced_expanding"] == (
+                expansion.expanding, "" if expansion.expanding
+                else "bounded %r" % (expansion.bounded_edges,))
+            lemma = commutes and is_expanding(a_down).expanding
+            seen["expanding", lemma, expansion.expanding] += 1
+            growth = induced._growth_rate_mismatch(
+                bad.core, a_down, a_up, irreducible)
+            assert checks["growth_rate"] == (
+                growth is None, growth or "difference 0.000e+00")
+            seen["growth rate", commutes, growth is None] += 1
+        # a lemma's verdict is always True, so only the fallbacks reach
+        # False, and both reach True
+        assert set(seen) == {
+            ("train track", True), ("train track", False),
+            ("positive power", True), ("positive power", False),
+            ("irreducible", True, True), ("irreducible", False, True),
+            ("irreducible", False, False),
+            ("expanding", True, True), ("expanding", False, True),
+            ("expanding", False, False),
+            ("growth rate", True, True), ("growth rate", False, True),
+            ("growth rate", False, False),
+        }, seen
 
     @pytest.mark.parametrize("name,edge,dart,reason", [
         ("sigma", "e0", "-e0", "taken turn ('e1', '-e0') degenerates"),
@@ -1126,6 +1163,23 @@ class TestTransferLemmas:
             walked.clear()
             assert verify_package(pkg).ok
             assert walked == [pkg.source]
+
+    def test_verify_reads_each_map_once(self, monkeypatch):
+        # two transition matrices (f, f̄), three validations (f, f̄, H) and
+        # one composite (p after H): f p = p f̄ is compared edge by edge,
+        # and the edges f̄ hits are read off A_up
+        pkg = build_induced(_two_strand_ring(4))
+        calls = {}
+        for name in ("transition_matrix", "validate", "compose"):
+            def counted(*maps, _real=getattr(induced, name), _name=name):
+                calls.setdefault(_name, []).append(maps)
+                return _real(*maps)
+            monkeypatch.setattr(induced, name, counted)
+        assert verify_package(pkg).ok
+        f, fbar, H = pkg.source, pkg.induced, pkg.half
+        assert calls == {"transition_matrix": [(f,), (fbar,)],
+                         "validate": [(fbar,), (f,), (H,)],
+                         "compose": [(pkg.projection, H)]}
 
 
 def test_induced_action_is_the_lifted_return_map(lifting_packages):

@@ -15,6 +15,7 @@ The train track routines return plain answers, not self-checking
 certificates.  Subgroups and finite covers share one graph type, built
 only through its checked constructor, and a trace steps by one lookup.  A
 package stores the half lift and derives the transfer only when read.
+The suite's reference fixtures are the benchmark's maps.
 Every name the scripts under ``scripts/`` import from the package is
 checked to exist, and ``build_packages.py`` is run into a fresh directory.  The README's Python quick start and its
 sample ``ttforge quotient`` report are run and compared with the output the
@@ -697,6 +698,23 @@ def test_perfbench_targets_resolve():
         assert callable(getattr(owner, attr, None)), name
     checks = set(spans.verify_check_lines(induced.verify_package).values())
     assert checks == VERIFY_CHECKS
+
+
+def test_reference_fixtures_are_the_benchmark_maps(named_fixture_maps):
+    """The suite's seven reference fixtures are the benchmark's, image for
+    image, in the same order."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    reference = {name: f for name, f, _expect in workloads.reference_maps()}
+    assert list(reference) == list(named_fixture_maps)
+    for name, f in reference.items():
+        mine = named_fixture_maps[name]
+        assert (mine.domain, mine.codomain, mine.vertex_map) == (
+            f.domain, f.codomain, f.vertex_map), name
+        assert [mine.dart_image(e) for e in mine.domain.edge_ids] == [
+            f.dart_image(e) for e in f.domain.edge_ids], name
 
 
 README = (ROOT / "README.md").read_text(encoding="utf-8")
