@@ -321,12 +321,9 @@ def verify_package(pkg):
     fbar is a train track map when f is one (on the base graph) and fbar
     crosses every core edge (no column of A_up is zero); else the full
     turn walk names the first uncrossed edge or degenerating turn.
-    Irreducible by transfer: when f is irreducible, P p = fbar^K and
-    P f = fbar P hold, and P crosses every core edge, then for core edges
-    e and e' some ambient edge b has e' in P(b) and b is in f^j(p(e)) for
-    some j >= 1, so e' is in P f^j p(e) = fbar^(K+j)(e).  Expanding by
-    transfer: f p = p fbar unreduced and p sends each dart to one dart,
-    so |fbar^j(e)| = |f^j(p(e))|, and fbar is expanding when f is.
+    Expanding by transfer: f p = p fbar unreduced and p sends each dart
+    to one dart, so |fbar^j(e)| = |f^j(p(e))|, and fbar is expanding
+    when f is.
     Growth rates are compared exactly, without eigenvalues: both
     transition matrices are irreducible and A_up Pi = Pi A_down, where Pi
     sends each core edge to its label, and when f p = p fbar holds that
@@ -335,9 +332,10 @@ def verify_package(pkg):
     irreducible matrix is primitive exactly when its period is 1, so
     "down primitive implies up primitive" is decided by one breadth-first
     search per matrix, with detail "period down %r up %r".  When the
-    premises hold, the checks of irreducibility, expansion and the growth
-    rate re-derive nothing on the core (`period` still condenses A_up),
-    and no check steps a matrix power or walks a turn orbit there.
+    premises hold, the checks of expansion and of the growth rate
+    re-derive nothing on the core; irreducibility is read off the
+    condensation of A_up, which `period` needs anyway, and no check steps
+    a matrix power or walks a turn orbit there.
     """
     report = VerificationReport()
     f, fbar, p, H = pkg.source, pkg.induced, pkg.projection, pkg.half
@@ -375,19 +373,17 @@ def verify_package(pkg):
     report.record(
         "transfer_covers_power", lifts and K % 2 == 0,
         "p after transfer versus f^%s" % (K,))
-    after_projection = (
+    report.record(
+        "transfer_after_projection",
         lifts and K % 2 == 0 and graph.is_connected()
         and vertex_power(fbar, H.vertex_map[x], m)
-        == vertex_power(fbar, w, K))
-    report.record(
-        "transfer_after_projection", after_projection,
+        == vertex_power(fbar, w, K),
         "transfer after p versus induced^%s" % (K,))
-    equivariant = (
+    report.record(
+        "equivariance",
         lifts and ambient.is_connected()
         and vertex_power(fbar, H.vertex_map[f.vertex_map[x]], m)
-        == vertex_power(fbar, H.vertex_map[x], m + 1))
-    report.record(
-        "equivariance", equivariant,
+        == vertex_power(fbar, H.vertex_map[x], m + 1),
         "transfer after f versus induced after transfer")
 
     k, n, r = pkg.multiplier, pkg.exponent, pkg.period
@@ -424,7 +420,6 @@ def verify_package(pkg):
             if pushed == crossed:
                 break
             crossed = pushed
-    onto = len(crossed) == len(graph.edge_ids)
     # train track by projection, else the turn walk that names a failure
     if (commutes and immersed
             and len({j for row in a_up.entries for j, _x in row}) == a_up.dim
@@ -437,9 +432,7 @@ def verify_package(pkg):
     else:
         report.record("induced_train_track", False,
                       "invalid graph map: %s" % invalid)
-    # irreducible by transfer, else by the condensation of A_up
-    up_irreducible = (is_irreducible(a_down) and after_projection
-                      and equivariant and onto) or is_irreducible(a_up)
+    up_irreducible = is_irreducible(a_up)
     report.record("induced_irreducible", up_irreducible)
     # expanding by transfer, else by the condensation of A_up
     if commutes and is_expanding(a_down).expanding:
@@ -485,7 +478,7 @@ def verify_package(pkg):
         "rank %d" % core.rank())
 
     report.record(
-        "transfer_onto_core", onto,
+        "transfer_onto_core", len(crossed) == len(graph.edge_ids),
         "%d of %d edges hit" % (len(crossed), len(graph.edge_ids)))
 
     return report
